@@ -14,10 +14,10 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
 
 from . import core
-from .core import ZERO, Violation, _step
+from .core import ZERO, Violation
 from .errors import StructuralError
 
 # Laws re-checked by check_laws, in report order.
@@ -89,14 +89,8 @@ def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -
     return core.Proposition(name, core.PropMap(space, yes), core.PropMap(space, no))
 
 
-def _mutually_annihilating(p: core.Proposition, q: core.Proposition, space: core.StateSpace) -> bool:
-    p_yes, q_yes = p.yes.table, q.yes.table
-    for z in space.states:
-        if _step(p_yes, q_yes[z]) is not ZERO:
-            return False
-        if _step(q_yes, p_yes[z]) is not ZERO:
-            return False
-    return True
+def _mutually_annihilating(p: core.Proposition, q: core.Proposition) -> bool:
+    return next(core.unannihilated(p.yes, q.yes), None) is None
 
 
 def _remainder_proposition(
@@ -139,7 +133,7 @@ def _random_observable(
         for p in rng.sample(pool, len(pool)):
             if len(chosen) >= target - 1:
                 break
-            if all(_mutually_annihilating(p, q, space) for q in chosen):
+            if all(_mutually_annihilating(p, q) for q in chosen):
                 chosen.append(p)
     uncovered = [z for z in space.states if all(p.yes.table[z] is ZERO for p in chosen)]
     kill = {z for p in chosen for z in space.states if p.yes.table[z] == z}
@@ -171,6 +165,16 @@ def generate_model(params: GeneratorParams) -> core.Model:
 # Law checking
 
 
+# Laws that only core.validate_model reports, under its own ids.
+_VALIDATE_LAW_IDS = ("idempotence-yes", "idempotence-no", "annihilation")
+
+_PAIR_LAWS = (
+    core.compatible_has_common_eigenstate,
+    core.compatible_reaches_joint_eigenstate,
+    core.compatible_order_independent,
+)
+
+
 def check_laws(model: core.Model) -> list[Violation]:
     """Re-verify every supported law against the model, from scratch.
 
@@ -180,170 +184,40 @@ def check_laws(model: core.Model) -> list[Violation]:
     conjunction of a proposition with its own negation is the annihilation
     composite, so it is reported under "P·negP=0".
     """
-    out: list[Violation] = []
-    space = model.space
-    states = space.states
     one = model.propositions.get("ONE")
     zero = model.propositions.get("ZERO")
-
-    for name in sorted(model.propositions):
-        p = model.propositions[name]
-        for side in ("yes", "no"):
-            table = p.side(side).table
-            for z in states:
-                w = table[z]
-                if w is not ZERO and table[w] != w:
-                    out.append(Violation("PP=P", (name, side), (z,), f"{side} map is not idempotent at {z}"))
-        yes_t, no_t = p.yes.table, p.no.table
-        for z in states:
-            if _step(no_t, yes_t[z]) is not ZERO or _step(yes_t, no_t[z]) is not ZERO:
-                out.append(Violation("P·negP=0", (name,), (z,), f"outcome maps do not annihilate at {z}"))
-        for z in states:
-            if yes_t[z] is ZERO and no_t[z] is ZERO:
-                out.append(Violation("consistency", (name,), (z,), f"both outcomes are impossible at {z}"))
-        if zero is not None:
-            zero_t = zero.yes.table
-            for z in states:
-                if _step(zero_t, yes_t[z]) is not ZERO or _step(yes_t, zero_t[z]) is not ZERO:
-                    out.append(Violation("0P=P0=0", (name,), (z,), f"composition with ZERO is not ZERO at {z}"))
-        if one is not None:
-            one_t = one.yes.table
-            for z in states:
-                if _step(one_t, yes_t[z]) != yes_t[z] or _step(yes_t, one_t[z]) != yes_t[z]:
-                    out.append(Violation("1P=P1=P", (name,), (z,), f"composition with ONE changes the map at {z}"))
-            # conjunction with ONE: both orders must reproduce the yes map
-            for z in states:
-                if _step(one_t, yes_t[z]) != yes_t[z]:
-                    out.append(Violation("1ANDP=P", (name,), (z,), f"ONE AND {name} differs from {name} at {z}"))
-                    break
-
-    for name in sorted(model.observables):
-        out.extend(core.validate_observable(model.observables[name], space))
-
-    obs_names = sorted(model.observables)
-    for i, na in enumerate(obs_names):
-        for nb in obs_names[i:]:
-            a = model.observables[na]
-            b = model.observables[nb]
+    prop_laws = (core.idempotent_maps, core.negation_annihilates, core.consistency)
+    if zero is not None:
+        prop_laws += (partial(core.zero_absorbs, zero),)
+    if one is not None:
+        prop_laws += (partial(core.one_is_identity, one), partial(core.one_and_is_identity, one))
+    out = [v for name in sorted(model.propositions) for law in prop_laws for v in law(model.propositions[name])]
+    observables = [model.observables[name] for name in sorted(model.observables)]
+    for a in observables:
+        out.extend(core.validate_observable(a, model.space))
+    for i, a in enumerate(observables):
+        for b in observables[i:]:
             cls_, ev = core.classify_pair(a, b)
-            common = set(ev.common)
-            if cls_ is core.PairClass.COMPATIBLE and not common:
-                out.append(
-                    Violation(
-                        "strongcomp-implies-comp",
-                        (na, nb),
-                        (),
-                        "pair has no common eigenstate yet classifies as compatible",
-                    )
-                )
-            if cls_ is not core.PairClass.COMPATIBLE:
-                continue
-            for z in states:
-                if not _joint_eigenstate_reachable(a, b, z, common):
-                    out.append(
-                        Violation(
-                            "compat-implies-joint-eigenstate",
-                            (na, nb),
-                            (z,),
-                            "no common eigenstate reachable by one measurement of each",
-                        )
-                    )
-            for va in a.spectrum:
-                ma = a.family[va].yes.table
-                for vb in b.spectrum:
-                    mb = b.family[vb].yes.table
-                    for z in states:
-                        if _step(ma, mb[z]) != _step(mb, ma[z]):
-                            out.append(
-                                Violation(
-                                    "compat-order-independence",
-                                    (na, va, nb, vb),
-                                    (z,),
-                                    f"measurement order changes the outcome at {z}",
-                                )
-                            )
+            out.extend(v for law in _PAIR_LAWS for v in law(a, b, cls_, ev))
     return out
-
-
-def _joint_eigenstate_reachable(a: core.Observable, b: core.Observable, z: str, common: set) -> bool:
-    for va in a.spectrum:
-        w1 = a.family[va].yes.table[z]
-        if w1 is ZERO:
-            continue
-        for vb in b.spectrum:
-            w2 = b.family[vb].yes.table[w1]
-            if w2 is ZERO:
-                continue
-            if (w2, va, vb) in common:
-                return True
-    return False
 
 
 def violation_holds(model: core.Model, v: Violation) -> bool:
     """Replay a reported violation against a model.
 
-    Returns True when the cited law still fails at the cited witness;
-    used to make counterexamples self-verifying.
+    Reruns the report that owns the law id (`check_laws` for `LAW_IDS`,
+    `core.validate_model` for its idempotence and annihilation ids) and
+    returns True when that report still holds the violation's law,
+    subjects and witness; used to make counterexamples self-verifying.
     """
-    law = v.law
-    if law in ("PP=P", "idempotence-yes", "idempotence-no"):
-        if law == "PP=P":
-            name, side = v.subjects
-        else:
-            (name,) = v.subjects
-            side = law.split("-")[1]
-        table = model.proposition(name).side(side).table
-        w = table[v.witness[0]]
-        return w is not ZERO and table[w] != w
-    if law in ("P·negP=0", "annihilation"):
-        p = model.proposition(v.subjects[0])
-        z = v.witness[0]
-        return (
-            _step(p.no.table, p.yes.table[z]) is not ZERO
-            or _step(p.yes.table, p.no.table[z]) is not ZERO
-        )
-    if law == "consistency":
-        p = model.proposition(v.subjects[0])
-        z = v.witness[0]
-        return p.yes.table[z] is ZERO and p.no.table[z] is ZERO
-    if law == "0P=P0=0":
-        p = model.proposition(v.subjects[0])
-        zero_t = model.proposition("ZERO").yes.table
-        z = v.witness[0]
-        return _step(zero_t, p.yes.table[z]) is not ZERO or _step(p.yes.table, zero_t[z]) is not ZERO
-    if law in ("1P=P1=P", "1ANDP=P"):
-        p = model.proposition(v.subjects[0])
-        one_t = model.proposition("ONE").yes.table
-        z = v.witness[0]
-        return _step(one_t, p.yes.table[z]) != p.yes.table[z] or _step(p.yes.table, one_t[z]) != p.yes.table[z]
-    if law == "mutual-exclusion":
-        obs_name, v1, v2 = v.subjects
-        a = model.observable(obs_name)
-        z = v.witness[0]
-        return _step(a.family[v1].yes.table, a.family[v2].yes.table[z]) is not ZERO
-    if law == "completeness":
-        a = model.observable(v.subjects[0])
-        z = v.witness[0]
-        return all(a.family[val].yes.table[z] is ZERO for val in a.spectrum)
-    if law == "strongcomp-implies-comp":
-        a = model.observable(v.subjects[0])
-        b = model.observable(v.subjects[1])
-        cls_, ev = core.classify_pair(a, b)
-        return cls_ is core.PairClass.COMPATIBLE and not ev.common
-    if law == "compat-implies-joint-eigenstate":
-        a = model.observable(v.subjects[0])
-        b = model.observable(v.subjects[1])
-        cls_, ev = core.classify_pair(a, b)
-        if cls_ is not core.PairClass.COMPATIBLE:
-            return False
-        return not _joint_eigenstate_reachable(a, b, v.witness[0], set(ev.common))
-    if law == "compat-order-independence":
-        na, va, nb, vb = v.subjects
-        ma = model.observable(na).family[va].yes.table
-        mb = model.observable(nb).family[vb].yes.table
-        z = v.witness[0]
-        return _step(ma, mb[z]) != _step(mb, ma[z])
-    raise StructuralError(f"cannot replay unknown law {law!r}")
+    if v.law in LAW_IDS:
+        report = check_laws(model)
+    elif v.law in _VALIDATE_LAW_IDS:
+        report = core.validate_model(model)
+    else:
+        raise StructuralError(f"cannot replay unknown law {v.law!r}")
+    key = (v.law, tuple(v.subjects), tuple(v.witness))
+    return any((u.law, u.subjects, u.witness) == key for u in report)
 
 
 # ---------------------------------------------------------------------------

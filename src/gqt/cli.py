@@ -38,10 +38,6 @@ def _load_model(path: str) -> core.Model:
     return modelio.parse_model(Path(path).read_text(encoding="utf-8"))
 
 
-def _show(ref: core.StateRef) -> str:
-    return core.show_state(ref)
-
-
 def cmd_validate(args) -> int:
     model = _load_model(args.model)
     violations = core.validate_model(model)
@@ -140,8 +136,8 @@ def cmd_measure(args) -> int:
         )
         return 0
     for name, value, z in trajectory:
-        print(f"step {name}={value}: {_show(z)}")
-    print(f"result: {_show(result)}")
+        print(f"step {name}={value}: {core.show_state(z)}")
+    print(f"result: {core.show_state(result)}")
     return 0
 
 
@@ -190,8 +186,8 @@ def cmd_quantum_build(args) -> int:
         return 1
     text = modelio.serialize_model(model)
     Path(args.output).write_text(text, encoding="utf-8")
-    tol = args.tol if args.tol is not None else (doc.tolerance if doc.tolerance is not None else q.DEFAULT_TOL)
-    cap = args.cap if args.cap is not None else (doc.cap if doc.cap is not None else q.DEFAULT_CAP)
+    tol = q._effective_tol(doc, args.tol)
+    cap = q._effective_cap(doc, args.cap)
     n_props = len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)
     print(f"states: {len(model.space)}")
     print(f"propositions: {n_props}")

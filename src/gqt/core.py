@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AmbiguousRealization,
@@ -186,11 +186,9 @@ class DerivedProposition:
     def __post_init__(self):
         if self.known_side not in ("yes", "no"):
             raise StructuralError(f"known_side must be 'yes' or 'no', got {self.known_side!r}")
-        table = self.known_map.table
-        for z in self.known_map.space.states:
-            w = table[z]
-            if w is not ZERO and table[w] != w:
-                raise StructuralError(f"derived map is not idempotent at {z!r}")
+        unfixed = unfixed_points(self.known_map)
+        if unfixed:
+            raise StructuralError(f"derived map is not idempotent at {unfixed[0]!r}")
 
 
 class ModalStatus(Enum):
@@ -375,7 +373,202 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Proposition-level operations
+# Laws
+#
+# Each law is a function from one subject (a proposition, an observable,
+# or an observable pair classified once) to its violations in report
+# order.  `validate_*` and `checker.check_laws` are built from ordered
+# tuples of these.  Where the two reports name one law differently
+# (idempotence-yes/no and PP=P, annihilation and P·negP=0) they share the
+# predicate and differ only in wording.
+
+
+def _after(f: PropMap, g: PropMap) -> list[StateRef]:
+    """`f(g(z))` for every state of `g`, in order; the zero state is absorbing."""
+    ft, gt = f.table, g.table
+    return [ZERO if (w := gt[z]) is ZERO else ft[w] for z in g.space.states]
+
+
+def unfixed_points(m: PropMap) -> list[str]:
+    """States where `m(m(z)) != m(z)`: the witnesses against idempotence."""
+    table = m.table
+    out = []
+    for z in m.space.states:
+        w = table[z]
+        if w is not ZERO and table[w] != w:
+            out.append(z)
+    return out
+
+
+# The two generators below inline both compositions and yield only hits:
+# a helper call per state made check_laws markedly slower on small models.
+def unannihilated(f: PropMap, g: PropMap) -> Iterator[tuple[str, StateRef, StateRef]]:
+    """Yield `(z, f(g(z)), g(f(z)))` where either image is not zero."""
+    ft, gt = f.table, g.table
+    for z in g.space.states:
+        w, u = gt[z], ft[z]
+        fg = ZERO if w is ZERO else ft[w]
+        gf = ZERO if u is ZERO else gt[u]
+        if fg is not ZERO or gf is not ZERO:
+            yield z, fg, gf
+
+
+def noncommuting(f: PropMap, g: PropMap) -> Iterator[tuple[str, StateRef, StateRef]]:
+    """Yield `(z, f(g(z)), g(f(z)))` where the two images differ."""
+    ft, gt = f.table, g.table
+    for z in g.space.states:
+        w, u = gt[z], ft[z]
+        fg = ZERO if w is ZERO else ft[w]
+        gf = ZERO if u is ZERO else gt[u]
+        if fg != gf:
+            yield z, fg, gf
+
+
+def idempotence(p: Proposition) -> list[Violation]:
+    out = []
+    for side, m in (("yes", p.yes), ("no", p.no)):
+        t = m.table
+        for z in unfixed_points(m):
+            detail = f"{side}({side}({z})) = {show_state(t[t[z]])} but {side}({z}) = {show_state(t[z])}"
+            out.append(Violation(f"idempotence-{side}", (p.name,), (z,), detail))
+    return out
+
+
+def idempotent_maps(p: Proposition) -> list[Violation]:
+    """PP=P: the law of `idempotence`, in the checker's wording."""
+    return [
+        Violation("PP=P", (p.name, side), (z,), f"{side} map is not idempotent at {z}")
+        for side, m in (("yes", p.yes), ("no", p.no))
+        for z in unfixed_points(m)
+    ]
+
+
+def annihilation(p: Proposition) -> list[Violation]:
+    out = []
+    for z, no_yes, yes_no in unannihilated(p.no, p.yes):
+        for image, composite in ((no_yes, f"no(yes({z}))"), (yes_no, f"yes(no({z}))")):
+            if image is not ZERO:
+                detail = f"{composite} = {show_state(image)}, expected {ZERO_TOKEN}"
+                out.append(Violation("annihilation", (p.name,), (z,), detail))
+    return out
+
+
+def negation_annihilates(p: Proposition) -> list[Violation]:
+    """P·negP=0: the law of `annihilation`, one entry per state."""
+    return [
+        Violation("P·negP=0", (p.name,), (z,), f"outcome maps do not annihilate at {z}")
+        for z, _, _ in unannihilated(p.no, p.yes)
+    ]
+
+
+def consistency(p: Proposition) -> list[Violation]:
+    yes_t, no_t = p.yes.table, p.no.table
+    return [
+        Violation("consistency", (p.name,), (z,), f"both outcomes are impossible at {z}")
+        for z in p.space.states
+        if yes_t[z] is ZERO and no_t[z] is ZERO
+    ]
+
+
+def zero_absorbs(zero: Proposition, p: Proposition) -> list[Violation]:
+    """0P=P0=0, against the model's ZERO."""
+    return [
+        Violation("0P=P0=0", (p.name,), (z,), f"composition with ZERO is not ZERO at {z}")
+        for z, _, _ in unannihilated(zero.yes, p.yes)
+    ]
+
+
+def one_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
+    """1P=P1=P, against the model's ONE."""
+    yes_t = p.yes.table
+    return [
+        Violation("1P=P1=P", (p.name,), (z,), f"composition with ONE changes the map at {z}")
+        for z, one_p, p_one in zip(p.space.states, _after(one.yes, p.yes), _after(p.yes, one.yes))
+        if one_p != yes_t[z] or p_one != yes_t[z]
+    ]
+
+
+def one_and_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
+    """1ANDP=P: ONE AND P, whose yes map is ONE after P, is P; first witness only."""
+    yes_t = p.yes.table
+    for z, one_p in zip(p.space.states, _after(one.yes, p.yes)):
+        if one_p != yes_t[z]:
+            return [Violation("1ANDP=P", (p.name,), (z,), f"ONE AND {p.name} differs from {p.name} at {z}")]
+    return []
+
+
+def exclusion(a: Observable) -> list[Violation]:
+    out = []
+    for i, v1 in enumerate(a.spectrum):
+        for v2 in a.spectrum[i + 1 :]:
+            for z, one_two, two_one in unannihilated(a.family[v1].yes, a.family[v2].yes):
+                for image, first, then in ((one_two, v1, v2), (two_one, v2, v1)):
+                    if image is not ZERO:
+                        detail = f"value {first} stays possible after {then} at {z}"
+                        out.append(Violation("mutual-exclusion", (a.name, first, then), (z,), detail))
+    return out
+
+
+def completeness(a: Observable) -> list[Violation]:
+    branches = [a.family[v].yes.table for v in a.spectrum]
+    return [
+        Violation("completeness", (a.name,), (z,), f"every value is impossible at {z}")
+        for z in a.space.states
+        if all(m[z] is ZERO for m in branches)
+    ]
+
+
+def compatible_has_common_eigenstate(a: Observable, b: Observable, cls_: PairClass, ev: PairEvidence) -> list[Violation]:
+    """strongcomp-implies-comp: a compatible pair shares an eigenstate."""
+    if cls_ is not PairClass.COMPATIBLE or ev.common:
+        return []
+    detail = "pair has no common eigenstate yet classifies as compatible"
+    return [Violation("strongcomp-implies-comp", (a.name, b.name), (), detail)]
+
+
+def _joint_eigenstate_reachable(a: Observable, b: Observable, z: str, common: set) -> bool:
+    for va in a.spectrum:
+        w1 = a.family[va].yes.table[z]
+        if w1 is ZERO:
+            continue
+        for vb in b.spectrum:
+            w2 = b.family[vb].yes.table[w1]
+            if w2 is ZERO:
+                continue
+            if (w2, va, vb) in common:
+                return True
+    return False
+
+
+def compatible_reaches_joint_eigenstate(a: Observable, b: Observable, cls_: PairClass, ev: PairEvidence) -> list[Violation]:
+    """compat-implies-joint-eigenstate: one measurement of each reaches a common eigenstate."""
+    if cls_ is not PairClass.COMPATIBLE:
+        return []
+    common = set(ev.common)
+    detail = "no common eigenstate reachable by one measurement of each"
+    return [
+        Violation("compat-implies-joint-eigenstate", (a.name, b.name), (z,), detail)
+        for z in a.space.states
+        if not _joint_eigenstate_reachable(a, b, z, common)
+    ]
+
+
+def compatible_order_independent(a: Observable, b: Observable, cls_: PairClass, ev: PairEvidence) -> list[Violation]:
+    """compat-order-independence: the branches of a compatible pair commute."""
+    if cls_ is not PairClass.COMPATIBLE:
+        return []
+    return [
+        Violation(
+            "compat-order-independence", (a.name, va, b.name, vb), (z,), f"measurement order changes the outcome at {z}"
+        )
+        for va in a.spectrum
+        for vb in b.spectrum
+        for z, _, _ in noncommuting(a.family[va].yes, b.family[vb].yes)
+    ]
+
+
+PROPOSITION_LAWS = (idempotence, annihilation, consistency)
+OBSERVABLE_LAWS = (exclusion, completeness)
 
 
 def validate_proposition(p: Proposition, space: StateSpace) -> list[Violation]:
@@ -386,37 +579,18 @@ def validate_proposition(p: Proposition, space: StateSpace) -> list[Violation]:
     """
     if p.space != space:
         raise StructuralError(f"proposition {p.name!r} is not defined over the given state space")
-    out: list[Violation] = []
-    for side_name, m in (("yes", p.yes), ("no", p.no)):
-        table = m.table
-        for z in space.states:
-            w = table[z]
-            if w is not ZERO and table[w] != w:
-                out.append(
-                    Violation(
-                        f"idempotence-{side_name}",
-                        (p.name,),
-                        (z,),
-                        f"{side_name}({side_name}({z})) = {show_state(table[w])} "
-                        f"but {side_name}({z}) = {show_state(w)}",
-                    )
-                )
-    yes_t, no_t = p.yes.table, p.no.table
-    for z in space.states:
-        w = _step(no_t, yes_t[z])
-        if w is not ZERO:
-            out.append(
-                Violation("annihilation", (p.name,), (z,), f"no(yes({z})) = {show_state(w)}, expected {ZERO_TOKEN}")
-            )
-        w = _step(yes_t, no_t[z])
-        if w is not ZERO:
-            out.append(
-                Violation("annihilation", (p.name,), (z,), f"yes(no({z})) = {show_state(w)}, expected {ZERO_TOKEN}")
-            )
-    for z in space.states:
-        if yes_t[z] is ZERO and no_t[z] is ZERO:
-            out.append(Violation("consistency", (p.name,), (z,), f"both outcomes are impossible at {z}"))
-    return out
+    return [v for law in PROPOSITION_LAWS for v in law(p)]
+
+
+def validate_observable(a: Observable, space: StateSpace) -> list[Violation]:
+    """Check mutual exclusion and joint completeness of the family."""
+    if a.space != space:
+        raise StructuralError(f"observable {a.name!r} is not defined over the given state space")
+    return [v for law in OBSERVABLE_LAWS for v in law(a)]
+
+
+# ---------------------------------------------------------------------------
+# Proposition-level operations
 
 
 def apply(p: Proposition, outcome: str, z: StateRef) -> StateRef:
@@ -428,8 +602,7 @@ def compose(f: PropMap, g: PropMap) -> PropMap:
     """The map `f after g`; zero is absorbing throughout."""
     if f.space != g.space:
         raise StructuralError("cannot compose maps over different state spaces")
-    f_t, g_t = f.table, g.table
-    return PropMap(f.space, {z: _step(f_t, g_t[z]) for z in f.space.states})
+    return PropMap(f.space, dict(zip(f.space.states, _after(f, g))))
 
 
 def modal_status(p: Proposition, z: StateRef) -> ModalStatus:
@@ -468,13 +641,8 @@ def is_compatible_propositions(p: Proposition, q: Proposition) -> tuple[bool, Op
     if p.space != q.space:
         raise StructuralError("propositions are over different state spaces")
     for sp, sq in _SIDE_PAIRS:
-        mp = p.side(sp).table
-        mq = q.side(sq).table
-        for z in p.space.states:
-            pq = _step(mp, mq[z])
-            qp = _step(mq, mp[z])
-            if pq != qp:
-                return False, CommutationWitness(p.name, q.name, sp, sq, z, pq, qp)
+        for z, pq, qp in noncommuting(p.side(sp), q.side(sq)):
+            return False, CommutationWitness(p.name, q.name, sp, sq, z, pq, qp)
     return True, None
 
 
@@ -512,34 +680,6 @@ def realize(model: Model, d: DerivedProposition) -> Optional[Proposition]:
 
 # ---------------------------------------------------------------------------
 # Observable-level operations
-
-
-def validate_observable(a: Observable, space: StateSpace) -> list[Violation]:
-    """Check mutual exclusion and joint completeness of the family."""
-    if a.space != space:
-        raise StructuralError(f"observable {a.name!r} is not defined over the given state space")
-    out: list[Violation] = []
-    for i, v1 in enumerate(a.spectrum):
-        m1 = a.family[v1].yes.table
-        for v2 in a.spectrum[i + 1 :]:
-            m2 = a.family[v2].yes.table
-            for z in space.states:
-                if _step(m1, m2[z]) is not ZERO:
-                    out.append(
-                        Violation(
-                            "mutual-exclusion", (a.name, v1, v2), (z,), f"value {v1} stays possible after {v2} at {z}"
-                        )
-                    )
-                if _step(m2, m1[z]) is not ZERO:
-                    out.append(
-                        Violation(
-                            "mutual-exclusion", (a.name, v2, v1), (z,), f"value {v2} stays possible after {v1} at {z}"
-                        )
-                    )
-    for z in space.states:
-        if all(a.family[v].yes.table[z] is ZERO for v in a.spectrum):
-            out.append(Violation("completeness", (a.name,), (z,), f"every value is impossible at {z}"))
-    return out
 
 
 def eigenstates_of_observable(a: Observable) -> list[tuple[str, str]]:

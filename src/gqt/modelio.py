@@ -42,6 +42,8 @@ def _load_json(text: str):
         return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as e:
         raise StructuralError(f"not valid JSON: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise StructuralError("not valid JSON: nested too deeply") from None
 
 
 def _require_object(value, path: str) -> dict:

@@ -138,26 +138,6 @@ def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Un
 
 
 @dataclass(frozen=True)
-class QuantumProposition:
-    """Yes/no actions induced by a projector and its complement."""
-
-    name: str
-    projector: Projector
-    tol: float = DEFAULT_TOL
-
-    def act(self, outcome: str, z: DensityState):
-        if outcome == "yes":
-            return act_projector(z, self.projector, self.tol)
-        if outcome == "no":
-            return act_projector(z, self.projector.complement(), self.tol)
-        raise StructuralError(f"outcome must be 'yes' or 'no', got {outcome!r}")
-
-
-def make_quantum_proposition(p: Projector, name: str = "P", tol: float = DEFAULT_TOL) -> QuantumProposition:
-    return QuantumProposition(name, p, tol)
-
-
-@dataclass(frozen=True)
 class ProjectorFamily:
     """Named family of matrices meant to partition the identity.
 
@@ -294,10 +274,12 @@ def close_orbit(
         if find(m) is None:
             add(m, 0)
 
+    # I - P has the same residues as P, which passed at the caller's tolerance;
+    # Projector.complement() would re-check it at the default one.
     actions = []
     for name, p in propositions:
         actions.append((name, "yes", p.matrix))
-        actions.append((name, "no", p.complement().matrix))
+        actions.append((name, "no", np.eye(dim) - p.matrix))
 
     transitions: dict[tuple[str, str, int], core.StateRef] = {}
     i = 0
@@ -328,16 +310,6 @@ def close_orbit(
     props = [core.Proposition(name, table(name, "yes"), table(name, "no")) for name, _ in propositions]
     model = core.Model.build(space, props)
     return Orbit(model, tuple(m for m in mats))
-
-
-def orbit_closure(
-    seeds: Sequence[DensityState],
-    propositions: Sequence[tuple[str, Projector]],
-    cap: int = DEFAULT_CAP,
-    tol: float = DEFAULT_TOL,
-) -> core.Model:
-    """Like `close_orbit` but returning only the induced model."""
-    return close_orbit(seeds, propositions, cap, tol).model
 
 
 # ---------------------------------------------------------------------------

@@ -255,25 +255,25 @@ def test_criterion_5_quantum_law_sampling():
         q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         k = int(rng.integers(0, d + 1))
         p = quantum.Projector(q[:, :k] @ q[:, :k].conj().T)
-        prop = quantum.make_quantum_proposition(p, f"P{trial}", tol)
+        sides = {"yes": p, "no": p.complement()}
 
-        yes = prop.act("yes", rho)
-        no = prop.act("no", rho)
+        yes = quantum.act_projector(rho, sides["yes"], tol)
+        no = quantum.act_projector(rho, sides["no"], tol)
         if yes is core.ZERO and no is core.ZERO:
             failures.append(f"trial {trial}: both branches vanished")
             continue
         for outcome, branch in (("yes", yes), ("no", no)):
             if branch is core.ZERO:
                 continue
-            again = prop.act(outcome, branch)
+            again = quantum.act_projector(branch, sides[outcome], tol)
             if again is core.ZERO or not quantum.states_equal(branch, again, tol):
                 failures.append(f"trial {trial}: {outcome} branch not idempotent")
             other = "no" if outcome == "yes" else "yes"
-            if prop.act(other, branch) is not core.ZERO:
+            if quantum.act_projector(branch, sides[other], tol) is not core.ZERO:
                 failures.append(f"trial {trial}: {outcome} branch survives the {other} action")
 
         scaled = quantum.DensityState(rho.matrix * 3.5)
-        rescaled = prop.act("yes", scaled)
+        rescaled = quantum.act_projector(scaled, p, tol)
         if (yes is core.ZERO) != (rescaled is core.ZERO):
             failures.append(f"trial {trial}: scaling changed whether the yes branch vanishes")
         elif yes is not core.ZERO and not quantum.states_equal(yes, rescaled, tol):

@@ -144,6 +144,42 @@ def test_violation_holds_rejects_fabricated_violation():
         checker.violation_holds(qzx, core.Violation("no-such-law", ("Z0",), ("z0",)))
 
 
+def test_violation_holds_replays_the_report():
+    # ONE sends b to a, so P after ONE differs from P at b but ONE after P
+    # does not: check_laws reports 1P=P1=P at b and no 1ANDP=P.
+    space = core.StateSpace(("a", "b"))
+    one = core.Proposition("ONE", core.PropMap(space, {"a": "a", "b": "a"}), core.constant_zero_map(space))
+    p = core.Proposition("P", core.PropMap(space, {"a": "a", "b": ZERO}), core.PropMap(space, {"a": ZERO, "b": "b"}))
+    model = core.Model(space, {"ONE": one, "ZERO": core.make_zero(space), "P": p}, {})
+    report = checker.check_laws(model)
+    assert ("1P=P1=P", ("P",), ("b",)) in {(v.law, v.subjects, v.witness) for v in report}
+    assert not any(v.law == "1ANDP=P" and v.subjects == ("P",) for v in report)
+    assert not checker.violation_holds(model, core.Violation("1ANDP=P", ("P",), ("b",)))
+    for v in report:
+        assert checker.violation_holds(model, v), v
+
+
+def test_check_laws_report_golden():
+    broken = mutate_entry(make_qzx(), "Z0", "yes", "z0", ZERO)
+    broken = mutate_entry(broken, "Z0", "yes", "zp", "zp")
+    broken = mutate_entry(broken, "X0", "yes", "zm", "z0")
+    assert [(v.law, v.subjects, v.witness, v.detail) for v in checker.check_laws(broken)] == [
+        ("PP=P", ("X0", "yes"), ("zm",), "yes map is not idempotent at zm"),
+        ("P·negP=0", ("X0",), ("z0",), "outcome maps do not annihilate at z0"),
+        ("P·negP=0", ("X0",), ("zm",), "outcome maps do not annihilate at zm"),
+        ("P·negP=0", ("X0",), ("z1",), "outcome maps do not annihilate at z1"),
+        ("PP=P", ("Z0", "yes"), ("zm",), "yes map is not idempotent at zm"),
+        ("P·negP=0", ("Z0",), ("zp",), "outcome maps do not annihilate at zp"),
+        ("consistency", ("Z0",), ("z0",), "both outcomes are impossible at z0"),
+        ("mutual-exclusion", ("X", "+", "-"), ("z0",), "value + stays possible after - at z0"),
+        ("mutual-exclusion", ("X", "+", "-"), ("zm",), "value + stays possible after - at zm"),
+        ("mutual-exclusion", ("X", "-", "+"), ("zm",), "value - stays possible after + at zm"),
+        ("mutual-exclusion", ("X", "+", "-"), ("z1",), "value + stays possible after - at z1"),
+        ("mutual-exclusion", ("Z", "1", "0"), ("zp",), "value 1 stays possible after 0 at zp"),
+        ("completeness", ("Z",), ("z0",), "every value is impossible at z0"),
+    ]
+
+
 def test_law_ids_frozen():
     assert checker.LAW_IDS == (
         "PP=P",

@@ -84,6 +84,16 @@ def test_validate_missing_file(capsys):
     assert out == "" and err != ""
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    for args in (["validate", str(path)], ["check", str(path)], ["quantum", "build", str(path), "-o", str(tmp_path / "out.json")]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert out == ""
+        assert "error:" in err and "nested too deeply" in err
+
+
 # ---------------------------------------------------------------------------
 # report / eigen / measure / entangle
 
@@ -209,6 +219,20 @@ def test_quantum_build_flag_overrides(tmp_path, capsys):
     code, out, _ = run_cli(["quantum", "build", QZX_Q, "--cap", "3", "-o", str(out_path)], capsys)
     assert code == 1
     assert "exceeded cap 3" in out
+
+
+def test_quantum_build_checks_complements_at_document_tolerance(tmp_path, capsys):
+    # Z0's idempotence residue is about 1e-7: within the document's 1e-5,
+    # beyond the 1e-9 default, and the same for I - Z0.
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    doc["propositions"]["Z0"] = [[[1 + 1e-7, 0], [0, 0]], [[0, 0], [0, 0]]]
+    doc["tolerance"] = 1e-5
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "built.json"
+    code, out, err = run_cli(["quantum", "build", str(path), "-o", str(out_path)], capsys)
+    assert (code, err) == (0, "")
+    assert "states: 4" in out and "tolerance: 0.000010000" in out
 
 
 def test_quantum_build_rejects_bad_family(tmp_path, capsys):
