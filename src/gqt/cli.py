@@ -168,14 +168,16 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_quantum_build(args) -> int:
+    # The only command that needs numpy, so the only one that imports it.
+    from . import quantum
+
     doc = modelio.parse_quantum(Path(args.document).read_text(encoding="utf-8"))
-    q = quantum_module()
-    violations = q.family_violations(doc, tol=args.tol)
+    violations = quantum.family_violations(doc, tol=args.tol)
     if violations:
         _print_violations(violations, "text")
         return 1
     try:
-        model = q.document_model(doc, cap=args.cap, tol=args.tol)
+        model = quantum.document_model(doc, cap=args.cap, tol=args.tol)
     except OrbitCapExceeded as e:
         print(str(e))
         print(f"discovered: {' '.join(e.discovered)}")
@@ -186,8 +188,8 @@ def cmd_quantum_build(args) -> int:
         return 1
     text = modelio.serialize_model(model)
     Path(args.output).write_text(text, encoding="utf-8")
-    tol = q._effective_tol(doc, args.tol)
-    cap = q._effective_cap(doc, args.cap)
+    tol = quantum._effective_tol(doc, args.tol)
+    cap = quantum._effective_cap(doc, args.cap)
     n_props = len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)
     print(f"states: {len(model.space)}")
     print(f"propositions: {n_props}")
@@ -196,13 +198,6 @@ def cmd_quantum_build(args) -> int:
     print(f"tolerance: {tol:.9f}")
     print(f"wrote: {args.output}")
     return 0
-
-
-def quantum_module():
-    # numpy import deferred so the pure-core commands start fast
-    from . import quantum
-
-    return quantum
 
 
 def cmd_fuzz(args) -> int:
@@ -309,6 +304,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"error: input is not valid UTF-8: {e}", file=sys.stderr)
         return 2
     except GqtError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,7 +11,7 @@ states sort by name, spectra keep declaration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -57,6 +57,8 @@ class StateSpace:
     """Ordered finite set of proper state names."""
 
     states: tuple[str, ...]
+    # The same names as a set, for O(1) membership; derived, so not compared.
+    _names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.states:
@@ -70,9 +72,10 @@ class StateSpace:
             if name in seen:
                 raise StructuralError(f"duplicate state name {name!r}")
             seen.add(name)
+        object.__setattr__(self, "_names", frozenset(seen))
 
     def __contains__(self, name: object) -> bool:
-        return name in self.states
+        return isinstance(name, str) and name in self._names
 
     def __len__(self) -> int:
         return len(self.states)
@@ -92,7 +95,7 @@ class PropMap:
     def __post_init__(self):
         table = dict(self.table)
         object.__setattr__(self, "table", table)
-        names = set(self.space.states)
+        names = self.space._names
         missing = [s for s in self.space.states if s not in table]
         if missing:
             raise StructuralError(f"map is not total: missing entries for {missing}")

@@ -9,16 +9,17 @@ indent, trailing newline), so equal models produce identical bytes.
 
 Quantum documents carry complex matrices as nested arrays of ``[re, im]``
 pairs; a depth-2 array is a ket ``v`` standing for the density matrix
-``v v†``, a depth-3 array is a matrix.
+``v v†``, a depth-3 array is a matrix.  Only the two helpers that build
+those arrays import numpy, so parsing and writing model documents never
+loads it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import core
 from .errors import StructuralError
@@ -246,6 +247,8 @@ def _entry_depth(value) -> int:
 def _parse_vector(value, dim: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != dim:
         _fail(path, f"vector must have {dim} entries")
+    import numpy as np
+
     v = np.array([_parse_complex(e, f"{path}[{i}]") for i, e in enumerate(value)])
     return np.outer(v, v.conj())
 
@@ -258,6 +261,8 @@ def _parse_matrix(value, dim: int, path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != dim:
             _fail(f"{path}[{i}]", f"matrix rows must have {dim} entries")
         rows.append([_parse_complex(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
+    import numpy as np
+
     return np.array(rows)
 
 
@@ -320,8 +325,9 @@ def parse_quantum(text: str) -> QuantumDocument:
         _fail("cap", "must be a positive integer")
     tolerance = data.get("tolerance")
     if tolerance is not None:
-        if not _is_number(tolerance) or tolerance < 0:
-            _fail("tolerance", "must be a non-negative number")
+        # The upper bound also rejects NaN, infinity and ints too large for a float.
+        if not _is_number(tolerance) or not 0 <= tolerance <= sys.float_info.max:
+            _fail("tolerance", "must be a finite non-negative number")
         tolerance = float(tolerance)
 
     partition = None

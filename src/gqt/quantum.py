@@ -10,6 +10,7 @@ ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -335,6 +336,10 @@ def family_violations(doc, tol: Optional[float] = None) -> list[core.Violation]:
 
 def _effective_tol(doc, tol: Optional[float]) -> float:
     if tol is not None:
+        # A NaN or negative tolerance fails every residue comparison, which
+        # would blame exact projectors instead of the setting.
+        if not (math.isfinite(tol) and tol >= 0):
+            raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
         return tol
     if doc.tolerance is not None:
         return doc.tolerance

@@ -84,6 +84,15 @@ def test_validate_missing_file(capsys):
     assert out == "" and err != ""
 
 
+def test_invalid_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    for args in (["validate", str(path)], ["quantum", "build", str(path), "-o", str(tmp_path / "out.json")]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, ""), args
+        assert "error:" in err and "not valid UTF-8" in err
+
+
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
@@ -258,6 +267,50 @@ def test_quantum_build_rejects_non_projector(tmp_path, capsys):
     assert "projector-idempotent" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_quantum_build_rejects_bad_tol_flag(tmp_path, capsys, tol):
+    out_path = tmp_path / "built.json"
+    code, out, err = run_cli(["quantum", "build", QZX_Q, f"--tol={tol}", "-o", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "tol must be a finite non-negative number" in err
+    assert not out_path.exists()
+
+
+def test_quantum_build_rejects_nan_document_tolerance(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    doc["tolerance"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # written as NaN, which json reads back
+    code, out, err = run_cli(["quantum", "build", str(path), "-o", str(tmp_path / "out.json")], capsys)
+    assert (code, out) == (2, "")
+    assert "error: tolerance: must be a finite non-negative number" in err
+
+
+def test_quantum_build_tolerance_is_absolute(tmp_path, capsys):
+    # Tolerances compare raw matrix entries and traces, so their effect
+    # depends on the matrix scale; these pin the behaviour on the qubit
+    # document, whose normalized states have entries of 0.5 and 1.
+    default_path, zero_path = tmp_path / "default.json", tmp_path / "zero.json"
+    assert run_cli(["quantum", "build", QZX_Q, "-o", str(default_path)], capsys)[0] == 0
+    code, out, _ = run_cli(["quantum", "build", QZX_Q, "--tol", "0", "-o", str(zero_path)], capsys)
+    assert code == 0 and "tolerance: 0.000000000" in out
+    assert zero_path.read_bytes() == default_path.read_bytes()
+    # At 0.5 the X branches of z0 (trace 0.5) collapse to the zero state.
+    code, out, err = run_cli(["quantum", "build", QZX_Q, "--tol", "0.5", "-o", str(tmp_path / "half.json")], capsys)
+    assert (code, err) == (1, "")
+    assert out == (
+        "3 violations\n"
+        "[consistency] X0: both outcomes are impossible at s0\n"
+        "[consistency] X1: both outcomes are impossible at s0\n"
+        "[completeness] X: every value is impossible at s0\n"
+    )
+    assert not (tmp_path / "half.json").exists()
+    # At 2 no unit-trace seed exceeds the tolerance.
+    code, out, err = run_cli(["quantum", "build", QZX_Q, "--tol", "2", "-o", str(tmp_path / "two.json")], capsys)
+    assert (code, out) == (2, "")
+    assert "density matrix trace must exceed the tolerance" in err
+
+
 def test_fuzz_cli(capsys):
     code, out, err = run_cli(["fuzz", "--states", "5", "--props", "3", "--obs", "2", "--seed", "3", "--count", "20"], capsys)
     assert code == 0 and err == ""
@@ -305,3 +358,50 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == "0 violations\n"
     assert proc.stderr == ""
+
+
+def test_pure_imports_leave_numpy_unloaded():
+    code = "import sys, gqt, gqt.cli, gqt.core, gqt.checker, gqt.modelio; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+# Runs each argv through cli.main in a fresh interpreter in which any
+# numpy import fails, and prints [exit code, stdout] per command as JSON.
+_RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from gqt import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    results.append([code, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_pure_commands_run_without_numpy(capsys):
+    commands = [
+        ["validate", QZX],
+        ["validate", BELL, "--format", "json"],
+        ["check", BELL],
+        ["check", BISTABLE, "--format", "json"],
+        ["report", QZX],
+        ["report", BELL, "--format", "json"],
+        ["eigen", BELL, "--observable", "BELL"],
+        ["measure", BELL, "--state", "phiP", "--steps", "ZA=0,BELL=phi+"],
+        ["entangle", BELL, "--global", "BELL", "--locals", "ZA,ZB"],
+        ["fuzz", "--states", "6", "--props", "3", "--obs", "2", "--seed", "5", "--count", "10"],
+        ["fuzz", "--seed", "5", "--count", "3", "--format", "json"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_NUMPY, json.dumps(commands)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    blocked = json.loads(proc.stdout)
+    for argv, (code, out) in zip(commands, blocked):
+        expected = run_cli(argv, capsys)
+        assert (code, out) == expected[:2], argv
+        assert code == 0 and out, argv

@@ -34,6 +34,18 @@ def test_state_space_rejects_duplicates_and_zero_token():
         core.StateSpace(("a", ""))
 
 
+def test_state_space_membership():
+    space = space4()
+    assert "a" in space and "d" in space
+    assert "e" not in space and "null" not in space
+    # non-string arguments, hashable or not, are never states
+    for other in (ZERO, None, 1, ("a",), ["a"], {"a"}):
+        assert other not in space
+    assert space == core.StateSpace(("a", "b", "c", "d"))
+    assert hash(space) == hash(core.StateSpace(("a", "b", "c", "d")))
+    assert space != core.StateSpace(("d", "c", "b", "a"))
+
+
 def test_prop_map_must_be_total():
     space = space4()
     with pytest.raises(StructuralError, match="not total"):

@@ -219,8 +219,9 @@ def test_parse_quantum_errors():
         modelio.parse_quantum(quantum_doc(propositions={"P": [[1, 0], [0, 0]]}))
     with pytest.raises(StructuralError, match="cap"):
         modelio.parse_quantum(quantum_doc(cap=0))
-    with pytest.raises(StructuralError, match="tolerance"):
-        modelio.parse_quantum(quantum_doc(tolerance=-1))
+    for tolerance in (-1, float("nan"), float("inf"), 10**400):
+        with pytest.raises(StructuralError, match="tolerance"):
+            modelio.parse_quantum(quantum_doc(tolerance=tolerance))
     with pytest.raises(StructuralError, match="unknown projector"):
         modelio.parse_quantum(quantum_doc(observables={"A": {"spectrum": ["v"], "family": {"v": "NOPE"}}}))
     with pytest.raises(StructuralError, match="at least one seed"):
