@@ -82,7 +82,7 @@ def bistable_model() -> core.Model:
     Z = core.ZERO
 
     def prop(name, yes, no):
-        return core.Proposition(name, core.PropMap(space, yes), core.PropMap(space, no))
+        return core.Proposition(name, core.PropMap.from_names(space, yes), core.PropMap.from_names(space, no))
 
     see_a = prop("SEE_A", {"pA": "pA", "pB": Z, "u": "pA"}, {"pA": Z, "pB": "pB", "u": "pB"})
     see_b = prop("SEE_B", {"pA": Z, "pB": "pB", "u": "pB"}, {"pA": "pA", "pB": Z, "u": "pA"})

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import core
-from .core import ZERO, Violation
+from .core import Violation
 from .errors import StructuralError
 
 # Laws re-checked by check_laws, in report order.
@@ -61,31 +61,30 @@ class GeneratorParams:
             raise StructuralError("seed must be an unsigned 64-bit integer")
 
 
+# The generator builds index tables, n = len(space) being the zero state.
+# `rng.choice` over indices picks the same positions as over state names.
 def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -> core.Proposition:
     # Partition states: yes-eigen, no-eigen, contingent.  Contingent states
     # map into the eigen groups, so both outcome maps are idempotent and
     # mutually annihilating by construction.
-    cats = {}
-    for s in space.states:
+    n = len(space)
+    cats = []
+    for _ in range(n):
         r = rng.random()
-        cats[s] = "Y" if r < 0.4 else ("N" if r < 0.8 else "C")
-    if all(c == "C" for c in cats.values()):
-        cats[rng.choice(space.states)] = rng.choice("YN")
-    yes_eigen = [s for s in space.states if cats[s] == "Y"]
-    no_eigen = [s for s in space.states if cats[s] == "N"]
-    yes = {}
-    no = {}
-    for s in space.states:
-        c = cats[s]
+        cats.append("Y" if r < 0.4 else ("N" if r < 0.8 else "C"))
+    if all(c == "C" for c in cats):
+        cats[rng.choice(range(n))] = rng.choice("YN")
+    yes_eigen = [i for i in range(n) if cats[i] == "Y"]
+    no_eigen = [i for i in range(n) if cats[i] == "N"]
+    yes, no = [n] * (n + 1), [n] * (n + 1)
+    for i, c in enumerate(cats):
         if c == "Y":
-            yes[s] = s
-            no[s] = ZERO
+            yes[i] = i
         elif c == "N":
-            yes[s] = ZERO
-            no[s] = s
+            no[i] = i
         else:
-            yes[s] = rng.choice(yes_eigen) if yes_eigen else ZERO
-            no[s] = rng.choice(no_eigen) if no_eigen else ZERO
+            yes[i] = rng.choice(yes_eigen) if yes_eigen else n
+            no[i] = rng.choice(no_eigen) if no_eigen else n
     return core.Proposition(name, core.PropMap(space, yes), core.PropMap(space, no))
 
 
@@ -97,26 +96,24 @@ def _remainder_proposition(
     rng: random.Random,
     space: core.StateSpace,
     name: str,
-    uncovered: list[str],
-    kill: set[str],
+    uncovered: list[int],
+    kill: set[int],
 ) -> core.Proposition:
     # Yes fixes every uncovered state and is impossible on the yes-eigen
     # states of the selected branches; covered non-eigen states are
     # contingent.  Keeps the family exclusive and makes it complete.
+    n = len(space)
     uncovered_set = set(uncovered)
-    kill_list = [z for z in space.states if z in kill]
-    yes = {}
-    no = {}
-    for z in space.states:
-        if z in uncovered_set:
-            yes[z] = z
-            no[z] = ZERO
-        elif z in kill:
-            yes[z] = ZERO
-            no[z] = z
+    kill_list = sorted(kill)
+    yes, no = [n] * (n + 1), [n] * (n + 1)
+    for i in range(n):
+        if i in uncovered_set:
+            yes[i] = i
+        elif i in kill:
+            no[i] = i
         else:
-            yes[z] = rng.choice(uncovered) if (uncovered and rng.random() < 0.5) else ZERO
-            no[z] = rng.choice(kill_list)
+            yes[i] = rng.choice(uncovered) if (uncovered and rng.random() < 0.5) else n
+            no[i] = rng.choice(kill_list)
     return core.Proposition(name, core.PropMap(space, yes), core.PropMap(space, no))
 
 
@@ -135,8 +132,9 @@ def _random_observable(
                 break
             if all(_mutually_annihilating(p, q) for q in chosen):
                 chosen.append(p)
-    uncovered = [z for z in space.states if all(p.yes.table[z] is ZERO for p in chosen)]
-    kill = {z for p in chosen for z in space.states if p.yes.table[z] == z}
+    n = len(space)
+    uncovered = [i for i in range(n) if all(p.yes.table[i] == n for p in chosen)]
+    kill = {i for p in chosen for i in range(n) if p.yes.table[i] == i}
     pads: list[core.Proposition] = []
     if uncovered:
         pad = _remainder_proposition(rng, space, f"{name}rest", uncovered, kill)

@@ -7,6 +7,10 @@ through a pair of total maps giving the post-measurement state for the
 jointly complete propositions indexed by a finite spectrum.  Everything
 here is immutable and pure, and all reported orders are deterministic:
 states sort by name, spectra keep declaration order.
+
+Internally a state is its index in declaration order and the zero state
+is the index `n = len(space)`, which every map fixes.  Names and the
+`ZERO` tag appear only where states enter or leave the calculus.
 """
 
 from __future__ import annotations
@@ -47,80 +51,90 @@ def show_state(ref: StateRef) -> str:
     return ZERO_TOKEN if ref is ZERO else ref
 
 
-def _step(table: Mapping[str, StateRef], ref: StateRef) -> StateRef:
-    # One application of a map table; the zero state is absorbing.
-    return ZERO if ref is ZERO else table[ref]
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """Ordered finite set of proper state names."""
 
     states: tuple[str, ...]
-    # The same names as a set, for O(1) membership; derived, so not compared.
-    _names: frozenset[str] = field(init=False, repr=False, compare=False)
+    # Each name's index in declaration order; derived, so not compared.
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.states:
             raise StructuralError("state space must not be empty")
-        seen = set()
-        for name in self.states:
+        index = {}
+        for i, name in enumerate(self.states):
             if not isinstance(name, str) or not name:
                 raise StructuralError(f"state names must be non-empty strings, got {name!r}")
             if name == ZERO_TOKEN:
                 raise StructuralError(f"state name {ZERO_TOKEN!r} is reserved for the zero state")
-            if name in seen:
+            if name in index:
                 raise StructuralError(f"duplicate state name {name!r}")
-            seen.add(name)
-        object.__setattr__(self, "_names", frozenset(seen))
+            index[name] = i
+        object.__setattr__(self, "index", index)
 
     def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and name in self._names
+        return isinstance(name, str) and name in self.index
 
     def __len__(self) -> int:
         return len(self.states)
 
+    def ref(self, i: int) -> StateRef:
+        """The state at index `i`: its name, or ZERO for the zero index."""
+        return self.states[i] if i < len(self.states) else ZERO
+
 
 @dataclass(frozen=True)
 class PropMap:
-    """Total map from proper states to states-or-zero.
+    """Total map on the states of a space, zero state included.
 
-    The zero state never appears as a key: it is absorbing, so every map
-    implicitly sends it to itself.
+    `table[i]` is the index of the image of state `i`; the last entry,
+    `table[n]` for `n = len(space)`, is the zero state, which is absorbing.
     """
 
     space: StateSpace
-    table: Mapping[str, StateRef]
+    table: tuple[int, ...]
 
     def __post_init__(self):
-        table = dict(self.table)
+        table = tuple(self.table)
         object.__setattr__(self, "table", table)
-        names = self.space._names
-        missing = [s for s in self.space.states if s not in table]
+        n = len(self.space)
+        in_range = len(table) == n + 1 and set(map(type, table)) == {int} and min(table) >= 0 and max(table) <= n
+        if not in_range or table[n] != n:
+            raise StructuralError(f"map table must hold {n + 1} state indices in 0..{n} and end with {n}")
+
+    @classmethod
+    def from_names(cls, space: StateSpace, mapping: Mapping[str, StateRef]) -> "PropMap":
+        """Build from a mapping of every state name to a state name or ZERO."""
+        missing = [s for s in space.states if s not in mapping]
         if missing:
             raise StructuralError(f"map is not total: missing entries for {missing}")
-        extra = sorted(k for k in table if k not in names)
+        extra = sorted(k for k in mapping if k not in space)
         if extra:
             raise StructuralError(f"map has entries for unknown states {extra}")
-        for s, target in table.items():
-            if target is not ZERO and target not in names:
-                raise StructuralError(f"map sends {s!r} to unknown state {target!r}")
+        n = len(space)
+        table = [n] * (n + 1)
+        for s, target in mapping.items():
+            if target is not ZERO:
+                if target not in space:
+                    raise StructuralError(f"map sends {s!r} to unknown state {target!r}")
+                table[space.index[s]] = space.index[target]
+        return cls(space, table)
 
     def __call__(self, z: StateRef) -> StateRef:
         if z is ZERO:
             return ZERO
-        try:
-            return self.table[z]
-        except (KeyError, TypeError):
-            raise StructuralError(f"unknown state {z!r}") from None
+        if z not in self.space:
+            raise StructuralError(f"unknown state {z!r}")
+        return self.space.ref(self.table[self.space.index[z]])
 
 
 def identity_map(space: StateSpace) -> PropMap:
-    return PropMap(space, {s: s for s in space.states})
+    return PropMap(space, range(len(space) + 1))
 
 
 def constant_zero_map(space: StateSpace) -> PropMap:
-    return PropMap(space, {s: ZERO for s in space.states})
+    return PropMap(space, (len(space),) * (len(space) + 1))
 
 
 @dataclass(frozen=True)
@@ -386,53 +400,47 @@ class Model:
 # predicate and differ only in wording.
 
 
-def _after(f: PropMap, g: PropMap) -> list[StateRef]:
-    """`f(g(z))` for every state of `g`, in order; the zero state is absorbing."""
-    ft, gt = f.table, g.table
-    return [ZERO if (w := gt[z]) is ZERO else ft[w] for z in g.space.states]
+def _after(f: PropMap, g: PropMap) -> list[int]:
+    """The table of `f` after `g`."""
+    ft = f.table
+    return [ft[w] for w in g.table]
 
 
 def unfixed_points(m: PropMap) -> list[str]:
     """States where `m(m(z)) != m(z)`: the witnesses against idempotence."""
-    table = m.table
-    out = []
-    for z in m.space.states:
-        w = table[z]
-        if w is not ZERO and table[w] != w:
-            out.append(z)
-    return out
+    t = m.table
+    return [z for z, w in zip(m.space.states, t) if t[w] != w]
 
 
 # The two generators below inline both compositions and yield only hits:
 # a helper call per state made check_laws markedly slower on small models.
-def unannihilated(f: PropMap, g: PropMap) -> Iterator[tuple[str, StateRef, StateRef]]:
-    """Yield `(z, f(g(z)), g(f(z)))` where either image is not zero."""
+def unannihilated(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
+    """Yield `(z, f(g(z)), g(f(z)))` where either image is not the zero index."""
     ft, gt = f.table, g.table
-    for z in g.space.states:
-        w, u = gt[z], ft[z]
-        fg = ZERO if w is ZERO else ft[w]
-        gf = ZERO if u is ZERO else gt[u]
-        if fg is not ZERO or gf is not ZERO:
+    n = len(g.space)
+    for z, w, u in zip(g.space.states, gt, ft):
+        fg, gf = ft[w], gt[u]
+        if fg != n or gf != n:
             yield z, fg, gf
 
 
-def noncommuting(f: PropMap, g: PropMap) -> Iterator[tuple[str, StateRef, StateRef]]:
+def noncommuting(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
     """Yield `(z, f(g(z)), g(f(z)))` where the two images differ."""
     ft, gt = f.table, g.table
-    for z in g.space.states:
-        w, u = gt[z], ft[z]
-        fg = ZERO if w is ZERO else ft[w]
-        gf = ZERO if u is ZERO else gt[u]
+    for z, w, u in zip(g.space.states, gt, ft):
+        fg, gf = ft[w], gt[u]
         if fg != gf:
             yield z, fg, gf
 
 
 def idempotence(p: Proposition) -> list[Violation]:
+    shown = (*p.space.states, ZERO_TOKEN)
     out = []
     for side, m in (("yes", p.yes), ("no", p.no)):
         t = m.table
         for z in unfixed_points(m):
-            detail = f"{side}({side}({z})) = {show_state(t[t[z]])} but {side}({z}) = {show_state(t[z])}"
+            w = t[p.space.index[z]]
+            detail = f"{side}({side}({z})) = {shown[t[w]]} but {side}({z}) = {shown[w]}"
             out.append(Violation(f"idempotence-{side}", (p.name,), (z,), detail))
     return out
 
@@ -447,11 +455,12 @@ def idempotent_maps(p: Proposition) -> list[Violation]:
 
 
 def annihilation(p: Proposition) -> list[Violation]:
+    shown = (*p.space.states, ZERO_TOKEN)
     out = []
     for z, no_yes, yes_no in unannihilated(p.no, p.yes):
         for image, composite in ((no_yes, f"no(yes({z}))"), (yes_no, f"yes(no({z}))")):
-            if image is not ZERO:
-                detail = f"{composite} = {show_state(image)}, expected {ZERO_TOKEN}"
+            if image != len(p.space):
+                detail = f"{composite} = {shown[image]}, expected {ZERO_TOKEN}"
                 out.append(Violation("annihilation", (p.name,), (z,), detail))
     return out
 
@@ -465,11 +474,11 @@ def negation_annihilates(p: Proposition) -> list[Violation]:
 
 
 def consistency(p: Proposition) -> list[Violation]:
-    yes_t, no_t = p.yes.table, p.no.table
+    n = len(p.space)
     return [
         Violation("consistency", (p.name,), (z,), f"both outcomes are impossible at {z}")
-        for z in p.space.states
-        if yes_t[z] is ZERO and no_t[z] is ZERO
+        for z, yes, no in zip(p.space.states, p.yes.table, p.no.table)
+        if yes == no == n
     ]
 
 
@@ -483,19 +492,17 @@ def zero_absorbs(zero: Proposition, p: Proposition) -> list[Violation]:
 
 def one_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
     """1P=P1=P, against the model's ONE."""
-    yes_t = p.yes.table
     return [
         Violation("1P=P1=P", (p.name,), (z,), f"composition with ONE changes the map at {z}")
-        for z, one_p, p_one in zip(p.space.states, _after(one.yes, p.yes), _after(p.yes, one.yes))
-        if one_p != yes_t[z] or p_one != yes_t[z]
+        for z, yes, one_p, p_one in zip(p.space.states, p.yes.table, _after(one.yes, p.yes), _after(p.yes, one.yes))
+        if one_p != yes or p_one != yes
     ]
 
 
 def one_and_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
     """1ANDP=P: ONE AND P, whose yes map is ONE after P, is P; first witness only."""
-    yes_t = p.yes.table
-    for z, one_p in zip(p.space.states, _after(one.yes, p.yes)):
-        if one_p != yes_t[z]:
+    for z, yes, one_p in zip(p.space.states, p.yes.table, _after(one.yes, p.yes)):
+        if one_p != yes:
             return [Violation("1ANDP=P", (p.name,), (z,), f"ONE AND {p.name} differs from {p.name} at {z}")]
     return []
 
@@ -506,18 +513,19 @@ def exclusion(a: Observable) -> list[Violation]:
         for v2 in a.spectrum[i + 1 :]:
             for z, one_two, two_one in unannihilated(a.family[v1].yes, a.family[v2].yes):
                 for image, first, then in ((one_two, v1, v2), (two_one, v2, v1)):
-                    if image is not ZERO:
+                    if image != len(a.space):
                         detail = f"value {first} stays possible after {then} at {z}"
                         out.append(Violation("mutual-exclusion", (a.name, first, then), (z,), detail))
     return out
 
 
 def completeness(a: Observable) -> list[Violation]:
+    n = len(a.space)
     branches = [a.family[v].yes.table for v in a.spectrum]
     return [
         Violation("completeness", (a.name,), (z,), f"every value is impossible at {z}")
-        for z in a.space.states
-        if all(m[z] is ZERO for m in branches)
+        for i, z in enumerate(a.space.states)
+        if all(t[i] == n for t in branches)
     ]
 
 
@@ -529,16 +537,11 @@ def compatible_has_common_eigenstate(a: Observable, b: Observable, cls_: PairCla
     return [Violation("strongcomp-implies-comp", (a.name, b.name), (), detail)]
 
 
-def _joint_eigenstate_reachable(a: Observable, b: Observable, z: str, common: set) -> bool:
+def _joint_eigenstate_reachable(a: Observable, b: Observable, i: int, common: set) -> bool:
     for va in a.spectrum:
-        w1 = a.family[va].yes.table[z]
-        if w1 is ZERO:
-            continue
+        w = a.family[va].yes.table[i]
         for vb in b.spectrum:
-            w2 = b.family[vb].yes.table[w1]
-            if w2 is ZERO:
-                continue
-            if (w2, va, vb) in common:
+            if (b.family[vb].yes.table[w], va, vb) in common:
                 return True
     return False
 
@@ -547,12 +550,13 @@ def compatible_reaches_joint_eigenstate(a: Observable, b: Observable, cls_: Pair
     """compat-implies-joint-eigenstate: one measurement of each reaches a common eigenstate."""
     if cls_ is not PairClass.COMPATIBLE:
         return []
-    common = set(ev.common)
+    index = a.space.index
+    common = {(index[z], va, vb) for z, va, vb in ev.common}
     detail = "no common eigenstate reachable by one measurement of each"
     return [
         Violation("compat-implies-joint-eigenstate", (a.name, b.name), (z,), detail)
-        for z in a.space.states
-        if not _joint_eigenstate_reachable(a, b, z, common)
+        for i, z in enumerate(a.space.states)
+        if not _joint_eigenstate_reachable(a, b, i, common)
     ]
 
 
@@ -605,7 +609,7 @@ def compose(f: PropMap, g: PropMap) -> PropMap:
     """The map `f after g`; zero is absorbing throughout."""
     if f.space != g.space:
         raise StructuralError("cannot compose maps over different state spaces")
-    return PropMap(f.space, dict(zip(f.space.states, _after(f, g))))
+    return PropMap(f.space, _after(f, g))
 
 
 def modal_status(p: Proposition, z: StateRef) -> ModalStatus:
@@ -624,9 +628,10 @@ def eigenstates_of_proposition(p: Proposition) -> list[tuple[str, str]]:
     """States fixed by one of the outcome maps, sorted by state name."""
     out = []
     for z in sorted(p.space.states):
-        if p.yes.table[z] == z:
+        i = p.space.index[z]
+        if p.yes.table[i] == i:
             out.append((z, "yes"))
-        if p.no.table[z] == z:
+        if p.no.table[i] == i:
             out.append((z, "no"))
     return out
 
@@ -645,7 +650,7 @@ def is_compatible_propositions(p: Proposition, q: Proposition) -> tuple[bool, Op
         raise StructuralError("propositions are over different state spaces")
     for sp, sq in _SIDE_PAIRS:
         for z, pq, qp in noncommuting(p.side(sp), q.side(sq)):
-            return False, CommutationWitness(p.name, q.name, sp, sq, z, pq, qp)
+            return False, CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
     return True, None
 
 
@@ -689,8 +694,9 @@ def eigenstates_of_observable(a: Observable) -> list[tuple[str, str]]:
     """States fixed by some branch, with the value; sorted by state name."""
     out = []
     for z in sorted(a.space.states):
+        i = a.space.index[z]
         for value in a.spectrum:
-            if a.family[value].yes.table[z] == z:
+            if a.family[value].yes.table[i] == i:
                 out.append((z, value))
     return out
 
@@ -701,10 +707,11 @@ def common_eigenstates(a: Observable, b: Observable) -> list[tuple[str, str, str
         raise StructuralError("observables are over different state spaces")
     out = []
     for z in sorted(a.space.states):
-        a_vals = [v for v in a.spectrum if a.family[v].yes.table[z] == z]
+        i = a.space.index[z]
+        a_vals = [v for v in a.spectrum if a.family[v].yes.table[i] == i]
         if not a_vals:
             continue
-        b_vals = [v for v in b.spectrum if b.family[v].yes.table[z] == z]
+        b_vals = [v for v in b.spectrum if b.family[v].yes.table[i] == i]
         out.extend((z, va, vb) for va in a_vals for vb in b_vals)
     return out
 
@@ -884,14 +891,7 @@ def rename_states(model: Model, mapping: Mapping[str, str]) -> Model:
     if missing:
         raise StructuralError(f"rename mapping is missing states {missing}")
     space = StateSpace(tuple(mapping[s] for s in model.space.states))
-
-    def convert(m: PropMap) -> PropMap:
-        return PropMap(
-            space,
-            {mapping[z]: (ZERO if t is ZERO else mapping[t]) for z, t in m.table.items()},
-        )
-
-    return _rebuild(model, space, convert)
+    return _rebuild(model, space, lambda m: PropMap(space, m.table))
 
 
 def reachable_submodel(model: Model, seeds: Sequence[str]) -> Model:
@@ -905,20 +905,18 @@ def reachable_submodel(model: Model, seeds: Sequence[str]) -> Model:
             raise StructuralError(f"unknown state {s!r}")
     if not seeds:
         raise StructuralError("at least one seed state is required")
-    reached = set(seeds)
-    frontier = list(seeds)
+    # The zero index counts as reached, so it stays last and stays zero.
+    reached = {model.space.index[s] for s in seeds} | {len(model.space)}
+    frontier = list(reached)
     tables = [p.side(side).table for p in model.propositions.values() for side in ("yes", "no")]
     while frontier:
-        z = frontier.pop()
+        i = frontier.pop()
         for table in tables:
-            t = table[z]
-            if t is not ZERO and t not in reached:
-                reached.add(t)
-                frontier.append(t)
-    keep = tuple(s for s in model.space.states if s in reached)
-    space = StateSpace(keep)
-
-    def convert(m: PropMap) -> PropMap:
-        return PropMap(space, {z: m.table[z] for z in keep})
-
-    return _rebuild(model, space, convert)
+            j = table[i]
+            if j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    keep = sorted(reached)
+    space = StateSpace(tuple(model.space.states[i] for i in keep[:-1]))
+    new_index = {old: new for new, old in enumerate(keep)}
+    return _rebuild(model, space, lambda m: PropMap(space, [new_index[m.table[i]] for i in keep]))

@@ -75,20 +75,20 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], 
 def _parse_map(obj, space: core.StateSpace, path: str) -> core.PropMap:
     if not isinstance(obj, dict):
         _fail(path, "must be an object mapping every state to a state or null")
-    table = {}
+    index = space.index
+    n = len(space)
+    table = [n] * (n + 1)
     for state, target in obj.items():
-        if state not in space:
+        if state not in index:
             _fail(f"{path}.{state}", f"unknown state {state!r}")
-        if target is None:
-            table[state] = core.ZERO
-        elif isinstance(target, str):
-            if target not in space:
+        if isinstance(target, str):
+            if target not in index:
                 _fail(f"{path}.{state}", f"unknown state {target!r}")
-            table[state] = target
-        else:
+            table[index[state]] = index[target]
+        elif target is not None:
             _fail(f"{path}.{state}", "map values must be state names or null")
-    missing = [s for s in space.states if s not in table]
-    if missing:
+    if len(obj) != n:
+        missing = [s for s in space.states if s not in obj]
         _fail(path, f"missing entries for state(s) {missing}; maps must be total")
     return core.PropMap(space, table)
 
@@ -168,9 +168,10 @@ def parse_model(text: str) -> core.Model:
 def serialize_model(model: core.Model) -> str:
     """Canonical JSON for a model; equal models give identical bytes."""
     states = model.space.states
+    refs = (*states, None)
 
     def map_obj(m: core.PropMap) -> dict:
-        return {z: (None if m.table[z] is core.ZERO else m.table[z]) for z in states}
+        return {z: refs[t] for z, t in zip(states, m.table)}
 
     doc: dict = {
         "states": list(states),

@@ -24,7 +24,8 @@ DEFAULT_CAP = 256
 
 
 def _as_matrix(value, what: str) -> np.ndarray:
-    m = np.asarray(value, dtype=complex)
+    # A copy, so that freezing it never freezes the caller's array.
+    m = np.array(value, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError(f"{what} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
@@ -277,38 +278,29 @@ def close_orbit(
 
     # I - P has the same residues as P, which passed at the caller's tolerance;
     # Projector.complement() would re-check it at the default one.
-    actions = []
-    for name, p in propositions:
-        actions.append((name, "yes", p.matrix))
-        actions.append((name, "no", np.eye(dim) - p.matrix))
+    actions = [m for _, p in propositions for m in (p.matrix, np.eye(dim) - p.matrix)]
 
-    transitions: dict[tuple[str, str, int], core.StateRef] = {}
+    # One image row per action, yes before no; None until the zero index is known.
+    rows: list[list[Optional[int]]] = [[] for _ in actions]
     i = 0
     while i < len(mats):
-        for name, side, pm in actions:
+        for row, pm in zip(rows, actions):
             img = pm @ mats[i] @ pm
             trace = img.trace().real
             if trace <= tol:
-                transitions[(name, side, i)] = core.ZERO
+                row.append(None)
             else:
                 img = img / trace
                 j = find(img)
                 if j is None:
                     j = add(img, i)
-                transitions[(name, side, i)] = j
+                row.append(j)
         i += 1
 
-    state_names = tuple(f"s{k}" for k in range(len(mats)))
-    space = core.StateSpace(state_names)
-
-    def table(name: str, side: str) -> core.PropMap:
-        entries = {}
-        for k in range(len(mats)):
-            target = transitions[(name, side, k)]
-            entries[state_names[k]] = core.ZERO if target is core.ZERO else state_names[target]
-        return core.PropMap(space, entries)
-
-    props = [core.Proposition(name, table(name, "yes"), table(name, "no")) for name, _ in propositions]
+    n = len(mats)
+    space = core.StateSpace(tuple(f"s{k}" for k in range(n)))
+    maps = [core.PropMap(space, [n if j is None else j for j in row] + [n]) for row in rows]
+    props = [core.Proposition(name, maps[2 * k], maps[2 * k + 1]) for k, (name, _) in enumerate(propositions)]
     model = core.Model.build(space, props)
     return Orbit(model, tuple(m for m in mats))
 

@@ -21,7 +21,7 @@ def build_model(state_names, prop_tables, observables, partition=None):
     """prop_tables: name -> (yes_table, no_table); observables: name -> (spectrum, {value: prop})."""
     space = core.StateSpace(tuple(state_names))
     props = {
-        name: core.Proposition(name, core.PropMap(space, yes), core.PropMap(space, no))
+        name: core.Proposition(name, core.PropMap.from_names(space, yes), core.PropMap.from_names(space, no))
         for name, (yes, no) in prop_tables.items()
     }
     obs = [
@@ -132,9 +132,9 @@ def mutate_entry(model, prop_name, side, state, target):
     """Copy of the model with one outcome-map entry redirected."""
     p = model.propositions[prop_name]
     m = p.side(side)
-    table = dict(m.table)
+    table = {z: m(z) for z in model.space.states}
     table[state] = target
-    new_map = core.PropMap(model.space, table)
+    new_map = core.PropMap.from_names(model.space, table)
     new_prop = core.Proposition(
         prop_name,
         new_map if side == "yes" else p.yes,

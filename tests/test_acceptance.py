@@ -50,17 +50,16 @@ def _qzx_mutations():
             continue
         p = model.propositions[name]
         for side in ("yes", "no"):
-            table = p.side(side).table
+            m = p.side(side)
             for z in model.space.states:
                 for w in model.space.states:
-                    if w == z or table[z] == w or table[w] == w:
+                    if w == z or m(z) == w or m(w) == w:
                         continue
                     pool.append((name, side, z, w, f"idempotence-{side}"))
-        yes_t, no_t = p.yes.table, p.no.table
         for z in model.space.states:
-            if yes_t[z] != z and no_t[z] is not core.ZERO:
+            if p.yes(z) != z and p.no(z) is not core.ZERO:
                 pool.append((name, "yes", z, z, "annihilation"))
-            if no_t[z] != z and yes_t[z] is not core.ZERO:
+            if p.no(z) != z and p.yes(z) is not core.ZERO:
                 pool.append((name, "no", z, z, "annihilation"))
     return model, pool
 

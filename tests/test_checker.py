@@ -45,7 +45,7 @@ def test_generated_models_with_extremes():
         for name, p in tiny.propositions.items():
             if name in core.RESERVED_PROPOSITION_NAMES:
                 continue
-            assert (p.yes.table[z] == z) != (p.no.table[z] == z)
+            assert (p.yes(z) == z) != (p.no(z) == z)
         big = checker.generate_model(GeneratorParams(n_states=24, n_props=8, n_obs=4, seed=seed))
         assert core.validate_model(big) == []
         bare = checker.generate_model(GeneratorParams(n_states=5, n_props=0, n_obs=2, seed=seed))
@@ -107,7 +107,7 @@ def test_check_laws_flags_broken_builtin():
     broken_props = dict(qzx.propositions)
     # ONE that maps everything to z0 breaks 1P=P1=P and 1ANDP=P
     space = qzx.space
-    const_z0 = core.PropMap(space, {z: "z0" for z in space.states})
+    const_z0 = core.PropMap.from_names(space, {z: "z0" for z in space.states})
     broken_props["ONE"] = core.Proposition("ONE", const_z0, core.constant_zero_map(space))
     model = core.Model(space, broken_props, qzx.observables)
     laws = {v.law for v in checker.check_laws(model)}
@@ -148,8 +148,10 @@ def test_violation_holds_replays_the_report():
     # ONE sends b to a, so P after ONE differs from P at b but ONE after P
     # does not: check_laws reports 1P=P1=P at b and no 1ANDP=P.
     space = core.StateSpace(("a", "b"))
-    one = core.Proposition("ONE", core.PropMap(space, {"a": "a", "b": "a"}), core.constant_zero_map(space))
-    p = core.Proposition("P", core.PropMap(space, {"a": "a", "b": ZERO}), core.PropMap(space, {"a": ZERO, "b": "b"}))
+    one = core.Proposition("ONE", core.PropMap.from_names(space, {"a": "a", "b": "a"}), core.constant_zero_map(space))
+    p = core.Proposition(
+        "P", core.PropMap.from_names(space, {"a": "a", "b": ZERO}), core.PropMap.from_names(space, {"a": ZERO, "b": "b"})
+    )
     model = core.Model(space, {"ONE": one, "ZERO": core.make_zero(space), "P": p}, {})
     report = checker.check_laws(model)
     assert ("1P=P1=P", ("P",), ("b",)) in {(v.law, v.subjects, v.witness) for v in report}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gqt import core
+from gqt import checker, core
 from gqt.core import ZERO, ModalStatus, PairClass
 from gqt.errors import (
     AmbiguousRealization,
@@ -12,7 +12,7 @@ from gqt.errors import (
     StructuralError,
 )
 
-from conftest import make_qzx, mutate_entry
+from conftest import make_bell, make_bistable, make_qzx, mutate_entry
 
 
 def space4():
@@ -49,11 +49,43 @@ def test_state_space_membership():
 def test_prop_map_must_be_total():
     space = space4()
     with pytest.raises(StructuralError, match="not total"):
-        core.PropMap(space, {"a": "a", "b": ZERO, "c": "a"})
+        core.PropMap.from_names(space, {"a": "a", "b": ZERO, "c": "a"})
     with pytest.raises(StructuralError, match="unknown state"):
-        core.PropMap(space, {"a": "a", "b": ZERO, "c": "a", "d": "zz"})
+        core.PropMap.from_names(space, {"a": "a", "b": ZERO, "c": "a", "d": "zz"})
     with pytest.raises(StructuralError):
-        core.PropMap(space, {"a": "a", "b": ZERO, "c": "a", "d": "d", "e": "a"})
+        core.PropMap.from_names(space, {"a": "a", "b": ZERO, "c": "a", "d": "d", "e": "a"})
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        (0, 1, 2, 3),  # no zero slot
+        (0, 1, 2, 3, 4, 4),  # one entry too many
+        (0, 1, 2, 5, 4),  # past the zero index
+        (0, -1, 2, 3, 4),  # negative
+        (0, 1, 2, 3, 3),  # zero slot not fixed
+        (0, 1, 2.0, 3, 4),  # not an int
+        (0, True, 2, 3, 4),  # a bool
+        ("a", "b", "c", "d", 4),  # names
+    ],
+)
+def test_prop_map_rejects_bad_table(table):
+    with pytest.raises(StructuralError):
+        core.PropMap(space4(), table)
+
+
+def _fixture_and_generated_models():
+    yield from (make_qzx(), make_bell(), make_bistable())
+    for seed in range(3):
+        yield checker.generate_model(checker.GeneratorParams(n_states=9, n_props=5, n_obs=3, seed=seed))
+
+
+@pytest.mark.parametrize("model", list(_fixture_and_generated_models()))
+def test_every_map_fixes_its_zero_slot(model):
+    n = len(model.space)
+    for p in model.propositions.values():
+        for m in (p.yes, p.no):
+            assert len(m.table) == n + 1 and m.table[n] == n
 
 
 def test_prop_map_zero_is_absorbing():
@@ -125,8 +157,8 @@ def test_redirected_entry_breaks_annihilation(qzx):
 
 def test_idempotence_violation_witness():
     space = core.StateSpace(("a", "b"))
-    yes = core.PropMap(space, {"a": "b", "b": ZERO})
-    no = core.PropMap(space, {"a": ZERO, "b": "b"})
+    yes = core.PropMap.from_names(space, {"a": "b", "b": ZERO})
+    no = core.PropMap.from_names(space, {"a": ZERO, "b": "b"})
     # yes(a) = b but yes(b) = ZERO: not idempotent at a; also b claims
     # both outcomes in a tangled way, caught separately
     p = core.Proposition("P", yes, no)
@@ -228,11 +260,11 @@ def test_z_and_x_are_incompatible(qzx):
     ok, witness = core.is_compatible_propositions(z0, x0)
     assert not ok
     # replay the witness on the raw maps
-    mp = z0.side(witness.p_side).table
-    mq = x0.side(witness.q_side).table
+    mp = z0.side(witness.p_side)
+    mq = x0.side(witness.q_side)
     z = witness.state
-    pq = mp[mq[z]] if mq[z] is not ZERO else ZERO
-    qp = mq[mp[z]] if mp[z] is not ZERO else ZERO
+    pq = mp(mq(z))
+    qp = mq(mp(z))
     assert pq == witness.pq and qp == witness.qp and pq != qp
 
 
@@ -269,7 +301,7 @@ def test_adjunction_with_negation_is_always(qzx):
 
 def test_realize_returns_none_when_unmatched(qzx):
     space = qzx.space
-    const_zp = core.PropMap(space, {z: "zp" for z in space.states})
+    const_zp = core.PropMap.from_names(space, {z: "zp" for z in space.states})
     d = core.DerivedProposition("yes", const_zp, "synthetic")
     assert core.realize(qzx, d) is None
 
@@ -284,7 +316,7 @@ def test_realize_ambiguity(bell):
 
 def test_derived_proposition_must_be_idempotent(qzx):
     space = qzx.space
-    bad = core.PropMap(space, {"z0": "zp", "zp": "zm", "zm": "zm", "z1": ZERO})
+    bad = core.PropMap.from_names(space, {"z0": "zp", "zp": "zm", "zm": "zm", "z1": ZERO})
     with pytest.raises(StructuralError, match="idempotent"):
         core.DerivedProposition("yes", bad, "bad")
 
@@ -319,8 +351,8 @@ def test_completeness_violation():
     space = core.StateSpace(("a", "b"))
     only_a = core.Proposition(
         "OA",
-        core.PropMap(space, {"a": "a", "b": ZERO}),
-        core.PropMap(space, {"a": ZERO, "b": "b"}),
+        core.PropMap.from_names(space, {"a": "a", "b": ZERO}),
+        core.PropMap.from_names(space, {"a": ZERO, "b": "b"}),
     )
     never = core.Proposition("NV", core.constant_zero_map(space), core.identity_map(space))
     obs = core.Observable("A", ("hit", "miss"), {"hit": only_a, "miss": never})
@@ -363,13 +395,13 @@ def test_complementary_with_common_eigenstate():
     space = core.StateSpace(("e", "f", "c"))
     pa = core.Proposition(
         "PA",
-        core.PropMap(space, {"e": "e", "f": ZERO, "c": "e"}),
-        core.PropMap(space, {"e": ZERO, "f": "f", "c": "f"}),
+        core.PropMap.from_names(space, {"e": "e", "f": ZERO, "c": "e"}),
+        core.PropMap.from_names(space, {"e": ZERO, "f": "f", "c": "f"}),
     )
     pb = core.Proposition(
         "PB",
-        core.PropMap(space, {"e": "e", "f": ZERO, "c": ZERO}),
-        core.PropMap(space, {"e": ZERO, "f": "f", "c": "f"}),
+        core.PropMap.from_names(space, {"e": "e", "f": ZERO, "c": ZERO}),
+        core.PropMap.from_names(space, {"e": ZERO, "f": "f", "c": "f"}),
     )
     a = core.observable_from_proposition(pa, "A")
     b = core.observable_from_proposition(pb, "B")
@@ -504,7 +536,7 @@ def test_rename_states_roundtrip(qzx):
     renamed = core.rename_states(qzx, fwd)
     assert renamed.space.states == ("a", "b", "c", "d")
     assert core.validate_model(renamed) == []
-    assert renamed.propositions["Z0"].yes.table["b"] == "a"
+    assert renamed.propositions["Z0"].yes("b") == "a"
     back = core.rename_states(renamed, {v: k for k, v in fwd.items()})
     assert back == qzx
     with pytest.raises(StructuralError):
@@ -522,8 +554,8 @@ def test_reachable_submodel(bell):
     space = core.StateSpace(("a", "b"))
     p = core.Proposition(
         "P",
-        core.PropMap(space, {"a": "a", "b": ZERO}),
-        core.PropMap(space, {"a": ZERO, "b": "b"}),
+        core.PropMap.from_names(space, {"a": "a", "b": ZERO}),
+        core.PropMap.from_names(space, {"a": ZERO, "b": "b"}),
     )
     model = core.Model.build(space, [p])
     sub = core.reachable_submodel(model, ["a"])

@@ -22,10 +22,6 @@ FUZZ_PARAMS = [
 ]
 
 
-def _after(table, z):
-    return ZERO if z is ZERO else table[z]
-
-
 def reference_laws(model):
     """(law, subjects, witness) for the five laws, from their statements.
 
@@ -38,22 +34,22 @@ def reference_laws(model):
     found = set()
     states = model.space.states
     for name, p in model.propositions.items():
-        yes, no = p.yes.table, p.no.table
+        yes, no = p.yes, p.no
         for z in states:
-            for side, table in (("yes", yes), ("no", no)):
-                if _after(table, table[z]) != table[z]:
+            for side, m in (("yes", yes), ("no", no)):
+                if m(m(z)) != m(z):
                     found.add(("idempotence", (name, side), (z,)))
-            if _after(no, yes[z]) is not ZERO or _after(yes, no[z]) is not ZERO:
+            if no(yes(z)) is not ZERO or yes(no(z)) is not ZERO:
                 found.add(("annihilation", (name,), (z,)))
-            if yes[z] is ZERO and no[z] is ZERO:
+            if yes(z) is ZERO and no(z) is ZERO:
                 found.add(("consistency", (name,), (z,)))
     for name, a in model.observables.items():
         for z in states:
             for v in a.spectrum:
                 for u in a.spectrum:
-                    if v != u and _after(a.family[v].yes.table, a.family[u].yes.table[z]) is not ZERO:
+                    if v != u and a.family[v].yes(a.family[u].yes(z)) is not ZERO:
                         found.add(("mutual-exclusion", (name, v, u), (z,)))
-            if all(a.family[v].yes.table[z] is ZERO for v in a.spectrum):
+            if all(a.family[v].yes(z) is ZERO for v in a.spectrum):
                 found.add(("completeness", (name,), (z,)))
     return found
 
@@ -95,10 +91,10 @@ def single_entry_mutants(model):
         if name in core.RESERVED_PROPOSITION_NAMES:
             continue
         for side in ("yes", "no"):
-            table = model.propositions[name].side(side).table
+            m = model.propositions[name].side(side)
             for z in model.space.states:
                 for t in targets:
-                    if t != table[z]:
+                    if t != m(z):
                         yield (name, side, z, t), mutate_entry(model, name, side, z, t)
 
 

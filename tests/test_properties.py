@@ -62,7 +62,7 @@ def propositions_over(draw, space, name="P"):
                 else:
                     tn = draw(st.sampled_from(no_eigen))
             yes[z], no[z] = ty, tn
-    return Proposition(name, PropMap(space, yes), PropMap(space, no))
+    return Proposition(name, PropMap.from_names(space, yes), PropMap.from_names(space, no))
 
 
 @st.composite
@@ -93,15 +93,15 @@ def test_strategy_propositions_obey_pointwise_laws(sp):
     space, props = sp
     for p in props:
         assert validate_proposition(p, space) == []
-        yes, no = p.yes.table, p.no.table
+        yes, no = p.yes, p.no
         for z in space.states:
-            w = yes[z]
-            assert w is ZERO or yes[w] == w
-            w = no[z]
-            assert w is ZERO or no[w] == w
-            assert core._step(no, yes[z]) is ZERO
-            assert core._step(yes, no[z]) is ZERO
-            assert not (yes[z] is ZERO and no[z] is ZERO)
+            w = yes(z)
+            assert w is ZERO or yes(w) == w
+            w = no(z)
+            assert w is ZERO or no(w) == w
+            assert no(yes(z)) is ZERO
+            assert yes(no(z)) is ZERO
+            assert not (yes(z) is ZERO and no(z) is ZERO)
 
 
 @given(space_and_props(max_props=1))
@@ -119,9 +119,9 @@ def test_modal_trichotomy(sp):
     space, (p,) = sp
     for z in space.states:
         status = modal_status(p, z)
-        if p.yes.table[z] is ZERO:
+        if p.yes(z) is ZERO:
             assert status is core.ModalStatus.IMPOSSIBLE
-        elif p.no.table[z] is ZERO:
+        elif p.no(z) is ZERO:
             assert status is core.ModalStatus.CERTAIN
         else:
             assert status is core.ModalStatus.POSSIBLE
@@ -132,10 +132,10 @@ def test_yes_images_are_yes_eigenstates(sp):
     space, (p,) = sp
     eigen = set(eigenstates_of_proposition(p))
     for z in space.states:
-        w = p.yes.table[z]
+        w = p.yes(z)
         if w is not ZERO:
             assert (w, "yes") in eigen
-        w = p.no.table[z]
+        w = p.no(z)
         if w is not ZERO:
             assert (w, "no") in eigen
 
@@ -159,16 +159,16 @@ def test_compatibility_verdict_matches_direct_scan(sp):
     ok, witness = is_compatible_propositions(p, q)
     clashes = []
     for sp_, sq_ in (("yes", "yes"), ("yes", "no"), ("no", "yes"), ("no", "no")):
-        mp, mq = p.side(sp_).table, q.side(sq_).table
+        mp, mq = p.side(sp_), q.side(sq_)
         for z in space.states:
-            if core._step(mp, mq[z]) != core._step(mq, mp[z]):
+            if mp(mq(z)) != mq(mp(z)):
                 clashes.append((sp_, sq_, z))
     assert ok == (not clashes)
     if not ok:
         assert (witness.p_side, witness.q_side, witness.state) in clashes
-        mp, mq = p.side(witness.p_side).table, q.side(witness.q_side).table
-        assert core._step(mp, mq[witness.state]) == witness.pq
-        assert core._step(mq, mp[witness.state]) == witness.qp
+        mp, mq = p.side(witness.p_side), q.side(witness.q_side)
+        assert mp(mq(witness.state)) == witness.pq
+        assert mq(mp(witness.state)) == witness.qp
 
 
 @given(space_and_props(max_props=2))
@@ -199,13 +199,13 @@ def test_generated_models_pass_all_checks(model):
 @given(generated_models())
 def test_observable_families_exclusive_and_complete_direct(model):
     for a in model.observables.values():
-        branches = [a.family[v].yes.table for v in a.spectrum]
+        branches = [a.family[v].yes for v in a.spectrum]
         for z in model.space.states:
-            assert any(t[z] is not ZERO for t in branches)
-            for i, t1 in enumerate(branches):
-                for t2 in branches[i + 1 :]:
-                    assert core._step(t1, t2[z]) is ZERO
-                    assert core._step(t2, t1[z]) is ZERO
+            assert any(m(z) is not ZERO for m in branches)
+            for i, m1 in enumerate(branches):
+                for m2 in branches[i + 1 :]:
+                    assert m1(m2(z)) is ZERO
+                    assert m2(m1(z)) is ZERO
 
 
 @settings(max_examples=60, deadline=None)

@@ -143,6 +143,20 @@ def test_states_equal_inclusive_boundary():
 # Projector families
 
 
+def test_constructors_leave_the_callers_arrays_writeable():
+    rho, proj, member = dm(PLUS), dm(KET0), dm(KET1)
+    DensityState(rho)
+    Projector(proj)
+    quantum.ProjectorFamily("Z", ("0", "1"), {"0": proj, "1": member})
+    assert rho.flags.writeable and proj.flags.writeable and member.flags.writeable
+
+
+def test_document_model_leaves_document_arrays_writeable():
+    doc = modelio.parse_quantum((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    quantum.document_model(doc)
+    assert all(m.flags.writeable for _, m in doc.propositions + doc.seeds)
+
+
 def test_projector_family_validation():
     fam = quantum.ProjectorFamily("Z", ("0", "1"), {"0": dm(KET0), "1": dm(KET1)})
     assert quantum.validate_projector_family(fam) == []
