@@ -211,12 +211,27 @@ def validate_projector_family(family: ProjectorFamily, tol: float = DEFAULT_TOL)
 class Orbit:
     """A closed orbit: the induced finite model plus the state matrices.
 
-    `matrices` holds one trace-normalized density matrix per model state,
-    in discovery order (states are named s0, s1, ... as found).
+    `matrices` holds one read-only trace-normalized density matrix per
+    model state, in discovery order (states are named s0, s1, ... as
+    found).  The two merge margins tell how close the discretization came
+    to a different answer; both are `max|Δ|` distances between
+    trace-normalized matrices:
+
+    - `max_merge_distance`: the largest distance at which a seed or an
+      image merged into a known state, or 0.0 if none did;
+    - `min_split_distance`: the smallest distance between two states of
+      the orbit, taken when the later one was added, or inf for a
+      single state.
+
+    Every merge is within the tolerance and every split beyond it, so a
+    margin near the tolerance marks a near-tie that a slightly different
+    tolerance would resolve the other way.
     """
 
     model: core.Model
     matrices: tuple[np.ndarray, ...]
+    max_merge_distance: float
+    min_split_distance: float
 
 
 def close_orbit(
@@ -229,8 +244,10 @@ def close_orbit(
 
     Breadth-first and deterministic: seeds are taken in order, then each
     discovered state is expanded with the propositions in the given
-    order, yes-image before no-image.  Raises OrbitCapExceeded when more
-    than `cap` distinct states appear.
+    order, yes-image before no-image.  A new matrix is the known state it
+    is within `tol` of (entrywise), the first one in discovery order, or
+    else a new state.  Raises OrbitCapExceeded when more than `cap`
+    distinct states appear.
     """
     if cap < 1:
         raise StructuralError("orbit cap must be at least 1")
@@ -250,31 +267,40 @@ def close_orbit(
             raise StructuralError(f"duplicate proposition name {name!r}")
         names.append(name)
 
-    mats: list[np.ndarray] = []
+    # The known states are stack[:n]; the stack doubles when full and is
+    # never sized from `cap`, which has no upper bound.
+    stack = np.empty((16, dim, dim), dtype=complex)
+    n = 0
+    max_merge, min_split = 0.0, math.inf
 
-    def find(m: np.ndarray) -> Optional[int]:
-        for i, known in enumerate(mats):
-            if np.abs(known - m).max() <= tol:
-                return i
-        return None
-
-    def add(m: np.ndarray, processed: int) -> int:
-        if len(mats) >= cap:
-            discovered = [f"s{i}" for i in range(len(mats))]
+    def index_of(m: np.ndarray, processed: int) -> int:
+        nonlocal stack, n, max_merge, min_split
+        # One comparison against every known state.  abs and max act entry
+        # by entry, so each distance is bit for bit max|known - m| of that
+        # state alone, and the first hit is the linear scan's answer.
+        distances = np.abs(stack[:n] - m).max(axis=(1, 2))
+        hits = np.flatnonzero(distances <= tol)
+        if hits.size:
+            j = int(hits[0])
+            max_merge = max(max_merge, float(distances[j]))
+            return j
+        if n >= cap:
+            discovered = [f"s{k}" for k in range(n)]
             raise OrbitCapExceeded(
-                f"orbit closure exceeded cap {cap}: {len(mats)} states discovered, "
-                f"{len(mats) - processed} still unexpanded",
+                f"orbit closure exceeded cap {cap}: {n} states discovered, {n - processed} still unexpanded",
                 cap,
                 discovered=discovered,
                 frontier=discovered[processed:],
             )
-        mats.append(m)
-        return len(mats) - 1
+        min_split = min(min_split, float(distances.min(initial=math.inf)))
+        if n == len(stack):
+            stack = np.concatenate((stack, np.empty_like(stack)))
+        stack[n] = m
+        n += 1
+        return n - 1
 
     for s in seeds:
-        m = s.normalized()
-        if find(m) is None:
-            add(m, 0)
+        index_of(s.normalized(), 0)
 
     # I - P has the same residues as P, which passed at the caller's tolerance;
     # Projector.complement() would re-check it at the default one.
@@ -283,26 +309,21 @@ def close_orbit(
     # One image row per action, yes before no; None until the zero index is known.
     rows: list[list[Optional[int]]] = [[] for _ in actions]
     i = 0
-    while i < len(mats):
+    while i < n:
+        # A view that stays valid when the stack grows: growth copies into a new array.
+        state = stack[i]
         for row, pm in zip(rows, actions):
-            img = pm @ mats[i] @ pm
+            img = pm @ state @ pm
             trace = img.trace().real
-            if trace <= tol:
-                row.append(None)
-            else:
-                img = img / trace
-                j = find(img)
-                if j is None:
-                    j = add(img, i)
-                row.append(j)
+            row.append(None if trace <= tol else index_of(img / trace, i))
         i += 1
 
-    n = len(mats)
     space = core.StateSpace(tuple(f"s{k}" for k in range(n)))
     maps = [core.PropMap(space, [n if j is None else j for j in row] + [n]) for row in rows]
     props = [core.Proposition(name, maps[2 * k], maps[2 * k + 1]) for k, (name, _) in enumerate(propositions)]
     model = core.Model.build(space, props)
-    return Orbit(model, tuple(m for m in mats))
+    stack.flags.writeable = False
+    return Orbit(model, tuple(stack[:n]), max_merge, min_split)
 
 
 # ---------------------------------------------------------------------------

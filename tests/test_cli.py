@@ -230,6 +230,16 @@ def test_quantum_build_flag_overrides(tmp_path, capsys):
     assert "exceeded cap 3" in out
 
 
+def test_quantum_build_huge_cap(tmp_path, capsys):
+    # The orbit store grows with the states found, never with the cap.
+    default_path, huge_path = tmp_path / "default.json", tmp_path / "huge.json"
+    assert run_cli(["quantum", "build", QZX_Q, "-o", str(default_path)], capsys)[0] == 0
+    code, out, err = run_cli(["quantum", "build", QZX_Q, "--cap", "1000000000000", "-o", str(huge_path)], capsys)
+    assert (code, err) == (0, "")
+    assert "cap: 1000000000000" in out
+    assert huge_path.read_bytes() == default_path.read_bytes()
+
+
 def test_quantum_build_checks_complements_at_document_tolerance(tmp_path, capsys):
     # Z0's idempotence residue is about 1e-7: within the document's 1e-5,
     # beyond the 1e-9 default, and the same for I - Z0.

@@ -201,6 +201,9 @@ def test_qzx_orbit_matches_frozen_model():
     refs = [dm(KET0), dm(PLUS), dm(MINUS), dm(KET1)]
     for got, want in zip(orbit.matrices, refs):
         assert np.abs(got - want).max() < 1e-9
+    assert not any(m.flags.writeable for m in orbit.matrices)
+    with pytest.raises(ValueError):
+        orbit.matrices[0].flags.writeable = True
     renamed = core.rename_states(orbit.model, {"s0": "z0", "s1": "zp", "s2": "zm", "s3": "z1"})
     expected = make_qzx()
     for name in ("Z0", "Z1", "X0", "X1"):
@@ -297,3 +300,160 @@ def test_commuting_projectors_induce_compatible_propositions():
     model = quantum.close_orbit([seed], [("P", p), ("Q", q)], cap=64).model
     ok, _ = core.is_compatible_propositions(model.propositions["P"], model.propositions["Q"])
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# Orbit closure against the linear-scan reference
+
+
+def reference_close_orbit(seeds, propositions, cap=quantum.DEFAULT_CAP, tol=quantum.DEFAULT_TOL):
+    """The closure with one `max|known - m|` per known state that
+    `close_orbit` replaced, kept as its oracle; returns (model, matrices)."""
+    dim = seeds[0].dimension
+    mats = []
+
+    def find(m):
+        for i, known in enumerate(mats):
+            if np.abs(known - m).max() <= tol:
+                return i
+        return None
+
+    def add(m, processed):
+        if len(mats) >= cap:
+            discovered = [f"s{i}" for i in range(len(mats))]
+            raise OrbitCapExceeded(
+                f"orbit closure exceeded cap {cap}: {len(mats)} states discovered, "
+                f"{len(mats) - processed} still unexpanded",
+                cap,
+                discovered=discovered,
+                frontier=discovered[processed:],
+            )
+        mats.append(m)
+        return len(mats) - 1
+
+    for s in seeds:
+        m = s.normalized()
+        if find(m) is None:
+            add(m, 0)
+    actions = [m for _, p in propositions for m in (p.matrix, np.eye(dim) - p.matrix)]
+    rows = [[] for _ in actions]
+    i = 0
+    while i < len(mats):
+        for row, pm in zip(rows, actions):
+            img = pm @ mats[i] @ pm
+            trace = img.trace().real
+            if trace <= tol:
+                row.append(None)
+            else:
+                img = img / trace
+                j = find(img)
+                if j is None:
+                    j = add(img, i)
+                row.append(j)
+        i += 1
+    n = len(mats)
+    space = core.StateSpace(tuple(f"s{k}" for k in range(n)))
+    maps = [core.PropMap(space, [n if j is None else j for j in row] + [n]) for row in rows]
+    props = [core.Proposition(name, maps[2 * k], maps[2 * k + 1]) for k, (name, _) in enumerate(propositions)]
+    return core.Model.build(space, props), tuple(mats)
+
+
+def fixture_system(name, tol):
+    doc = modelio.parse_quantum((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    seeds = [DensityState(m, tol) for _, m in doc.seeds]
+    return seeds, [(n, Projector(m, tol)) for n, m in doc.propositions]
+
+
+def plane_system(angle):
+    seed, projs = two_plane_projectors(angle)
+    return [seed], projs
+
+
+# name -> (seeds, propositions, tol); the planes close in at most 153 states.
+ORACLE_SYSTEMS = {
+    **{
+        f"{name}-tol{tol:g}": (*fixture_system(name, tol), tol)
+        for name in ("qzx_quantum", "bell_quantum")
+        for tol in (quantum.DEFAULT_TOL, 0.0, 1e-6)
+    },
+    **{
+        f"plane{angle}-tol{tol:g}": (*plane_system(angle), tol)
+        for angle in (1.2, 0.9, 0.7, 0.5)
+        for tol in (1e-6, 1e-9)
+    },
+}
+
+
+def assert_same_closure(seeds, projs, cap, tol):
+    try:
+        want_model, want_mats = reference_close_orbit(seeds, projs, cap=cap, tol=tol)
+    except OrbitCapExceeded as want:
+        with pytest.raises(OrbitCapExceeded) as got:
+            quantum.close_orbit(seeds, projs, cap=cap, tol=tol)
+        assert str(got.value) == str(want)
+        assert (got.value.cap, got.value.discovered, got.value.frontier) == (want.cap, want.discovered, want.frontier)
+        return None
+    orbit = quantum.close_orbit(seeds, projs, cap=cap, tol=tol)
+    assert modelio.serialize_model(orbit.model) == modelio.serialize_model(want_model)
+    assert len(orbit.matrices) == len(want_mats)
+    for got, want in zip(orbit.matrices, want_mats):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return orbit
+
+
+@pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+def test_close_orbit_matches_linear_reference(system):
+    seeds, projs, tol = ORACLE_SYSTEMS[system]
+    orbit = assert_same_closure(seeds, projs, 256, tol)
+    mats = np.array(orbit.matrices)
+    # The split margin is the smallest distance between any two states.
+    pairwise = [np.abs(mats[:k] - mats[k]).max(axis=(1, 2)).min() for k in range(1, len(mats))]
+    assert orbit.min_split_distance == min(pairwise, default=np.inf)
+    assert 0.0 <= orbit.max_merge_distance <= tol < orbit.min_split_distance
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("system", ["qzx_quantum-tol0", "bell_quantum-tol1e-09", "plane0.5-tol1e-09", "plane1.2-tol1e-06"])
+def test_close_orbit_cap_overrun_matches_linear_reference(system, cap):
+    seeds, projs, tol = ORACLE_SYSTEMS[system]
+    assert_same_closure(seeds, projs, cap, tol)
+
+
+def near_tie_system():
+    # A and B are 0.25 apart, beyond tol 0.2; the yes-image of D under P
+    # is C, within tol of both (0.1875 from A, 0.0625 from B).
+    a = np.diag([0.625, 0.375, 0.0])
+    b = np.diag([0.375, 0.625, 0.0])
+    d = np.diag([0.21875, 0.28125, 0.5])
+    return a, b, d, [("P", Projector(np.diag([1.0, 1.0, 0.0])))]
+
+
+def test_near_tie_merges_into_the_first_match_in_discovery_order():
+    a, b, d, projs = near_tie_system()
+    orbit = quantum.close_orbit([DensityState(a), DensityState(b), DensityState(d)], projs, tol=0.2)
+    # C joins A, the lowest index, though it is nearer to B.
+    assert orbit.model.propositions["P"].yes("s2") == "s0"
+    assert orbit.matrices[0].tobytes() == a.astype(complex).tobytes()
+    assert len(orbit.model.space) == 4  # A, B, D and the no-image of D
+    assert orbit.max_merge_distance == 0.1875
+    assert orbit.min_split_distance == 0.25
+
+    swapped = quantum.close_orbit([DensityState(b), DensityState(a), DensityState(d)], projs, tol=0.2)
+    assert swapped.model.propositions["P"].yes("s2") == "s0"
+    assert swapped.matrices[0].tobytes() == b.astype(complex).tobytes()
+    assert swapped.max_merge_distance == 0.0625
+    assert swapped.min_split_distance == 0.25
+
+
+def test_merge_margins_of_a_lone_state():
+    orbit = quantum.close_orbit([DensityState(dm(KET0))], [("Z0", Projector(dm(KET0)))])
+    assert len(orbit.model.space) == 1
+    assert orbit.max_merge_distance == 0.0
+    assert orbit.min_split_distance == np.inf
+
+
+def test_close_orbit_huge_cap():
+    seeds, projs, tol = ORACLE_SYSTEMS["qzx_quantum-tol1e-09"]
+    default = quantum.close_orbit(seeds, projs, tol=tol)
+    huge = quantum.close_orbit(seeds, projs, cap=10**12, tol=tol)
+    assert modelio.serialize_model(huge.model) == modelio.serialize_model(default.model)
