@@ -214,7 +214,7 @@ def cmd_fuzz(args) -> int:
                     law: {
                         "seed": ce.seed,
                         "violation": _violation_dict(ce.violation),
-                        "model": json.loads(modelio.serialize_model(ce.model)),
+                        "model": modelio.model_document(ce.model),
                     }
                     for law, ce in sorted(summary.first_by_law.items())
                 },

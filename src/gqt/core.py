@@ -56,8 +56,10 @@ class StateSpace:
     """Ordered finite set of proper state names."""
 
     states: tuple[str, ...]
-    # Each name's index in declaration order; derived, so not compared.
+    # Each name's index in declaration order, and every index in name
+    # order (the order of all reports); derived, so not compared.
     index: dict[str, int] = field(init=False, repr=False, compare=False)
+    by_name: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.states:
@@ -72,6 +74,8 @@ class StateSpace:
                 raise StructuralError(f"duplicate state name {name!r}")
             index[name] = i
         object.__setattr__(self, "index", index)
+        # Built from a list: a tuple grown from a generator left peak RSS creeping.
+        object.__setattr__(self, "by_name", tuple(sorted(range(len(index)), key=self.states.__getitem__)))
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name in self.index
@@ -180,7 +184,7 @@ def negate(p: Proposition) -> Proposition:
     """Swap the outcome maps.  Involutive; ONE and ZERO trade places."""
     if p.name in _NEGATED_RESERVED:
         name = _NEGATED_RESERVED[p.name]
-    elif p.name.startswith("¬"):
+    elif p.name.startswith("¬") and p.name != "¬":
         name = p.name[1:]
     else:
         name = "¬" + p.name
@@ -262,6 +266,9 @@ class Observable:
     name: str
     spectrum: tuple[str, ...]
     family: Mapping[str, Proposition]
+    # Entry i: the values whose yes-branch fixes state i, in spectrum
+    # order; the zero slot is (), so it is nobody's eigenstate.  Derived.
+    eigenvalues: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", dict(self.family))
@@ -286,6 +293,9 @@ class Observable:
         for value in self.spectrum:
             if self.family[value].space != space:
                 raise StructuralError(f"observable {self.name!r}: family members use different state spaces")
+        branches = [(v, self.family[v].yes.table) for v in self.spectrum]
+        eigen = [tuple(v for v, t in branches if t[i] == i) for i in range(len(space))]
+        object.__setattr__(self, "eigenvalues", (*eigen, ()))
 
     @property
     def space(self) -> StateSpace:
@@ -537,11 +547,12 @@ def compatible_has_common_eigenstate(a: Observable, b: Observable, cls_: PairCla
     return [Violation("strongcomp-implies-comp", (a.name, b.name), (), detail)]
 
 
-def _joint_eigenstate_reachable(a: Observable, b: Observable, i: int, common: set) -> bool:
+def _joint_eigenstate_reachable(a: Observable, b: Observable, i: int) -> bool:
     for va in a.spectrum:
         w = a.family[va].yes.table[i]
         for vb in b.spectrum:
-            if (b.family[vb].yes.table[w], va, vb) in common:
+            u = b.family[vb].yes.table[w]
+            if va in a.eigenvalues[u] and vb in b.eigenvalues[u]:
                 return True
     return False
 
@@ -550,13 +561,11 @@ def compatible_reaches_joint_eigenstate(a: Observable, b: Observable, cls_: Pair
     """compat-implies-joint-eigenstate: one measurement of each reaches a common eigenstate."""
     if cls_ is not PairClass.COMPATIBLE:
         return []
-    index = a.space.index
-    common = {(index[z], va, vb) for z, va, vb in ev.common}
     detail = "no common eigenstate reachable by one measurement of each"
     return [
         Violation("compat-implies-joint-eigenstate", (a.name, b.name), (z,), detail)
         for i, z in enumerate(a.space.states)
-        if not _joint_eigenstate_reachable(a, b, i, common)
+        if not _joint_eigenstate_reachable(a, b, i)
     ]
 
 
@@ -626,14 +635,7 @@ def modal_status(p: Proposition, z: StateRef) -> ModalStatus:
 
 def eigenstates_of_proposition(p: Proposition) -> list[tuple[str, str]]:
     """States fixed by one of the outcome maps, sorted by state name."""
-    out = []
-    for z in sorted(p.space.states):
-        i = p.space.index[z]
-        if p.yes.table[i] == i:
-            out.append((z, "yes"))
-        if p.no.table[i] == i:
-            out.append((z, "no"))
-    return out
+    return eigenstates_of_observable(observable_from_proposition(p))
 
 
 _SIDE_PAIRS = (("yes", "yes"), ("yes", "no"), ("no", "yes"), ("no", "no"))
@@ -692,28 +694,16 @@ def realize(model: Model, d: DerivedProposition) -> Optional[Proposition]:
 
 def eigenstates_of_observable(a: Observable) -> list[tuple[str, str]]:
     """States fixed by some branch, with the value; sorted by state name."""
-    out = []
-    for z in sorted(a.space.states):
-        i = a.space.index[z]
-        for value in a.spectrum:
-            if a.family[value].yes.table[i] == i:
-                out.append((z, value))
-    return out
+    states = a.space.states
+    return [(states[i], v) for i in a.space.by_name for v in a.eigenvalues[i]]
 
 
 def common_eigenstates(a: Observable, b: Observable) -> list[tuple[str, str, str]]:
     """States that are simultaneously eigenstates of both observables."""
     if a.space != b.space:
         raise StructuralError("observables are over different state spaces")
-    out = []
-    for z in sorted(a.space.states):
-        i = a.space.index[z]
-        a_vals = [v for v in a.spectrum if a.family[v].yes.table[i] == i]
-        if not a_vals:
-            continue
-        b_vals = [v for v in b.spectrum if b.family[v].yes.table[i] == i]
-        out.extend((z, va, vb) for va in a_vals for vb in b_vals)
-    return out
+    states = a.space.states
+    return [(states[i], va, vb) for i in a.space.by_name for va in a.eigenvalues[i] for vb in b.eigenvalues[i]]
 
 
 def classify_pair(a: Observable, b: Observable) -> tuple[PairClass, PairEvidence]:

@@ -165,8 +165,8 @@ def parse_model(text: str) -> core.Model:
     return core.Model.build(space, propositions, observables, partition)
 
 
-def serialize_model(model: core.Model) -> str:
-    """Canonical JSON for a model; equal models give identical bytes."""
+def model_document(model: core.Model) -> dict:
+    """The JSON value of a model file, keys in canonical order."""
     states = model.space.states
     refs = (*states, None)
 
@@ -195,7 +195,12 @@ def serialize_model(model: core.Model) -> str:
             "local": {name: part.local_tags[name] for name in sorted(part.local_tags)},
             "global": sorted(part.global_tags),
         }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return doc
+
+
+def serialize_model(model: core.Model) -> str:
+    """Canonical JSON for a model; equal models give identical bytes."""
+    return json.dumps(model_document(model), indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

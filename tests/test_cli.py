@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gqt import cli, modelio
+from gqt import checker, cli, modelio
 from gqt.core import ZERO
 
 from conftest import FIXTURES, make_qzx, mutate_entry
@@ -332,6 +332,23 @@ def test_fuzz_cli(capsys):
     )
     doc = json.loads(out)
     assert doc == {"models": 5, "violations": 0, "first_by_law": {}}
+
+
+def test_fuzz_json_embeds_each_counterexample_model(capsys, monkeypatch):
+    # The generator only emits valid models, so feed fuzz a broken one,
+    # whose counterexamples minimize to fewer states than it has.
+    clean = checker.generate_model(checker.GeneratorParams(n_states=6, n_props=2, n_obs=1, seed=1))
+    broken = mutate_entry(clean, "A0rest", "yes", "s4", ZERO)
+    monkeypatch.setattr(checker, "generate_model", lambda params: broken)
+    code, out, _ = run_cli(["fuzz", "--count", "2", "--format", "json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    summary = checker.fuzz(checker.GeneratorParams(n_states=6), 2)
+    assert sorted(doc["first_by_law"]) == sorted(summary.first_by_law) == ["completeness", "consistency"]
+    for law, entry in doc["first_by_law"].items():
+        text = json.dumps(entry["model"], indent=2, ensure_ascii=False) + "\n"
+        assert text == modelio.serialize_model(summary.first_by_law[law].model)
+        assert len(entry["model"]["states"]) < len(broken.space)
 
 
 def test_fuzz_rejects_bad_params(capsys):

@@ -241,6 +241,14 @@ def test_eigenstates_of_proposition(qzx):
     assert core.eigenstates_of_proposition(one) == [(z, "yes") for z in sorted(qzx.space.states)]
 
 
+def test_negation_of_a_bare_negation_sign():
+    space = core.StateSpace(("a",))
+    p = core.Proposition("¬", core.identity_map(space), core.constant_zero_map(space))
+    assert core.negate(p).name == "¬¬"
+    assert core.negate(core.negate(p)) == p
+    assert core.eigenstates_of_proposition(p) == [("a", "yes")]
+
+
 # ---------------------------------------------------------------------------
 # Compatibility, conjunction, realization
 
@@ -411,6 +419,35 @@ def test_complementary_with_common_eigenstate():
     assert cls_ is PairClass.COMPLEMENTARY
     assert ("e", "yes", "yes") in ev.common
     assert ev.witness is not None
+
+
+def test_zero_slot_is_nobodys_eigenstate():
+    # The yes-branches of P and Q fix "e", and every branch sends "f" to the
+    # zero state, so A and B commute but no measurement from "f" reaches a
+    # proper state.
+    # Were the zero slot listed as an eigenstate of every value, "f" would
+    # reach a joint eigenstate through it and the law would go quiet.
+    space = core.StateSpace(("f", "e"))
+    maps = {"yes": {"f": ZERO, "e": "e"}, "no": {"f": ZERO, "e": ZERO}}
+    pp, pq = (core.Proposition(n, *(core.PropMap.from_names(space, maps[s]) for s in ("yes", "no"))) for n in "PQ")
+    a = core.observable_from_proposition(pp, "A")
+    b = core.observable_from_proposition(pq, "B")
+    assert a.eigenvalues == ((), ("yes",), ())
+    assert space.by_name == (1, 0)
+    cls_, ev = core.classify_pair(a, b)
+    assert cls_ is PairClass.COMPATIBLE
+    assert ev.common == (("e", "yes", "yes"),)
+    report = core.compatible_reaches_joint_eigenstate(a, b, cls_, ev)
+    assert [(v.law, v.witness) for v in report] == [("compat-implies-joint-eigenstate", ("f",))]
+    model = core.Model.build(space, [*a.family.values(), *b.family.values()], (a, b))
+    assert ("compat-implies-joint-eigenstate", ("A", "B"), ("f",)) in {
+        (v.law, v.subjects, v.witness) for v in checker.check_laws(model)
+    }
+    # The derived tables are neither compared nor shown.
+    again = core.observable_from_proposition(pp, "A")
+    assert again == a
+    assert repr(a) == f"Observable(name='A', spectrum=('yes', 'no'), family={a.family!r})"
+    assert repr(space) == "StateSpace(states=('f', 'e'))"
 
 
 def test_bistable_is_strongly_complementary(bistable):

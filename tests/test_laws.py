@@ -112,3 +112,82 @@ def test_reports_match_reference_on_every_single_entry_mutant():
             assert from_check(checker.check_laws(mutant)) == want, edit
     assert n_mutants == 2292
     assert seen_laws == set(CHECK_IDS.values())
+
+
+# ---------------------------------------------------------------------------
+# Eigenstate queries against the per-state scans they replaced.
+#
+# `core` reads every eigenstate query off `Observable.eigenvalues`.  The
+# references below ignore that table: they rescan the branch tables at
+# every state, and match the joint-eigenstate law against the pair's common
+# eigenstates by name.
+
+
+def reference_eigenstates_of_proposition(p):
+    out = []
+    for z in sorted(p.space.states):
+        i = p.space.index[z]
+        if p.yes.table[i] == i:
+            out.append((z, "yes"))
+        if p.no.table[i] == i:
+            out.append((z, "no"))
+    return out
+
+
+def reference_eigenstates_of_observable(a):
+    out = []
+    for z in sorted(a.space.states):
+        i = a.space.index[z]
+        for value in a.spectrum:
+            if a.family[value].yes.table[i] == i:
+                out.append((z, value))
+    return out
+
+
+def reference_common_eigenstates(a, b):
+    out = []
+    for z in sorted(a.space.states):
+        i = a.space.index[z]
+        a_vals = [v for v in a.spectrum if a.family[v].yes.table[i] == i]
+        if not a_vals:
+            continue
+        b_vals = [v for v in b.spectrum if b.family[v].yes.table[i] == i]
+        out.extend((z, va, vb) for va in a_vals for vb in b_vals)
+    return out
+
+
+def reference_unreached_joint_eigenstates(a, b, common):
+    """States from which no `b` branch after an `a` branch lands on a listed common eigenstate."""
+    common = set(common)
+    return [
+        z
+        for z in a.space.states
+        if not any((b.family[vb].yes(a.family[va].yes(z)), va, vb) in common for va in a.spectrum for vb in b.spectrum)
+    ]
+
+
+def assert_eigen_queries_match_reference(model):
+    for p in model.propositions.values():
+        assert core.eigenstates_of_proposition(p) == reference_eigenstates_of_proposition(p), p.name
+    observables = [model.observables[name] for name in sorted(model.observables)]
+    for a in observables:
+        assert core.eigenstates_of_observable(a) == reference_eigenstates_of_observable(a), a.name
+    for a in observables:
+        for b in observables:
+            common = reference_common_eigenstates(a, b)
+            assert core.common_eigenstates(a, b) == common, (a.name, b.name)
+            _, ev = core.classify_pair(a, b)
+            assert list(ev.common) == common, (a.name, b.name)
+            # Applied to every pair, not just the compatible ones, so that
+            # incomplete and non-idempotent families reach the law too.
+            got = core.compatible_reaches_joint_eigenstate(a, b, core.PairClass.COMPATIBLE, ev)
+            want = [(z,) for z in reference_unreached_joint_eigenstates(a, b, common)]
+            assert [v.witness for v in got] == want, (a.name, b.name)
+
+
+def test_eigen_queries_match_reference_on_every_single_entry_mutant():
+    bases = [make_qzx(), make_bell(), make_bistable()] + [checker.generate_model(p) for p in FUZZ_PARAMS]
+    for base in bases:
+        assert_eigen_queries_match_reference(base)
+        for _, mutant in single_entry_mutants(base):
+            assert_eigen_queries_match_reference(mutant)

@@ -28,6 +28,8 @@ from gqt.core import (
     validate_proposition,
 )
 
+from test_laws import assert_eigen_queries_match_reference
+
 
 @st.composite
 def spaces(draw, max_states=6):
@@ -229,6 +231,12 @@ def test_pair_classification_matches_definitions(model):
             else:
                 assert cls_ is core.PairClass.STRONGLY_COMPLEMENTARY
             assert list(ev.common) == common
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_models())
+def test_eigen_queries_match_the_per_state_scans(model):
+    assert_eigen_queries_match_reference(model)
 
 
 @settings(max_examples=40, deadline=None)
