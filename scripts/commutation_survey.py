@@ -8,9 +8,11 @@ induced maps commute even though the matrices do not.  This samples
 projector pairs in three regimes (common eigenbasis, generic, and
 non-commuting pairs seeded at a shared eigenvector), tabulates the
 commute/compatible cells, and lists converse counterexample candidates.
+Exits 1 when a commuting pair induces incompatible maps.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -92,13 +94,15 @@ def main(argv=None):
         yes = cells.get((commute, True), 0)
         no = cells.get((commute, False), 0)
         print(f"{label:>14}{yes:>12}{no:>14}")
-    broken = cells.get((True, False), 0)
-    if broken:
-        print(f"WARNING: {broken} commuting pairs induced incompatible maps (invariant broken)")
     print(f"\nconverse counterexample candidates (compatible maps, non-commuting matrices): {len(candidates)}")
     for trial, regime, residue, n_states in candidates[:10]:
         print(f"  trial {trial:4d}  regime {regime:<18}  max|[P,Q]| = {residue:.3e}  orbit states = {n_states}")
+    broken = cells.get((True, False), 0)
+    if broken:
+        print(f"error: {broken} commuting pairs induced incompatible maps (theorem broken)", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

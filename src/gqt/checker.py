@@ -163,9 +163,6 @@ def generate_model(params: GeneratorParams) -> core.Model:
 # Law checking
 
 
-# Laws that only core.validate_model reports, under its own ids.
-_VALIDATE_LAW_IDS = ("idempotence-yes", "idempotence-no", "annihilation")
-
 _PAIR_LAWS = (
     core.compatible_has_common_eigenstate,
     core.compatible_reaches_joint_eigenstate,
@@ -198,24 +195,6 @@ def check_laws(model: core.Model) -> list[Violation]:
             cls_, ev = core.classify_pair(a, b)
             out.extend(v for law in _PAIR_LAWS for v in law(a, b, cls_, ev))
     return out
-
-
-def violation_holds(model: core.Model, v: Violation) -> bool:
-    """Replay a reported violation against a model.
-
-    Reruns the report that owns the law id (`check_laws` for `LAW_IDS`,
-    `core.validate_model` for its idempotence and annihilation ids) and
-    returns True when that report still holds the violation's law,
-    subjects and witness; used to make counterexamples self-verifying.
-    """
-    if v.law in LAW_IDS:
-        report = check_laws(model)
-    elif v.law in _VALIDATE_LAW_IDS:
-        report = core.validate_model(model)
-    else:
-        raise StructuralError(f"cannot replay unknown law {v.law!r}")
-    key = (v.law, tuple(v.subjects), tuple(v.witness))
-    return any((u.law, u.subjects, u.witness) == key for u in report)
 
 
 # ---------------------------------------------------------------------------

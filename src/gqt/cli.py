@@ -1,103 +1,86 @@
 """Command-line interface.
 
-Exit codes: 0 on success with no violations, 1 when a report contains
-violations or a precondition fails, 2 on usage, parse, or IO errors
-(which go to stderr; reports go to stdout).  Output is deterministic:
-the same command on the same input produces identical bytes.
+Each command computes its result once and returns it as an exit code, a
+JSON payload and the lines of its text rendering; `main` alone writes
+stdout, printing the payload for `--format json` and the lines
+otherwise.  Exit codes: 0 on success with no violations, 1 when a report
+contains violations or a precondition fails, 2 on usage, parse, or IO
+errors, which go to stderr and leave stdout empty.  Output is
+deterministic: the same command on the same input produces identical
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import checker, core, modelio
-from .errors import GqtError, OrbitCapExceeded, StructuralError
+from .errors import EntanglementPreconditionError, GqtError, OrbitCapExceeded, StructuralError
 
 
-def _violation_dict(v: core.Violation) -> dict:
-    return {"law": v.law, "subjects": list(v.subjects), "witness": list(v.witness), "detail": v.detail}
+def _json_value(value):
+    """The JSON form of the two non-JSON values in payloads: violations and the zero state."""
+    if value is core.ZERO:
+        return None
+    if isinstance(value, core.Violation):
+        return dataclasses.asdict(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
-
-
-def _print_violations(violations, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json({"count": len(violations), "violations": [_violation_dict(v) for v in violations]})
-        return
-    print(f"{len(violations)} violations")
-    for v in violations:
-        print(str(v))
+def _violations(violations):
+    """A violation report: exit 1 unless it is empty, its count, one line per violation."""
+    lines = [f"{len(violations)} violations", *map(str, violations)]
+    return (1 if violations else 0), {"count": len(violations), "violations": violations}, lines
 
 
 def _load_model(path: str) -> core.Model:
     return modelio.parse_model(Path(path).read_text(encoding="utf-8"))
 
 
-def cmd_validate(args) -> int:
-    model = _load_model(args.model)
-    violations = core.validate_model(model)
-    _print_violations(violations, args.format)
-    return 1 if violations else 0
+def cmd_validate(args):
+    return _violations(core.validate_model(_load_model(args.model)))
 
 
-def cmd_check(args) -> int:
-    model = _load_model(args.model)
-    violations = checker.check_laws(model)
-    _print_violations(violations, args.format)
-    return 1 if violations else 0
+def cmd_check(args):
+    return _violations(checker.check_laws(_load_model(args.model)))
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     model = _load_model(args.model)
     obs_names = sorted(model.observables)
     pairs = []
     for i, na in enumerate(obs_names):
         for nb in obs_names[i:]:
             cls_, ev = core.classify_pair(model.observables[na], model.observables[nb])
-            pairs.append((na, nb, cls_.value, [list(t) for t in ev.common]))
+            pairs.append({"a": na, "b": nb, "class": cls_.value, "common_eigenstates": ev.common})
     eigen = {name: core.eigenstates_of_observable(model.observables[name]) for name in obs_names}
-    n_props = len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)
-    if args.format == "json":
-        _emit_json(
-            {
-                "states": list(model.space.states),
-                "propositions": sorted(n for n in model.propositions if n not in core.RESERVED_PROPOSITION_NAMES),
-                "observables": obs_names,
-                "pairs": [
-                    {"a": na, "b": nb, "class": cls_, "common_eigenstates": common}
-                    for na, nb, cls_, common in pairs
-                ],
-                "eigenstates": {name: [list(t) for t in eigen[name]] for name in obs_names},
-            }
-        )
-        return 0
-    print(f"states: {len(model.space)}")
-    print(f"propositions: {n_props}")
-    print(f"observables: {len(obs_names)}")
-    print("pairs:")
-    for na, nb, cls_, _ in pairs:
-        print(f"  {na} vs {nb}: {cls_}")
-    print("eigenstates:")
-    for name in obs_names:
-        entries = " ".join(f"{z}={value}" for z, value in eigen[name])
-        print(f"  {name}: {entries if entries else '(none)'}")
-    return 0
+    props = sorted(n for n in model.propositions if n not in core.RESERVED_PROPOSITION_NAMES)
+    payload = {
+        "states": model.space.states,
+        "propositions": props,
+        "observables": obs_names,
+        "pairs": pairs,
+        "eigenstates": eigen,
+    }
+    lines = [
+        f"states: {len(model.space)}",
+        f"propositions: {len(props)}",
+        f"observables: {len(obs_names)}",
+        "pairs:",
+        *(f"  {p['a']} vs {p['b']}: {p['class']}" for p in pairs),
+        "eigenstates:",
+        *(f"  {name}: {' '.join(f'{z}={v}' for z, v in entries) or '(none)'}" for name, entries in eigen.items()),
+    ]
+    return 0, payload, lines
 
 
-def cmd_eigen(args) -> int:
-    model = _load_model(args.model)
-    entries = core.eigenstates_of_observable(model.observable(args.observable))
-    if args.format == "json":
-        _emit_json({"observable": args.observable, "eigenstates": [list(t) for t in entries]})
-        return 0
-    for z, value in entries:
-        print(f"{z} {value}")
-    return 0
+def cmd_eigen(args):
+    entries = core.eigenstates_of_observable(_load_model(args.model).observable(args.observable))
+    return 0, {"observable": args.observable, "eigenstates": entries}, [f"{z} {value}" for z, value in entries]
 
 
 def _parse_steps(text: str) -> list[tuple[str, str]]:
@@ -112,7 +95,7 @@ def _parse_steps(text: str) -> list[tuple[str, str]]:
     return steps
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args):
     model = _load_model(args.model)
     steps = _parse_steps(args.steps)
     if args.state not in model.space:
@@ -121,113 +104,71 @@ def cmd_measure(args) -> int:
     current: core.StateRef = args.state
     for name, value in steps:
         current = core.measure_sequence(model, current, [(name, value)])
-        trajectory.append((name, value, current))
-    result = current
-    if args.format == "json":
-        _emit_json(
-            {
-                "start": args.state,
-                "steps": [
-                    {"observable": name, "value": value, "state": None if z is core.ZERO else z}
-                    for name, value, z in trajectory
-                ],
-                "result": None if result is core.ZERO else result,
-            }
-        )
-        return 0
-    for name, value, z in trajectory:
-        print(f"step {name}={value}: {core.show_state(z)}")
-    print(f"result: {core.show_state(result)}")
-    return 0
+        trajectory.append({"observable": name, "value": value, "state": current})
+    lines = [f"step {s['observable']}={s['value']}: {core.show_state(s['state'])}" for s in trajectory]
+    lines.append(f"result: {core.show_state(current)}")
+    return 0, {"start": args.state, "steps": trajectory, "result": current}, lines
 
 
-def cmd_entangle(args) -> int:
+def cmd_entangle(args):
     model = _load_model(args.model)
     locals_ = [s for s in args.locals.split(",") if s]
     if not locals_:
         raise StructuralError("at least one local observable is required")
-    report = core.check_entanglement_preconditions(model, args.global_name, locals_)
-    if report:
-        if args.format == "json":
-            _emit_json(
-                {
-                    "preconditions": [_violation_dict(v) for v in report],
-                    "entangled": None,
-                }
-            )
-        else:
-            _print_violations(report, "text")
-        return 1
-    states = core.entangled_states(model, args.global_name, locals_)
-    if args.format == "json":
-        _emit_json({"preconditions": [], "entangled": states})
-        return 0
-    print("preconditions: ok")
-    print(f"entangled states: {' '.join(states) if states else '(none)'}")
-    return 0
+    try:
+        states = core.entangled_states(model, args.global_name, locals_)
+    except EntanglementPreconditionError as e:
+        code, _, lines = _violations(e.report)
+        return code, {"preconditions": e.report, "entangled": None}, lines
+    lines = ["preconditions: ok", f"entangled states: {' '.join(states) or '(none)'}"]
+    return 0, {"preconditions": [], "entangled": states}, lines
 
 
-def cmd_quantum_build(args) -> int:
+def cmd_quantum_build(args):
     # The only command that needs numpy, so the only one that imports it.
     from . import quantum
 
     doc = modelio.parse_quantum(Path(args.document).read_text(encoding="utf-8"))
     violations = quantum.family_violations(doc, tol=args.tol)
+    if not violations:
+        try:
+            model = quantum.document_model(doc, cap=args.cap, tol=args.tol)
+        except OrbitCapExceeded as e:
+            return 1, None, [str(e), f"discovered: {' '.join(e.discovered)}"]
+        violations = core.validate_model(model)
     if violations:
-        _print_violations(violations, "text")
-        return 1
-    try:
-        model = quantum.document_model(doc, cap=args.cap, tol=args.tol)
-    except OrbitCapExceeded as e:
-        print(str(e))
-        print(f"discovered: {' '.join(e.discovered)}")
-        return 1
-    residual = core.validate_model(model)
-    if residual:
-        _print_violations(residual, "text")
-        return 1
-    text = modelio.serialize_model(model)
-    Path(args.output).write_text(text, encoding="utf-8")
-    tol = quantum._effective_tol(doc, args.tol)
-    cap = quantum._effective_cap(doc, args.cap)
-    n_props = len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)
-    print(f"states: {len(model.space)}")
-    print(f"propositions: {n_props}")
-    print(f"observables: {len(model.observables)}")
-    print(f"cap: {cap}")
-    print(f"tolerance: {tol:.9f}")
-    print(f"wrote: {args.output}")
-    return 0
+        code, _, lines = _violations(violations)
+        return code, None, lines
+    Path(args.output).write_text(modelio.serialize_model(model), encoding="utf-8")
+    lines = [
+        f"states: {len(model.space)}",
+        f"propositions: {len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)}",
+        f"observables: {len(model.observables)}",
+        f"cap: {quantum._effective_cap(doc, args.cap)}",
+        f"tolerance: {quantum._effective_tol(doc, args.tol):.9f}",
+        f"wrote: {args.output}",
+    ]
+    return 0, None, lines
 
 
-def cmd_fuzz(args) -> int:
-    params = checker.GeneratorParams(
-        n_states=args.states, n_props=args.props, n_obs=args.obs, seed=args.seed
-    )
+def cmd_fuzz(args):
+    params = checker.GeneratorParams(n_states=args.states, n_props=args.props, n_obs=args.obs, seed=args.seed)
     summary = checker.fuzz(params, args.count)
-    if args.format == "json":
-        _emit_json(
-            {
-                "models": summary.n_models,
-                "violations": summary.n_violations,
-                "first_by_law": {
-                    law: {
-                        "seed": ce.seed,
-                        "violation": _violation_dict(ce.violation),
-                        "model": modelio.model_document(ce.model),
-                    }
-                    for law, ce in sorted(summary.first_by_law.items())
-                },
-            }
-        )
-    else:
-        print(f"models checked: {summary.n_models}")
-        print(f"violations found: {summary.n_violations}")
-        for law in sorted(summary.first_by_law):
-            ce = summary.first_by_law[law]
-            print(f"first counterexample for {law}: seed={ce.seed} {ce.violation} "
-                  f"(minimized to {len(ce.model.space)} states)")
-    return 1 if summary.n_violations else 0
+    first = sorted(summary.first_by_law.items())
+    payload = {
+        "models": summary.n_models,
+        "violations": summary.n_violations,
+        "first_by_law": {
+            law: {"seed": ce.seed, "violation": ce.violation, "model": modelio.model_document(ce.model)}
+            for law, ce in first
+        },
+    }
+    lines = [f"models checked: {summary.n_models}", f"violations found: {summary.n_violations}"]
+    lines += [
+        f"first counterexample for {law}: seed={ce.seed} {ce.violation} (minimized to {len(ce.model.space)} states)"
+        for law, ce in first
+    ]
+    return (1 if summary.n_violations else 0), payload, lines
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -238,20 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gqt", description="Finite generalized-quantum models: validate, explore, and fuzz.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check one model against the proposition and observable laws")
-    p.add_argument("model")
-    _add_format(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("check", help="re-verify the full law catalogue against one model")
-    p.add_argument("model")
-    _add_format(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("report", help="summarize a model: pair classification and eigenstates")
-    p.add_argument("model")
-    _add_format(p)
-    p.set_defaults(func=cmd_report)
+    for name, func, help_ in (
+        ("validate", cmd_validate, "check one model against the proposition and observable laws"),
+        ("check", cmd_check, "re-verify the full law catalogue against one model"),
+        ("report", cmd_report, "summarize a model: pair classification and eigenstates"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("model")
+        _add_format(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eigen", help="list eigenstates of one observable")
     p.add_argument("model")
@@ -301,14 +237,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        code, payload, lines = args.func(args)
+        if getattr(args, "format", "text") == "json":
+            print(json.dumps(payload, indent=2, ensure_ascii=False, default=_json_value))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except UnicodeDecodeError as e:
         print(f"error: input is not valid UTF-8: {e}", file=sys.stderr)
         return 2
-    except GqtError as e:
+    except (OSError, GqtError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -91,7 +91,14 @@ class Projector:
         return self.matrix.shape[0]
 
     def complement(self) -> "Projector":
-        return Projector(np.eye(self.dimension) - self.matrix)
+        """I - P, which inherits the check P passed at its own tolerance:
+        its hermiticity and idempotence residues are those of P, up to
+        rounding."""
+        m = np.eye(self.dimension) - self.matrix
+        m.flags.writeable = False
+        c = object.__new__(Projector)
+        c.matrix = m
+        return c
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dimension})"
@@ -302,9 +309,7 @@ def close_orbit(
     for s in seeds:
         index_of(s.normalized(), 0)
 
-    # I - P has the same residues as P, which passed at the caller's tolerance;
-    # Projector.complement() would re-check it at the default one.
-    actions = [m for _, p in propositions for m in (p.matrix, np.eye(dim) - p.matrix)]
+    actions = [m for _, p in propositions for m in (p.matrix, p.complement().matrix)]
 
     # One image row per action, yes before no; None until the zero index is known.
     rows: list[list[Optional[int]]] = [[] for _ in actions]

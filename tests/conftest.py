@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from gqt import core
+from gqt import checker, core
 from gqt.core import ZERO
+from gqt.errors import StructuralError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -151,3 +152,25 @@ def mutate_entry(model, prop_name, side, state, target):
         for o in model.observables.values()
     ]
     return core.Model.build(model.space, props, observables, model.partition)
+
+
+# Laws that only core.validate_model reports, under its own ids.
+_VALIDATE_LAW_IDS = ("idempotence-yes", "idempotence-no", "annihilation")
+
+
+def violation_holds(model, v):
+    """Replay a reported violation against a model.
+
+    Reruns the report that owns the law id (`checker.check_laws` for
+    `LAW_IDS`, `core.validate_model` for its idempotence and annihilation
+    ids) and returns True when that report still holds the violation's
+    law, subjects and witness, so that counterexamples verify themselves.
+    """
+    if v.law in checker.LAW_IDS:
+        report = checker.check_laws(model)
+    elif v.law in _VALIDATE_LAW_IDS:
+        report = core.validate_model(model)
+    else:
+        raise StructuralError(f"cannot replay unknown law {v.law!r}")
+    key = (v.law, tuple(v.subjects), tuple(v.witness))
+    return any((u.law, u.subjects, u.witness) == key for u in report)

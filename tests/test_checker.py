@@ -7,7 +7,7 @@ from gqt.checker import GeneratorParams
 from gqt.core import ZERO
 from gqt.errors import StructuralError
 
-from conftest import make_bell, make_bistable, make_qzx, mutate_entry
+from conftest import make_bell, make_bistable, make_qzx, mutate_entry, violation_holds
 
 
 def test_params_validation():
@@ -89,7 +89,7 @@ def test_check_laws_flags_redirected_entry():
     laws = {v.law for v in report}
     assert "PP=P" in laws
     for v in report:
-        assert checker.violation_holds(broken, v), v
+        assert violation_holds(broken, v), v
 
 
 def test_check_laws_flags_annihilation_break():
@@ -99,7 +99,7 @@ def test_check_laws_flags_annihilation_break():
     laws = {v.law for v in report}
     assert "P·negP=0" in laws
     for v in report:
-        assert checker.violation_holds(broken, v), v
+        assert violation_holds(broken, v), v
 
 
 def test_check_laws_flags_broken_builtin():
@@ -122,7 +122,7 @@ def test_check_laws_flags_exclusion_break():
     laws = {v.law for v in report}
     assert "mutual-exclusion" in laws
     for v in report:
-        assert checker.violation_holds(broken, v), v
+        assert violation_holds(broken, v), v
 
 
 def test_check_laws_flags_completeness_break():
@@ -139,9 +139,9 @@ def test_check_laws_flags_completeness_break():
 def test_violation_holds_rejects_fabricated_violation():
     qzx = make_qzx()
     fake = core.Violation("PP=P", ("Z0", "yes"), ("z0",), "fabricated")
-    assert not checker.violation_holds(qzx, fake)
+    assert not violation_holds(qzx, fake)
     with pytest.raises(StructuralError):
-        checker.violation_holds(qzx, core.Violation("no-such-law", ("Z0",), ("z0",)))
+        violation_holds(qzx, core.Violation("no-such-law", ("Z0",), ("z0",)))
 
 
 def test_violation_holds_replays_the_report():
@@ -156,9 +156,9 @@ def test_violation_holds_replays_the_report():
     report = checker.check_laws(model)
     assert ("1P=P1=P", ("P",), ("b",)) in {(v.law, v.subjects, v.witness) for v in report}
     assert not any(v.law == "1ANDP=P" and v.subjects == ("P",) for v in report)
-    assert not checker.violation_holds(model, core.Violation("1ANDP=P", ("P",), ("b",)))
+    assert not violation_holds(model, core.Violation("1ANDP=P", ("P",), ("b",)))
     for v in report:
-        assert checker.violation_holds(model, v), v
+        assert violation_holds(model, v), v
 
 
 def test_check_laws_report_golden():
@@ -207,7 +207,7 @@ def test_minimize_counterexample():
     assert set(small.space.states) <= set(broken.space.states)
     assert v.witness[0] in small.space
     # the violation replays against the minimized model too
-    assert checker.violation_holds(small, v)
+    assert violation_holds(small, v)
 
 
 def test_fuzz_small_run_is_clean_and_deterministic():

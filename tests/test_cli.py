@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gqt import checker, cli, modelio
+from gqt import checker, cli, core, modelio
 from gqt.core import ZERO
 
 from conftest import FIXTURES, make_qzx, mutate_entry
@@ -183,6 +183,17 @@ def test_entangle(capsys):
     assert doc == {"preconditions": [], "entangled": ["phiM", "phiP"]}
 
 
+def test_entangle_checks_preconditions_once(capsys, monkeypatch):
+    # One classification for the locals on different subsystems, one for
+    # the global against each local.
+    calls = []
+    classify_pair = core.classify_pair
+    monkeypatch.setattr(core, "classify_pair", lambda a, b: calls.append((a.name, b.name)) or classify_pair(a, b))
+    code, out, _ = run_cli(["entangle", BELL, "--global", "BELL", "--locals", "ZA,ZB"], capsys)
+    assert (code, out) == (0, "preconditions: ok\nentangled states: phiM phiP\n")
+    assert calls == [("ZA", "ZB"), ("BELL", "ZA"), ("BELL", "ZB")]
+
+
 def test_entangle_structural_error(capsys):
     code, _, err = run_cli(["entangle", QZX, "--global", "Z", "--locals", "X"], capsys)
     assert code == 2 and "no partition" in err
@@ -277,7 +288,7 @@ def test_quantum_build_rejects_non_projector(tmp_path, capsys):
     assert "projector-idempotent" in out
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["-1"])
 def test_quantum_build_rejects_bad_tol_flag(tmp_path, capsys, tol):
     out_path = tmp_path / "built.json"
     code, out, err = run_cli(["quantum", "build", QZX_Q, f"--tol={tol}", "-o", str(out_path)], capsys)
@@ -351,11 +362,6 @@ def test_fuzz_json_embeds_each_counterexample_model(capsys, monkeypatch):
         assert len(entry["model"]["states"]) < len(broken.space)
 
 
-def test_fuzz_rejects_bad_params(capsys):
-    code, _, err = run_cli(["fuzz", "--states", "0", "--count", "1"], capsys)
-    assert code == 2 and "n_states" in err
-
-
 # ---------------------------------------------------------------------------
 # Determinism and process-level behavior
 
@@ -367,6 +373,40 @@ def test_output_is_byte_deterministic(capsys):
     first = run_cli(["fuzz", "--seed", "9", "--count", "10"], capsys)
     second = run_cli(["fuzz", "--seed", "9", "--count", "10"], capsys)
     assert first == second
+
+
+# One error path per command; `{tmp}` is the test's temporary directory,
+# which holds `truncated.json`, the first 150 characters of the qubit model.
+EXIT_2_CASES = {
+    **{
+        f"{command}-truncated": ([command, "{tmp}/truncated.json", *extra], "not valid JSON: line 13")
+        for command, extra in (("validate", ()), ("check", ()), ("report", ()), ("eigen", ("--observable", "Z")))
+    },
+    "measure-unknown-second-step": (
+        ["measure", BELL, "--state", "phiP", "--steps", "ZA=0,NOPE=1"],
+        "unknown observable 'NOPE'",
+    ),
+    "entangle-unknown-local": (["entangle", BELL, "--global", "BELL", "--locals", "ZA,NOPE"], "unknown observable 'NOPE'"),
+    "fuzz-states-0": (["fuzz", "--states", "0", "--count", "1"], "n_states"),
+    "quantum-build-tol-nan": (
+        ["quantum", "build", QZX_Q, "--tol=nan", "-o", "{tmp}/built.json"],
+        "tol must be a finite non-negative number",
+    ),
+    "quantum-build-missing-directory": (
+        ["quantum", "build", QZX_Q, "-o", "{tmp}/missing/built.json"],
+        "No such file or directory",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_2_CASES))
+def test_error_exit_leaves_stdout_empty(tmp_path, capsys, case):
+    argv, message = EXIT_2_CASES[case]
+    (tmp_path / "truncated.json").write_text((FIXTURES / "qzx.json").read_text(encoding="utf-8")[:150], encoding="utf-8")
+    code, out, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "built.json").exists()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -53,6 +53,18 @@ def test_projector_validation():
     assert np.abs(c.matrix - dm(MINUS)).max() < 1e-12
 
 
+def test_complement_keeps_the_projectors_tolerance():
+    # An idempotence residue of about 1e-7: within 1e-5, beyond the 1e-9 default.
+    p = Projector(np.diag([1 + 1e-7, 0]), tol=1e-5)
+    with pytest.raises(StructuralError, match="idempotent"):
+        Projector(np.eye(2) - p.matrix)
+    c = p.complement()
+    assert type(c) is Projector
+    assert c.matrix.tobytes() == (np.eye(2) - p.matrix).tobytes()
+    assert not c.matrix.flags.writeable
+    assert c.complement().matrix.tobytes() == (np.eye(2) - c.matrix).tobytes()
+
+
 def test_density_matrices_are_frozen():
     z = DensityState(dm(KET0))
     with pytest.raises(ValueError):

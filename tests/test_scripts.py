@@ -1,0 +1,23 @@
+"""The survey scripts run to completion against the current library."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import FIXTURES
+
+ROOT = FIXTURES.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scripts/commutation_survey.py", "--trials", "30"], ["scripts/orbit_growth.py", "--tols", "1e-6"]],
+    ids=["commutation_survey", "orbit_growth"],
+)
+def test_script_exits_cleanly(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout
