@@ -38,10 +38,8 @@ def rename_by_matrix(orbit: quantum.Orbit, references: dict[str, np.ndarray], to
 
 def build_from_document(doc_path: Path, references: dict[str, np.ndarray]) -> core.Model:
     doc = modelio.parse_quantum(doc_path.read_text(encoding="utf-8"))
-    tol = quantum._effective_tol(doc, None)
     orbit = quantum.document_orbit(doc)
-    model = quantum.attach_document_observables(orbit.model, doc)
-    return core.rename_states(model, rename_by_matrix(orbit, references, tol))
+    return core.rename_states(orbit.model, rename_by_matrix(orbit, references, orbit.tol))
 
 
 def qzx_references() -> dict[str, np.ndarray]:

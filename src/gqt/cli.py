@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -128,13 +130,20 @@ def cmd_quantum_build(args):
     # The only command that needs numpy, so the only one that imports it.
     from . import quantum
 
-    doc = modelio.parse_quantum(Path(args.document).read_text(encoding="utf-8"))
+    text = Path(args.document).read_text(encoding="utf-8")
+    # Fail as writing the output would, but before the build.
+    parent = Path(args.output).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.output)
+    doc = modelio.parse_quantum(text)
     violations = quantum.family_violations(doc, tol=args.tol)
     if not violations:
         try:
-            model = quantum.document_model(doc, cap=args.cap, tol=args.tol)
+            orbit = quantum.document_orbit(doc, cap=args.cap, tol=args.tol)
         except OrbitCapExceeded as e:
             return 1, None, [str(e), f"discovered: {' '.join(e.discovered)}"]
+        model = orbit.model
         violations = core.validate_model(model)
     if violations:
         code, _, lines = _violations(violations)
@@ -144,8 +153,8 @@ def cmd_quantum_build(args):
         f"states: {len(model.space)}",
         f"propositions: {len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)}",
         f"observables: {len(model.observables)}",
-        f"cap: {quantum._effective_cap(doc, args.cap)}",
-        f"tolerance: {quantum._effective_tol(doc, args.tol):.9f}",
+        f"cap: {orbit.cap}",
+        f"tolerance: {orbit.tol:.9f}",
         f"wrote: {args.output}",
     ]
     return 0, None, lines

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AmbiguousRealization,
@@ -259,6 +259,28 @@ class PairEvidence:
     common: tuple[tuple[str, str, str], ...]
 
 
+def check_spectrum(name: str, spectrum: Sequence[str], labels: Collection[str]) -> None:
+    """The rule for every observable: a non-empty name, distinct non-empty
+    spectrum values, and family labels that are exactly those values."""
+    if not name or not isinstance(name, str):
+        raise StructuralError("observable name must be a non-empty string")
+    if not spectrum:
+        raise StructuralError(f"observable {name!r}: spectrum must be non-empty")
+    seen = set()
+    for value in spectrum:
+        if not isinstance(value, str) or not value:
+            raise StructuralError(f"observable {name!r}: spectrum values must be non-empty strings")
+        if value in seen:
+            raise StructuralError(f"observable {name!r}: duplicate spectrum value {value!r}")
+        seen.add(value)
+    missing = [v for v in spectrum if v not in labels]
+    if missing:
+        raise StructuralError(f"observable {name!r}: family has no proposition for value(s) {missing}")
+    extra = sorted(v for v in labels if v not in seen)
+    if extra:
+        raise StructuralError(f"observable {name!r}: family has propositions for unknown value(s) {extra}")
+
+
 @dataclass(frozen=True)
 class Observable:
     """Finite spectrum of values, each answered by one proposition."""
@@ -272,23 +294,7 @@ class Observable:
 
     def __post_init__(self):
         object.__setattr__(self, "family", dict(self.family))
-        if not self.name or not isinstance(self.name, str):
-            raise StructuralError("observable name must be a non-empty string")
-        if not self.spectrum:
-            raise StructuralError(f"observable {self.name!r}: spectrum must be non-empty")
-        seen = set()
-        for value in self.spectrum:
-            if not isinstance(value, str) or not value:
-                raise StructuralError(f"observable {self.name!r}: spectrum values must be non-empty strings")
-            if value in seen:
-                raise StructuralError(f"observable {self.name!r}: duplicate spectrum value {value!r}")
-            seen.add(value)
-        missing = [v for v in self.spectrum if v not in self.family]
-        if missing:
-            raise StructuralError(f"observable {self.name!r}: family has no proposition for value(s) {missing}")
-        extra = sorted(v for v in self.family if v not in seen)
-        if extra:
-            raise StructuralError(f"observable {self.name!r}: family has propositions for unknown value(s) {extra}")
+        check_spectrum(self.name, self.spectrum, self.family)
         space = self.family[self.spectrum[0]].space
         for value in self.spectrum:
             if self.family[value].space != space:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from . import core
 from .errors import StructuralError
@@ -108,6 +108,31 @@ def _parse_partition(obj, path: str) -> core.Partition:
         _fail(path, str(e))
 
 
+def _parse_observables(data: dict, refs: Mapping, kind: str, make) -> list:
+    """The `observables` section of either document kind: each family entry
+    names a `kind` in `refs`, and `make(name, spectrum, family)` builds one."""
+    observables = []
+    obs_raw = _require_object(data.get("observables", {}), "observables")
+    for name, body in obs_raw.items():
+        path = f"observables.{name}"
+        _require_object(body, path)
+        _check_keys(body, ("spectrum", "family"), ("spectrum", "family"), path)
+        spectrum = _require_string_list(body["spectrum"], f"{path}.spectrum")
+        family_raw = _require_object(body["family"], f"{path}.family")
+        family = {}
+        for value, ref in family_raw.items():
+            if not isinstance(ref, str):
+                _fail(f"{path}.family.{value}", "family entries must name propositions")
+            if ref not in refs:
+                _fail(f"{path}.family.{value}", f"unknown {kind} {ref!r}")
+            family[value] = refs[ref]
+        try:
+            observables.append(make(name, tuple(spectrum), family))
+        except StructuralError as e:
+            _fail(path, str(e))
+    return observables
+
+
 def parse_model(text: str) -> core.Model:
     """Parse a model document; structural problems raise with field context.
 
@@ -138,25 +163,7 @@ def parse_model(text: str) -> core.Model:
     prop_by_name["ONE"] = core.make_one(space)
     prop_by_name["ZERO"] = core.make_zero(space)
 
-    observables = []
-    obs_raw = _require_object(data.get("observables", {}), "observables")
-    for name, body in obs_raw.items():
-        path = f"observables.{name}"
-        _require_object(body, path)
-        _check_keys(body, ("spectrum", "family"), ("spectrum", "family"), path)
-        spectrum = _require_string_list(body["spectrum"], f"{path}.spectrum")
-        family_raw = _require_object(body["family"], f"{path}.family")
-        family = {}
-        for value, ref in family_raw.items():
-            if not isinstance(ref, str):
-                _fail(f"{path}.family.{value}", "family entries must name propositions")
-            if ref not in prop_by_name:
-                _fail(f"{path}.family.{value}", f"unknown proposition {ref!r}")
-            family[value] = prop_by_name[ref]
-        try:
-            observables.append(core.Observable(name, tuple(spectrum), family))
-        except StructuralError as e:
-            _fail(path, str(e))
+    observables = _parse_observables(data, prop_by_name, "proposition", core.Observable)
 
     partition = None
     if "partition" in data:
@@ -217,6 +224,7 @@ class ObservableSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", dict(self.family))
+        core.check_spectrum(self.name, self.spectrum, self.family)
 
 
 @dataclass(frozen=True)
@@ -307,24 +315,7 @@ def parse_quantum(text: str) -> QuantumDocument:
     propositions = tuple(
         (name, _parse_matrix(value, dim, f"propositions.{name}")) for name, value in props_raw.items()
     )
-    prop_names = {name for name, _ in propositions}
-
-    observables = []
-    obs_raw = _require_object(data.get("observables", {}), "observables")
-    for name, body in obs_raw.items():
-        path = f"observables.{name}"
-        _require_object(body, path)
-        _check_keys(body, ("spectrum", "family"), ("spectrum", "family"), path)
-        spectrum = _require_string_list(body["spectrum"], f"{path}.spectrum")
-        family_raw = _require_object(body["family"], f"{path}.family")
-        if sorted(family_raw) != sorted(set(spectrum)):
-            _fail(f"{path}.family", "family labels must match the spectrum exactly")
-        family = {}
-        for value, ref in family_raw.items():
-            if not isinstance(ref, str) or ref not in prop_names:
-                _fail(f"{path}.family.{value}", f"unknown projector {ref!r}")
-            family[value] = ref
-        observables.append(ObservableSpec(name, tuple(spectrum), family))
+    observables = _parse_observables(data, {name: name for name, _ in propositions}, "projector", ObservableSpec)
 
     cap = data.get("cap")
     if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):

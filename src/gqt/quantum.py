@@ -11,7 +11,7 @@ ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -159,10 +159,7 @@ class ProjectorFamily:
     members: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if not self.labels:
-            raise StructuralError(f"projector family {self.name!r} must not be empty")
-        if set(self.labels) != set(self.members):
-            raise StructuralError(f"projector family {self.name!r}: labels and members disagree")
+        core.check_spectrum(self.name, self.labels, self.members)
         converted = {}
         dim = None
         for label in self.labels:
@@ -232,13 +229,16 @@ class Orbit:
 
     Every merge is within the tolerance and every split beyond it, so a
     margin near the tolerance marks a near-tie that a slightly different
-    tolerance would resolve the other way.
+    tolerance would resolve the other way.  `cap` and `tol` are the
+    settings the closure ran with.
     """
 
     model: core.Model
     matrices: tuple[np.ndarray, ...]
     max_merge_distance: float
     min_split_distance: float
+    cap: int
+    tol: float
 
 
 def close_orbit(
@@ -328,27 +328,21 @@ def close_orbit(
     props = [core.Proposition(name, maps[2 * k], maps[2 * k + 1]) for k, (name, _) in enumerate(propositions)]
     model = core.Model.build(space, props)
     stack.flags.writeable = False
-    return Orbit(model, tuple(stack[:n]), max_merge, min_split)
+    return Orbit(model, tuple(stack[:n]), max_merge, min_split, cap, tol)
 
 
 # ---------------------------------------------------------------------------
 # Building models from quantum documents
 
 
-def document_families(doc) -> list[ProjectorFamily]:
-    matrices = dict(doc.propositions)
-    return [
-        ProjectorFamily(spec.name, spec.spectrum, {v: matrices[spec.family[v]] for v in spec.spectrum})
-        for spec in doc.observables
-    ]
-
-
 def family_violations(doc, tol: Optional[float] = None) -> list[core.Violation]:
     """Projector-family law report for every observable of a quantum document."""
-    eff_tol = _effective_tol(doc, tol)
+    tol = _effective_tol(doc, tol)
+    matrices = dict(doc.propositions)
     out: list[core.Violation] = []
-    for family in document_families(doc):
-        out.extend(validate_projector_family(family, eff_tol))
+    for spec in doc.observables:
+        family = ProjectorFamily(spec.name, spec.spectrum, {v: matrices[spec.family[v]] for v in spec.spectrum})
+        out.extend(validate_projector_family(family, tol))
     return out
 
 
@@ -364,34 +358,27 @@ def _effective_tol(doc, tol: Optional[float]) -> float:
     return DEFAULT_TOL
 
 
-def _effective_cap(doc, cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    if doc.cap is not None:
-        return doc.cap
-    return DEFAULT_CAP
-
-
 def document_orbit(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> Orbit:
-    """Close the orbit of a quantum document's seeds under its projectors."""
-    eff_tol = _effective_tol(doc, tol)
-    eff_cap = _effective_cap(doc, cap)
-    projectors = [(name, Projector(m, eff_tol)) for name, m in doc.propositions]
-    seeds = [DensityState(m, eff_tol) for _, m in doc.seeds]
-    return close_orbit(seeds, projectors, cap=eff_cap, tol=eff_tol)
+    """Close the orbit of a quantum document's seeds under its projectors.
 
-
-def attach_document_observables(model: core.Model, doc) -> core.Model:
-    """Rebuild an orbit model with the document's observables and partition."""
-    props = [p for n, p in model.propositions.items() if n not in core.RESERVED_PROPOSITION_NAMES]
+    Each setting is the flag given here, else the document's, else the
+    default; the orbit records both.  Its model carries the document's
+    observables and partition.
+    """
+    tol = _effective_tol(doc, tol)
+    if cap is None:
+        cap = DEFAULT_CAP if doc.cap is None else doc.cap
+    projectors = [(name, Projector(m, tol)) for name, m in doc.propositions]
+    seeds = [DensityState(m, tol) for _, m in doc.seeds]
+    orbit = close_orbit(seeds, projectors, cap=cap, tol=tol)
+    props = orbit.model.propositions
     observables = [
-        core.Observable(spec.name, spec.spectrum, {v: model.propositions[spec.family[v]] for v in spec.spectrum})
+        core.Observable(spec.name, spec.spectrum, {v: props[spec.family[v]] for v in spec.spectrum})
         for spec in doc.observables
     ]
-    return core.Model.build(model.space, props, observables, doc.partition)
+    return replace(orbit, model=core.Model.build(orbit.model.space, props.values(), observables, doc.partition))
 
 
 def document_model(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> core.Model:
-    """Full pipeline: orbit closure plus observables and partition."""
-    orbit = document_orbit(doc, cap=cap, tol=tol)
-    return attach_document_observables(orbit.model, doc)
+    """The model of `document_orbit`: orbit closure plus observables and partition."""
+    return document_orbit(doc, cap=cap, tol=tol).model

@@ -241,6 +241,16 @@ def test_quantum_build_flag_overrides(tmp_path, capsys):
     assert "exceeded cap 3" in out
 
 
+def test_quantum_build_default_settings(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    del doc["cap"], doc["tolerance"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["quantum", "build", str(path), "-o", str(tmp_path / "built.json")], capsys)
+    assert (code, err) == (0, "")
+    assert "cap: 256" in out and "tolerance: 0.000000001" in out
+
+
 def test_quantum_build_huge_cap(tmp_path, capsys):
     # The orbit store grows with the states found, never with the cap.
     default_path, huge_path = tmp_path / "default.json", tmp_path / "huge.json"
@@ -396,13 +406,29 @@ EXIT_2_CASES = {
         ["quantum", "build", QZX_Q, "-o", "{tmp}/missing/built.json"],
         "No such file or directory",
     ),
+    "quantum-build-directory-is-a-file": (
+        ["quantum", "build", QZX_Q, "-o", "{tmp}/truncated.json/built.json"],
+        "Not a directory",
+    ),
+    "quantum-build-duplicate-value": (
+        ["quantum", "build", "{tmp}/duplicate.json", "-o", "{tmp}/built.json"],
+        "observables.Z: observable 'Z': duplicate spectrum value '0'",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_2_CASES))
-def test_error_exit_leaves_stdout_empty(tmp_path, capsys, case):
+def test_error_exit_leaves_stdout_empty(tmp_path, capsys, monkeypatch, case):
     argv, message = EXIT_2_CASES[case]
     (tmp_path / "truncated.json").write_text((FIXTURES / "qzx.json").read_text(encoding="utf-8")[:150], encoding="utf-8")
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    doc["observables"]["Z"] = {"spectrum": ["0", "0"], "family": {"0": "Z0"}}
+    (tmp_path / "duplicate.json").write_text(json.dumps(doc), encoding="utf-8")
+
+    def close_orbit(*args, **kwargs):
+        raise AssertionError("an error found before the build must not wait for the orbit closure")
+
+    monkeypatch.setattr("gqt.quantum.close_orbit", close_orbit)
     code, out, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err

@@ -224,5 +224,10 @@ def test_parse_quantum_errors():
             modelio.parse_quantum(quantum_doc(tolerance=tolerance))
     with pytest.raises(StructuralError, match="unknown projector"):
         modelio.parse_quantum(quantum_doc(observables={"A": {"spectrum": ["v"], "family": {"v": "NOPE"}}}))
+    # Quantum observables obey the spectrum rule of model documents.
+    for spectrum, message in ((["v", "v"], "duplicate spectrum value 'v'"), (["", "v"], "non-empty strings")):
+        family = {v: "P" for v in spectrum}
+        with pytest.raises(StructuralError, match=rf"^observables\.Z: observable 'Z': .*{message}"):
+            modelio.parse_quantum(quantum_doc(observables={"Z": {"spectrum": spectrum, "family": family}}))
     with pytest.raises(StructuralError, match="at least one seed"):
         modelio.parse_quantum(quantum_doc(seeds={}))

@@ -1,5 +1,7 @@
 """Density-matrix backend: actions, tolerances, orbit closure."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,8 @@ def test_projector_family_validation():
 
     with pytest.raises(StructuralError):
         quantum.ProjectorFamily("M", ("a", "b"), {"a": dm(KET0), "b": np.eye(3)})
+    with pytest.raises(StructuralError, match="duplicate spectrum value 'a'"):
+        quantum.ProjectorFamily("D", ("a", "a"), {"a": dm(KET0)})
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +272,29 @@ def test_orbit_closure_argument_validation():
 
 def test_document_model_bell():
     doc = modelio.parse_quantum((FIXTURES / "bell_quantum.json").read_text(encoding="utf-8"))
-    orbit = quantum.document_orbit(doc)
-    assert len(orbit.model.space) == 4
-    model = quantum.attach_document_observables(orbit.model, doc)
+    model = quantum.document_orbit(doc).model
+    assert len(model.space) == 4
     renamed = core.rename_states(model, {"s0": "phiP", "s1": "s00", "s2": "s11", "s3": "phiM"})
     assert renamed == make_bell()
     assert core.validate_model(model) == []
     assert core.entangled_states(model, "BELL", ["ZA", "ZB"]) == ["s0", "s3"]
+
+
+@pytest.mark.parametrize(
+    "flags, settings, want",
+    [
+        ({"cap": 5, "tol": 1e-6}, {"cap": 7, "tolerance": 1e-5}, (5, 1e-6)),
+        ({"cap": 5, "tol": 1e-6}, {}, (5, 1e-6)),
+        ({}, {"cap": 7, "tolerance": 1e-5}, (7, 1e-5)),
+        ({}, {}, (quantum.DEFAULT_CAP, quantum.DEFAULT_TOL)),
+    ],
+    ids=["flag-over-document", "flag-over-default", "document-over-default", "default"],
+)
+def test_document_orbit_settles_cap_and_tol(flags, settings, want):
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    del doc["cap"], doc["tolerance"]
+    orbit = quantum.document_orbit(modelio.parse_quantum(json.dumps({**doc, **settings})), **flags)
+    assert (orbit.cap, orbit.tol) == want
 
 
 def test_family_violations_from_document():
