@@ -127,15 +127,17 @@ def cmd_entangle(args):
 
 
 def cmd_quantum_build(args):
+    text = Path(args.document).read_text(encoding="utf-8")
+    # Fail as writing the output would, but before the build.
+    output = Path(args.output)
+    if output.is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+    if not output.parent.is_dir():
+        code = errno.ENOTDIR if output.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.output)
     # The only command that needs numpy, so the only one that imports it.
     from . import quantum
 
-    text = Path(args.document).read_text(encoding="utf-8")
-    # Fail as writing the output would, but before the build.
-    parent = Path(args.output).parent
-    if not parent.is_dir():
-        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
-        raise OSError(code, os.strerror(code), args.output)
     doc = modelio.parse_quantum(text)
     violations = quantum.family_violations(doc, tol=args.tol)
     if not violations:
@@ -148,7 +150,7 @@ def cmd_quantum_build(args):
     if violations:
         code, _, lines = _violations(violations)
         return code, None, lines
-    Path(args.output).write_text(modelio.serialize_model(model), encoding="utf-8")
+    output.write_text(modelio.serialize_model(model), encoding="utf-8")
     lines = [
         f"states: {len(model.space)}",
         f"propositions: {len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)}",

@@ -5,7 +5,12 @@ proper state exactly once, with ``null`` marking the zero state, so a
 forgotten entry is a parse error rather than a silent default.  The
 builtin propositions ONE and ZERO are implicit and may not be redefined.
 Serialization is canonical (fixed key order, sorted names, two-space
-indent, trailing newline), so equal models produce identical bytes.
+indent, trailing newline), so equal models produce identical bytes.  The
+writer emits that fixed shape directly, quoting each name once with the
+C quoting function behind ``json.dumps(..., ensure_ascii=False)``; the
+tests hold it to ``json.dumps(model_document(m), indent=2,
+ensure_ascii=False) + "\n"`` byte for byte.  A string with an unpaired
+surrogate escape is a parse error, since no file or terminal can take it.
 
 Quantum documents carry complex matrices as nested arrays of ``[re, im]``
 pairs; a depth-2 array is a ket ``v`` standing for the density matrix
@@ -17,8 +22,10 @@ loads it.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _quote
 from typing import Mapping, Optional
 
 from . import core
@@ -30,21 +37,48 @@ def _fail(path: str, message: str):
 
 
 def _reject_duplicate_keys(pairs):
-    d = {}
-    for key, value in pairs:
-        if key in d:
-            raise StructuralError(f"duplicate key {key!r}")
-        d[key] = value
+    d = dict(pairs)
+    if len(d) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise StructuralError(f"duplicate key {key!r}")
+            seen.add(key)
     return d
+
+
+def _reject_lone_surrogates(data) -> None:
+    """Fail at the first string, in document order, holding a surrogate
+    that no escape pairs up (a valid pair decodes to one character)."""
+    # Entries are (path, value, is_key); a key is checked before its value.
+    stack = [("$", data, False)]
+    while stack:
+        path, value, is_key = stack.pop()
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                _fail(path, f"key {value!r} holds an unpaired surrogate" if is_key else "unpaired surrogate in string")
+        elif isinstance(value, dict):
+            for key, item in reversed(value.items()):
+                stack.append((key if path == "$" else f"{path}.{key}", item, False))
+                stack.append((path, key, True))
+        elif isinstance(value, list):
+            stack.extend((f"{path}[{i}]", item, False) for i, item in reversed(list(enumerate(value))))
 
 
 def _load_json(text: str):
     try:
-        return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as e:
         raise StructuralError(f"not valid JSON: line {e.lineno} column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise StructuralError("not valid JSON: nested too deeply") from None
+    # Text decoded from UTF-8 holds a surrogate only through a \u escape,
+    # so text without one skips the walk.
+    if "\\u" in text:
+        _reject_lone_surrogates(data)
+    return data
 
 
 def _require_object(value, path: str) -> dict:
@@ -205,9 +239,56 @@ def model_document(model: core.Model) -> dict:
     return doc
 
 
+def _container(members: list[str], pad: str, brackets: str) -> str:
+    """A JSON object or array whose closing bracket sits at indent `pad`;
+    `members` come indented one level deeper, as `json.dumps` lays them out."""
+    if not members:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{pad}{brackets[1]}"
+
+
 def serialize_model(model: core.Model) -> str:
-    """Canonical JSON for a model; equal models give identical bytes."""
-    return json.dumps(model_document(model), indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON for a model, `model_document` at indent 2 plus a
+    newline; equal models give identical bytes."""
+    refs = [_quote(z) for z in model.space.states]
+    states = [f"    {z}" for z in refs]
+    key_prefix = [f"        {z}: " for z in refs]
+    refs.append("null")
+
+    def map_obj(m: core.PropMap) -> str:
+        # map stops with key_prefix, at the last state, before the zero slot.
+        return _container(list(map(operator.add, key_prefix, map(refs.__getitem__, m.table))), "      ", "{}")
+
+    propositions = [
+        f'    {_quote(name)}: {{\n      "yes": {map_obj(p.yes)},\n      "no": {map_obj(p.no)}\n    }}'
+        for name, p in sorted(model.propositions.items())
+        if name not in core.RESERVED_PROPOSITION_NAMES
+    ]
+    observables = []
+    for name, o in sorted(model.observables.items()):
+        values = [_quote(v) for v in o.spectrum]
+        spectrum = _container([f"        {v}" for v in values], "      ", "[]")
+        family = _container(
+            [f"        {v}: {_quote(o.family[value].name)}" for v, value in zip(values, o.spectrum)], "      ", "{}"
+        )
+        observables.append(f'    {_quote(name)}: {{\n      "spectrum": {spectrum},\n      "family": {family}\n    }}')
+    members = [
+        f'  "states": {_container(states, "  ", "[]")}',
+        f'  "propositions": {_container(propositions, "  ", "{}")}',
+        f'  "observables": {_container(observables, "  ", "{}")}',
+    ]
+    if model.partition is not None:
+        part = model.partition
+        subsystems = [f"      {_quote(s)}" for s in sorted(part.subsystems)]
+        local = [f"      {_quote(name)}: {_quote(part.local_tags[name])}" for name in sorted(part.local_tags)]
+        global_tags = [f"      {_quote(name)}" for name in sorted(part.global_tags)]
+        partition = [
+            f'    "subsystems": {_container(subsystems, "    ", "[]")}',
+            f'    "local": {_container(local, "    ", "{}")}',
+            f'    "global": {_container(global_tags, "    ", "[]")}',
+        ]
+        members.append(f'  "partition": {_container(partition, "  ", "{}")}')
+    return _container(members, "", "{}") + "\n"
 
 
 # ---------------------------------------------------------------------------

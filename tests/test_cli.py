@@ -414,6 +414,18 @@ EXIT_2_CASES = {
         ["quantum", "build", "{tmp}/duplicate.json", "-o", "{tmp}/built.json"],
         "observables.Z: observable 'Z': duplicate spectrum value '0'",
     ),
+    "quantum-build-output-is-a-directory": (
+        ["quantum", "build", QZX_Q, "-o", "{tmp}"],
+        "Is a directory",
+    ),
+    "report-json-unpaired-surrogate": (
+        ["report", "{tmp}/surrogate.json", "--format", "json"],
+        "states[0]: unpaired surrogate in string",
+    ),
+    "quantum-build-unpaired-surrogate": (
+        ["quantum", "build", "{tmp}/surrogate_quantum.json", "-o", "{tmp}/built.json"],
+        "propositions: key 'Z0\\ud800' holds an unpaired surrogate",
+    ),
 }
 
 
@@ -424,6 +436,10 @@ def test_error_exit_leaves_stdout_empty(tmp_path, capsys, monkeypatch, case):
     doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
     doc["observables"]["Z"] = {"spectrum": ["0", "0"], "family": {"0": "Z0"}}
     (tmp_path / "duplicate.json").write_text(json.dumps(doc), encoding="utf-8")
+    # A state and a projector renamed with a \ud800 escape that nothing pairs.
+    for name, old in (("surrogate.json", '"z0"'), ("surrogate_quantum.json", '"Z0"')):
+        source = (FIXTURES / name.replace("surrogate", "qzx")).read_text(encoding="utf-8")
+        (tmp_path / name).write_text(source.replace(old, old[:-1] + '\\ud800"'), encoding="utf-8")
 
     def close_orbit(*args, **kwargs):
         raise AssertionError("an error found before the build must not wait for the orbit closure")

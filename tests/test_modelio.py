@@ -1,5 +1,6 @@
 """Model and quantum document parsing, canonical serialization."""
 
+import importlib.util
 import json
 
 import numpy as np
@@ -10,9 +11,17 @@ from gqt.errors import StructuralError
 
 from conftest import FIXTURES, make_bell, make_bistable, make_qzx
 
+ROOT = FIXTURES.parent
+GOLDEN = ROOT / "tests" / "golden"
+
 
 def read_fixture(name):
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def dumps_oracle(model):
+    """The bytes `serialize_model` must give: the stdlib encoder on `model_document`."""
+    return json.dumps(modelio.model_document(model), indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +66,73 @@ def test_zero_serializes_as_null(qzx):
     assert doc["propositions"]["Z0"]["no"]["z0"] is None
 
 
+# ---------------------------------------------------------------------------
+# The writer against its oracle
+
+# Every character class that JSON escapes or that a naive writer gets
+# wrong: quote, backslash, C0 controls, DEL, the JS line separators,
+# non-ASCII and non-BMP characters, spaces.
+HOSTILE_STATES = ('q"', "b\\", "\x00\x1f", "\x7f\u2028", "\u2029\u00ac", " \U0001F600", "\n\t\r\x08\x0c")
+
+
+def hostile_model(props=True, observables=True, local=True, global_tags=True):
+    space = core.StateSpace(HOSTILE_STATES)
+    n = len(space)
+    members = [core.make_one(space), core.make_zero(space)]
+    if props:
+        shift = core.PropMap(space, [(i + 1) % n for i in range(n)] + [n])
+        halves = core.PropMap(space, [n if i % 2 else i for i in range(n)] + [n])
+        members = [core.Proposition('P"\\\u2028', shift, halves), core.Proposition("\u00ac\U0001F600\x1f", halves, shift)]
+    obs = []
+    if observables:
+        obs = [core.Observable("O\x00\u2029", ("\x7f", '\\ "'), {"\x7f": members[0], '\\ "': members[1]})]
+    partition = core.Partition(
+        ("\u2028B", "A\x1f"),
+        {"O\x00\u2029": "A\x1f", "\U0001F600": "\u2028B"} if local else {},
+        ("\u00acG", "\"") if global_tags else (),
+    )
+    return core.Model.build(space, members if props else (), obs, partition)
+
+
+WRITER_EDGE_CASES = {
+    "hostile-names": hostile_model(),
+    "no-propositions": hostile_model(props=False),
+    "no-observables": hostile_model(observables=False),
+    "no-propositions-or-observables": hostile_model(props=False, observables=False),
+    "empty-local": hostile_model(local=False),
+    "empty-global": hostile_model(global_tags=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_EDGE_CASES))
+def test_writer_matches_json_dumps_on_edge_cases(case):
+    model = WRITER_EDGE_CASES[case]
+    text = modelio.serialize_model(model)
+    assert text == dumps_oracle(model)
+    assert modelio.serialize_model(modelio.parse_model(text)) == text
+
+
+def _bench_model_documents():
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    # Every size, with index 3 a mutated document.
+    return [gen.model_document(n, index) for n in gen.MODEL_STATES for index in (0, 3)]
+
+
+def test_writer_reproduces_shipped_and_generated_documents():
+    canonical = [read_fixture(name) for name in ("qzx.json", "bell.json", "bistable.json")]
+    canonical += [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.model.json"))]
+    canonical += _bench_model_documents()
+    assert len(canonical) == 5 + 2 * 15
+    for text in canonical:
+        model = modelio.parse_model(text)
+        assert modelio.serialize_model(model) == dumps_oracle(model) == text
+    # The mutated golden input is not in canonical order, so only the oracle applies.
+    mutated = modelio.parse_model((GOLDEN / "bell_mutated.json").read_text(encoding="utf-8"))
+    assert modelio.serialize_model(mutated) == dumps_oracle(mutated)
+
+
 def test_parse_rejects_malformed_json():
     with pytest.raises(StructuralError, match="line 1"):
         modelio.parse_model("{oops")
@@ -71,6 +147,44 @@ def test_parse_rejects_duplicate_keys():
     text = '{"states": ["a"], "propositions": {"P": {"yes": {"a": "a", "a": null}, "no": {"a": null}}}}'
     with pytest.raises(StructuralError, match="duplicate key"):
         modelio.parse_model(text)
+
+
+def test_duplicate_key_named_is_the_first_repeat_of_the_innermost_object():
+    # The inner object closes before the outer one, whose repeated
+    # "propositions" goes unnamed; inside it, "b" repeats before "a" does.
+    inner = '{"b": 1, "a": 2, "b": 3, "a": 4, "a": 5}'
+    text = f'{{"states": ["a"], "propositions": {{"P": {inner}}}, "propositions": {{}}}}'
+    with pytest.raises(StructuralError, match=r"^duplicate key 'b'$"):
+        modelio.parse_model(text)
+
+
+def test_parse_rejects_unpaired_surrogates():
+    cases = {
+        '{"states": ["a\\ud800"]}': r"^states\[0\]: unpaired surrogate in string$",
+        '{"states": ["a", "\\uDC00b"]}': r"^states\[1\]: ",
+        # A low surrogate before a high one pairs up with nothing.
+        '{"states": ["\\ude00\\ud83d"]}': r"^states\[0\]: ",
+        '{"states": ["a"], "propositions": {"P": {"yes": {"a\\ud800": null}}}}': (
+            r"^propositions\.P\.yes: key 'a\\ud800' holds an unpaired surrogate$"
+        ),
+        # The first one in document order is named.
+        '{"states": ["a"], "propositions": {"P\\udfff": {}}, "observables": {"\\ud800": {}}}': (
+            r"^propositions: key 'P\\udfff'"
+        ),
+    }
+    for text, message in cases.items():
+        with pytest.raises(StructuralError, match=message):
+            modelio.parse_model(text)
+    with pytest.raises(StructuralError, match=r"^seeds: key 's\\ud800' holds an unpaired surrogate$"):
+        modelio.parse_quantum(quantum_doc(seeds={"s\ud800": [[1, 0], [0, 0]]}))
+    with pytest.raises(StructuralError, match=r"^observables\.Z\.spectrum\[1\]: unpaired surrogate"):
+        spectrum = ["0", "\udbff"]
+        modelio.parse_quantum(quantum_doc(observables={"Z": {"spectrum": spectrum, "family": {v: "P" for v in spectrum}}}))
+
+
+def test_parse_accepts_escaped_surrogate_pairs():
+    model = modelio.parse_model('{"states": ["\\ud83d\\ude00", "\\uD800\\uDC00", "\\u00e9"]}')
+    assert model.space.states == ("\U0001F600", "\U00010000", "\u00e9")
 
 
 def minimal_doc(**overrides):

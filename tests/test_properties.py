@@ -13,6 +13,7 @@ from gqt import checker, core, modelio
 from gqt.core import (
     ZERO,
     Model,
+    Observable,
     Partition,
     PropMap,
     Proposition,
@@ -29,6 +30,7 @@ from gqt.core import (
 )
 
 from test_laws import assert_eigen_queries_match_reference
+from test_modelio import dumps_oracle
 
 
 @st.composite
@@ -84,6 +86,36 @@ def generated_models(draw):
         seed=draw(st.integers(0, 2**32)),
     )
     return checker.generate_model(params)
+
+
+# Names for the writer's oracle test: every character JSON escapes or a
+# hand-written writer could get wrong, plus plain letters.
+NAME_CHARS = st.sampled_from(
+    ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\u00ac", " ", "\U0001F600", "\U00010000", "a", "\u00e9"]
+)
+names = st.text(NAME_CHARS, min_size=1, max_size=4)
+
+
+@st.composite
+def hostile_models(draw):
+    # No model law is imposed: the writer must render any table faithfully.
+    space = StateSpace(tuple(draw(st.lists(names, min_size=1, max_size=5, unique=True))))
+    n = len(space)
+    table = st.lists(st.integers(0, n), min_size=n, max_size=n).map(lambda t: PropMap(space, [*t, n]))
+    props = [Proposition(name, draw(table), draw(table)) for name in draw(st.lists(names, max_size=3, unique=True))]
+    members = st.sampled_from([*props, make_one(space), make_zero(space)])
+    observables = []
+    for name in draw(st.lists(names, max_size=3, unique=True)):
+        spectrum = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+        observables.append(Observable(name, tuple(spectrum), {v: draw(members) for v in spectrum}))
+    partition = None
+    if draw(st.booleans()):
+        partition = Partition(
+            tuple(draw(st.lists(names, min_size=1, max_size=3, unique=True))),
+            draw(st.dictionaries(names, names, max_size=3)),
+            tuple(draw(st.lists(names, max_size=3))),
+        )
+    return Model.build(space, props, observables, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +325,11 @@ def test_serialize_parse_roundtrip(model):
     again = modelio.parse_model(text)
     assert again == model
     assert modelio.serialize_model(again) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_models())
+def test_writer_matches_json_dumps(model):
+    text = modelio.serialize_model(model)
+    assert text == dumps_oracle(model)
+    assert modelio.serialize_model(modelio.parse_model(text)) == text
