@@ -22,6 +22,11 @@ from .errors import OrbitCapExceeded, StructuralError
 DEFAULT_TOL = 1e-9
 DEFAULT_CAP = 256
 
+# Size of one block of the broadcast comparison in orbit closure.  A
+# temporary that grew with the orbit would be fresh memory, faulted in
+# page by page, at every step; blocks of one size reuse the same memory.
+BROADCAST_BYTES = 1 << 20
+
 
 def _as_matrix(value, what: str) -> np.ndarray:
     # A copy, so that freezing it never freezes the caller's array.
@@ -280,51 +285,72 @@ def close_orbit(
     n = 0
     max_merge, min_split = 0.0, math.inf
 
-    def index_of(m: np.ndarray, processed: int) -> int:
+    def absorb(batch: np.ndarray, processed: int) -> list[int]:
+        """The state index of each matrix of `batch`, in order, adding misses."""
         nonlocal stack, n, max_merge, min_split
-        # One comparison against every known state.  abs and max act entry
+        n0 = n
+        # The whole batch against every state known before it, in blocks of
+        # about BROADCAST_BYTES of difference matrices.  abs and max act entry
         # by entry, so each distance is bit for bit max|known - m| of that
-        # state alone, and the first hit is the linear scan's answer.
-        distances = np.abs(stack[:n] - m).max(axis=(1, 2))
-        hits = np.flatnonzero(distances <= tol)
-        if hits.size:
-            j = int(hits[0])
-            max_merge = max(max_merge, float(distances[j]))
-            return j
-        if n >= cap:
-            discovered = [f"s{k}" for k in range(n)]
-            raise OrbitCapExceeded(
-                f"orbit closure exceeded cap {cap}: {n} states discovered, {n - processed} still unexpanded",
-                cap,
-                discovered=discovered,
-                frontier=discovered[processed:],
-            )
-        min_split = min(min_split, float(distances.min(initial=math.inf)))
-        if n == len(stack):
-            stack = np.concatenate((stack, np.empty_like(stack)))
-        stack[n] = m
-        n += 1
-        return n - 1
+        # pair alone, as a one-by-one scan finds it.
+        distances = np.empty((len(batch), n0))
+        block = max(1, BROADCAST_BYTES // max(1, batch.nbytes))
+        for lo in range(0, n0, block):
+            np.abs(stack[lo : min(lo + block, n0)] - batch[:, None]).max(axis=(2, 3), out=distances[:, lo : lo + block])
+        hits = distances <= tol
+        found = hits.any(axis=1)
+        # The first hit is the lowest index, the first in discovery order;
+        # with no known states (the seeds) there is none.
+        first = hits.argmax(axis=1) if n0 else np.zeros(len(batch), dtype=int)
+        if found.any():
+            max_merge = max(max_merge, float(distances[found, first[found]].max()))
+        out = first.tolist()
+        for t in np.flatnonzero(~found).tolist():
+            # A miss can still match a state added earlier in this batch.
+            m = batch[t]
+            same = np.abs(stack[n0:n] - m).max(axis=(1, 2)).tolist() if n > n0 else []
+            j = next((j for j, d in enumerate(same) if d <= tol), None)
+            if j is not None:
+                max_merge = max(max_merge, same[j])
+                out[t] = n0 + j
+                continue
+            if n >= cap:
+                discovered = [f"s{k}" for k in range(n)]
+                raise OrbitCapExceeded(
+                    f"orbit closure exceeded cap {cap}: {n} states discovered, {n - processed} still unexpanded",
+                    cap,
+                    discovered=discovered,
+                    frontier=discovered[processed:],
+                )
+            min_split = min(min_split, float(distances[t].min(initial=math.inf)), *same)
+            if n == len(stack):
+                stack = np.concatenate((stack, np.empty_like(stack)))
+            stack[n] = m
+            out[t] = n
+            n += 1
+        return out
 
-    for s in seeds:
-        index_of(s.normalized(), 0)
+    absorb(np.array([s.normalized() for s in seeds]), 0)
 
-    actions = [m for _, p in propositions for m in (p.matrix, p.complement().matrix)]
-
-    # One image row per action, yes before no; None until the zero index is known.
-    rows: list[list[Optional[int]]] = [[] for _ in actions]
+    # All 2k actions, yes before no per proposition, act on a state in one
+    # batched product, and its live images are absorbed as one batch.
+    actions = np.array([m for _, p in propositions for m in (p.matrix, p.complement().matrix)])
+    # One image row per expanded state; -1 until the zero index is known.
+    rows = []
     i = 0
     while i < n:
-        # A view that stays valid when the stack grows: growth copies into a new array.
-        state = stack[i]
-        for row, pm in zip(rows, actions):
-            img = pm @ state @ pm
-            trace = img.trace().real
-            row.append(None if trace <= tol else index_of(img / trace, i))
+        imgs = actions @ stack[i] @ actions
+        traces = imgs.trace(axis1=1, axis2=2).real
+        live = traces > tol
+        row = np.full(len(actions), -1)
+        row[live] = absorb(imgs[live] / traces[live, None, None], i)
+        rows.append(row)
         i += 1
 
     space = core.StateSpace(tuple(f"s{k}" for k in range(n)))
-    maps = [core.PropMap(space, [n if j is None else j for j in row] + [n]) for row in rows]
+    table = np.array(rows)
+    table[table < 0] = n
+    maps = [core.PropMap(space, column.tolist() + [n]) for column in table.T]
     props = [core.Proposition(name, maps[2 * k], maps[2 * k + 1]) for k, (name, _) in enumerate(propositions)]
     model = core.Model.build(space, props)
     stack.flags.writeable = False

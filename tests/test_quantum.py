@@ -2,8 +2,10 @@
 
 import json
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gqt import core, modelio, quantum
 from gqt.core import ZERO
@@ -416,6 +418,29 @@ ORACLE_SYSTEMS = {
 }
 
 
+def reference_margins(seeds, projs, model, mats, tol):
+    """Both merge margins of a closure, recomputed from its states: the
+    largest distance from a seed or a live image to the state it became,
+    and the smallest distance between two states.  An image that became a
+    new state is at distance 0.0 from it, which leaves the maximum as is."""
+    mats = np.array(mats)
+    merge = 0.0
+    for s in seeds:
+        d = np.abs(mats - s.normalized()).max(axis=(1, 2))
+        merge = max(merge, float(d[np.flatnonzero(d <= tol)[0]]))
+    dim = mats.shape[1]
+    for name, p in projs:
+        prop = model.propositions[name]
+        for pm, target in ((p.matrix, prop.yes.table), (np.eye(dim) - p.matrix, prop.no.table)):
+            for i, state in enumerate(mats):
+                img = pm @ state @ pm
+                trace = img.trace().real
+                if trace > tol:
+                    merge = max(merge, float(np.abs(mats[target[i]] - img / trace).max()))
+    split = min((float(np.abs(mats[:k] - mats[k]).max(axis=(1, 2)).min()) for k in range(1, len(mats))), default=np.inf)
+    return merge, split
+
+
 def assert_same_closure(seeds, projs, cap, tol):
     try:
         want_model, want_mats = reference_close_orbit(seeds, projs, cap=cap, tol=tol)
@@ -430,6 +455,8 @@ def assert_same_closure(seeds, projs, cap, tol):
     assert len(orbit.matrices) == len(want_mats)
     for got, want in zip(orbit.matrices, want_mats):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    margins = (orbit.max_merge_distance, orbit.min_split_distance)
+    assert margins == reference_margins(seeds, projs, want_model, want_mats, tol)
     return orbit
 
 
@@ -437,10 +464,6 @@ def assert_same_closure(seeds, projs, cap, tol):
 def test_close_orbit_matches_linear_reference(system):
     seeds, projs, tol = ORACLE_SYSTEMS[system]
     orbit = assert_same_closure(seeds, projs, 256, tol)
-    mats = np.array(orbit.matrices)
-    # The split margin is the smallest distance between any two states.
-    pairwise = [np.abs(mats[:k] - mats[k]).max(axis=(1, 2)).min() for k in range(1, len(mats))]
-    assert orbit.min_split_distance == min(pairwise, default=np.inf)
     assert 0.0 <= orbit.max_merge_distance <= tol < orbit.min_split_distance
 
 
@@ -489,3 +512,114 @@ def test_close_orbit_huge_cap():
     default = quantum.close_orbit(seeds, projs, tol=tol)
     huge = quantum.close_orbit(seeds, projs, cap=10**12, tol=tol)
     assert modelio.serialize_model(huge.model) == modelio.serialize_model(default.model)
+
+
+# ---------------------------------------------------------------------------
+# Images that miss every earlier state and meet states added in the same step
+
+
+def ray(angle):
+    """The pure qubit state, or rank-1 projector, on (cos a, sin a)."""
+    return dm([np.cos(angle), np.sin(angle)])
+
+
+# A rank-1 projector sends every state it does not annihilate to itself,
+# so each yes-image below is the ray of its projector.  The rays at 0.5 and
+# 0.7 are 0.185 apart, beyond tol 0.15; the ray at 0.6 is within it of
+# both (0.089 and 0.096), and so are the no-images at the same angles plus
+# a right angle.  Every ray is at least 0.42 from |0>.
+NEAR_RAYS_TOL = 0.15
+
+
+def near_rays(*angles):
+    return [(f"P{angle:g}", Projector(ray(angle))) for angle in angles]
+
+
+def test_image_matches_a_state_added_earlier_in_the_same_step():
+    projs = near_rays(0.5, 0.7, 0.6)
+    orbit = assert_same_closure([DensityState(ray(0))], projs, 256, NEAR_RAYS_TOL)
+    # Expanding |0> adds the rays at 0.5 and 0.7 and their no-images;
+    # the images of P0.6 meet none of |0> and join the first of each pair.
+    assert len(orbit.model.space) == 5
+    p = orbit.model.propositions
+    assert (p["P0.5"].yes("s0"), p["P0.5"].no("s0"), p["P0.7"].yes("s0"), p["P0.7"].no("s0")) == ("s1", "s2", "s3", "s4")
+    assert (p["P0.6"].yes("s0"), p["P0.6"].no("s0")) == ("s1", "s2")
+    # The closest pair was added in one step: the rays or their no-images.
+    m = orbit.matrices
+    assert orbit.min_split_distance == min(float(np.abs(m[1] - m[3]).max()), float(np.abs(m[2] - m[4]).max()))
+
+
+def test_image_near_an_earlier_step_state_and_a_same_step_state_joins_the_earlier():
+    # The ray at 0.5 is a seed; expanding |0> adds the ray at 0.7, then
+    # meets the ray at 0.6, within tol of both.
+    projs = near_rays(0.7, 0.6)
+    orbit = assert_same_closure([DensityState(ray(0)), DensityState(ray(0.5))], projs, 256, NEAR_RAYS_TOL)
+    p = orbit.model.propositions
+    assert p["P0.7"].yes("s0") == "s2"
+    assert p["P0.6"].yes("s0") == "s1"
+
+
+def test_one_step_adds_states_across_a_stack_doubling():
+    # Fifteen diagonal seeds fill 15 of the first 16 slots; expanding the
+    # first adds the two rays of P, the second into a doubled stack.
+    seeds = [DensityState(np.diag([0.03 * k, 1 - 0.03 * k])) for k in range(1, 16)]
+    projs = near_rays(0.5)
+    orbit = assert_same_closure(seeds, projs, 256, 1e-9)
+    assert len(orbit.model.space) == 17
+    p = orbit.model.propositions["P0.5"]
+    assert (p.yes("s0"), p.no("s0")) == ("s15", "s16")
+
+
+@pytest.mark.parametrize("cap", [4, 5, 6])
+def test_cap_overrun_in_the_middle_of_a_step(cap):
+    # Expanding |0> adds four states.  |1> first appears as the yes-image
+    # of Z1 at the ray at 0.5, the seventh of eight actions of the second
+    # step; at cap 5 it overruns the cap there.
+    projs = near_rays(0.5, 0.7, 0.6) + [("Z1", Projector(ray(np.pi / 2)))]
+    seeds = [DensityState(ray(0))]
+    assert_same_closure(seeds, projs, cap, NEAR_RAYS_TOL)
+    if cap == 5:
+        with pytest.raises(OrbitCapExceeded, match="5 states discovered, 4 still unexpanded"):
+            quantum.close_orbit(seeds, projs, cap=cap, tol=NEAR_RAYS_TOL)
+
+
+@st.composite
+def projector_systems(draw):
+    """Seeds and projectors in d=2..4: each projector spans the first
+    columns of a random unitary, each seed is a random mixture."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q
+
+    projs = []
+    for k in range(draw(st.integers(1, 3))):
+        cols = unitary()[:, : draw(st.integers(1, d - 1))]
+        projs.append((f"P{k}", Projector(cols @ cols.conj().T)))
+    seeds = []
+    for _ in range(draw(st.integers(1, 2))):
+        weights = rng.random(d) * (rng.random(d) < 0.6)
+        weights[0] += 0.1
+        u = unitary()
+        seeds.append(DensityState((u * (weights / weights.sum())) @ u.conj().T))
+    return seeds, projs
+
+
+@settings(max_examples=100, deadline=None)
+@given(projector_systems(), st.sampled_from([1e-6, 1e-9]), st.integers(1, 40))
+def test_close_orbit_matches_linear_reference_on_random_systems(system, tol, cap):
+    seeds, projs = system
+    assert_same_closure(seeds, projs, cap, tol)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 20000])
+@pytest.mark.parametrize("system", ["bell_quantum-tol1e-09", "plane0.5-tol1e-09", "plane1.2-tol1e-06"])
+def test_blocked_comparison_matches_linear_reference(system, block_bytes, monkeypatch):
+    # Orbits of the test systems fit one block at the default size; small
+    # blocks split every comparison, down to one known state per block.
+    monkeypatch.setattr(quantum, "BROADCAST_BYTES", block_bytes)
+    seeds, projs, tol = ORACLE_SYSTEMS[system]
+    assert_same_closure(seeds, projs, 256, tol)
+    assert_same_closure([DensityState(ray(0))], near_rays(0.5, 0.7, 0.6), 256, NEAR_RAYS_TOL)
