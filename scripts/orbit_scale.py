@@ -4,8 +4,12 @@
 Two kinds of system, each closed `--repeats` times, with the median wall
 time printed per row:
 
-- two tilted planes in d=3 (see `orbit_growth.py`) at small angles, whose
-  orbits close in about 500 to 4,000 states at tolerance 1e-12 (cap 4096);
+- two tilted planes in R^3 that share a line, at small angles, whose
+  orbits close in about 500 to 4,000 states at tolerance 1e-12 (cap
+  4096).  Alternating projections between the planes converge to the
+  shared line at rate cos^2(angle) per round trip, so the orbit is always
+  finite but grows like log(tol) / log(cos^2 angle) as the tilt shrinks
+  or the tolerance tightens; the `est.` column gives that chain length;
 - the d=3 mutually unbiased pair of the computational and Fourier bases,
   one rank-1 projector per basis vector, seeded at |0>, at tolerance
   1e-6.  Its orbit does not close, so each run stops at the cap, and the
@@ -25,10 +29,26 @@ import numpy as np
 
 from gqt.errors import OrbitCapExceeded
 from gqt.quantum import DensityState, Projector, close_orbit
-from orbit_growth import two_plane_system
 
 PLANE_CAP = 4096
 MUB_TOL = 1e-6
+
+
+def two_plane_system(angle):
+    """Seed (|0> + |1>)/sqrt 2 and the projectors onto span(e0, e1) and span(e0, tilted e1)."""
+    e0 = np.array([1, 0, 0], dtype=complex)
+    e1 = np.array([0, 1, 0], dtype=complex)
+    tilted = np.array([0, math.cos(angle), math.sin(angle)], dtype=complex)
+    p = Projector(np.outer(e0, e0.conj()) + np.outer(e1, e1.conj()))
+    q = Projector(np.outer(e0, e0.conj()) + np.outer(tilted, tilted.conj()))
+    vec = (e0 + e1) / math.sqrt(2)
+    seed = DensityState(np.outer(vec, vec.conj()))
+    return seed, [("P", p), ("Q", q)]
+
+
+def chain_estimate(angle, tol):
+    """Round trips until the off-axis component of the two-plane seed falls below tol."""
+    return math.ceil(math.log(tol) / (2.0 * math.log(math.cos(angle))))
 
 
 def fourier_pair(d=3):
@@ -67,16 +87,17 @@ def main(argv=None):
     rows = []
     for angle in args.angles:
         seed, props = two_plane_system(angle)
-        rows.append((f"planes {angle:g}", PLANE_CAP, args.tol, *timed_closure(seed, props, PLANE_CAP, args.tol, args.repeats)))
+        closure = timed_closure(seed, props, PLANE_CAP, args.tol, args.repeats)
+        rows.append((f"planes {angle:g}", PLANE_CAP, args.tol, chain_estimate(angle, args.tol), *closure))
     seed, props = fourier_pair()
     for cap in args.mub_caps:
-        rows.append(("fourier d=3", cap, MUB_TOL, *timed_closure(seed, props, cap, MUB_TOL, args.repeats)))
+        rows.append(("fourier d=3", cap, MUB_TOL, "-", *timed_closure(seed, props, cap, MUB_TOL, args.repeats)))
 
     print(f"orbit closure time, median of {args.repeats}")
-    print(f"{'system':<14}{'cap':>7}{'tol':>8}{'states':>8}{'unexpanded':>12}{'seconds':>10}{'states/s':>10}")
-    for name, cap, tol, states, unexpanded, seconds in rows:
+    print(f"{'system':<14}{'cap':>7}{'tol':>8}{'est.':>6}{'states':>8}{'unexpanded':>12}{'seconds':>10}{'states/s':>10}")
+    for name, cap, tol, estimate, states, unexpanded, seconds in rows:
         left = "-" if unexpanded is None else str(unexpanded)
-        print(f"{name:<14}{cap:>7}{tol:>8.0e}{states:>8}{left:>12}{seconds:>10.3f}{states / seconds:>10.0f}")
+        print(f"{name:<14}{cap:>7}{tol:>8.0e}{estimate:>6}{states:>8}{left:>12}{seconds:>10.3f}{states / seconds:>10.0f}")
 
 
 if __name__ == "__main__":

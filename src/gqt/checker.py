@@ -11,9 +11,7 @@ under fuzzing any reported violation is an implementation bug.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass
 from functools import partial
 
 from . import core
@@ -38,27 +36,23 @@ LAW_IDS = (
 _MAX_SEED = 2**64
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class GeneratorParams(core._Record):
     """Knobs for the random model generator."""
 
-    n_states: int
-    n_props: int = 0
-    n_obs: int = 0
-    max_spectrum: int = 4
-    seed: int = 0
+    __slots__ = _fields = ("n_states", "n_props", "n_obs", "max_spectrum", "seed")
 
-    def __post_init__(self):
-        if not 1 <= self.n_states <= 64:
-            raise StructuralError(f"n_states must be in 1..64, got {self.n_states}")
-        if not 0 <= self.n_props <= 16:
-            raise StructuralError(f"n_props must be in 0..16, got {self.n_props}")
-        if not 0 <= self.n_obs <= 8:
-            raise StructuralError(f"n_obs must be in 0..8, got {self.n_obs}")
-        if not 2 <= self.max_spectrum <= 8:
-            raise StructuralError(f"max_spectrum must be in 2..8, got {self.max_spectrum}")
-        if not 0 <= self.seed < _MAX_SEED:
+    def __init__(self, n_states: int, n_props: int = 0, n_obs: int = 0, max_spectrum: int = 4, seed: int = 0):
+        if not 1 <= n_states <= 64:
+            raise StructuralError(f"n_states must be in 1..64, got {n_states}")
+        if not 0 <= n_props <= 16:
+            raise StructuralError(f"n_props must be in 0..16, got {n_props}")
+        if not 0 <= n_obs <= 8:
+            raise StructuralError(f"n_obs must be in 0..8, got {n_obs}")
+        if not 2 <= max_spectrum <= 8:
+            raise StructuralError(f"max_spectrum must be in 2..8, got {max_spectrum}")
+        if not 0 <= seed < _MAX_SEED:
             raise StructuralError("seed must be an unsigned 64-bit integer")
+        self._assign(n_states, n_props, n_obs, max_spectrum, seed)
 
 
 # The generator builds index tables, n = len(space) being the zero state.
@@ -201,25 +195,22 @@ def check_laws(model: core.Model) -> list[Violation]:
 # Fuzzing
 
 
-@dataclass(frozen=True)
-class FuzzCounterexample:
+class FuzzCounterexample(core._Record):
     """First failure seen for one law, with a minimized model."""
 
-    law: str
-    seed: int
-    violation: Violation
-    model: core.Model
+    __slots__ = _fields = ("law", "seed", "violation", "model")
+
+    def __init__(self, law: str, seed: int, violation: Violation, model: core.Model):
+        self._assign(law, seed, violation, model)
 
 
-@dataclass(frozen=True)
-class FuzzSummary:
-    params: GeneratorParams
-    n_models: int
-    n_violations: int
-    first_by_law: dict[str, FuzzCounterexample]
+class FuzzSummary(core._Record):
+    __slots__ = _fields = ("params", "n_models", "n_violations", "first_by_law")
 
-    def __post_init__(self):
-        object.__setattr__(self, "first_by_law", dict(self.first_by_law))
+    def __init__(
+        self, params: GeneratorParams, n_models: int, n_violations: int, first_by_law: dict[str, FuzzCounterexample]
+    ):
+        self._assign(params, n_models, n_violations, dict(first_by_law))
 
 
 def minimize_counterexample(model: core.Model, violation: Violation) -> core.Model:
@@ -237,7 +228,8 @@ def fuzz(params: GeneratorParams, n_models: int) -> FuzzSummary:
     first: dict[str, FuzzCounterexample] = {}
     total = 0
     for i in range(n_models):
-        run = dataclasses.replace(params, seed=(params.seed + i) % _MAX_SEED)
+        seed = (params.seed + i) % _MAX_SEED
+        run = GeneratorParams(params.n_states, params.n_props, params.n_obs, params.max_spectrum, seed)
         model = generate_model(run)
         violations = check_laws(model)
         total += len(violations)

@@ -13,14 +13,13 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import checker, core, modelio
+from . import core, modelio
 from .errors import EntanglementPreconditionError, GqtError, OrbitCapExceeded, StructuralError
 
 
@@ -29,7 +28,7 @@ def _json_value(value):
     if value is core.ZERO:
         return None
     if isinstance(value, core.Violation):
-        return dataclasses.asdict(value)
+        return {"law": value.law, "subjects": value.subjects, "witness": value.witness, "detail": value.detail}
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -48,6 +47,8 @@ def cmd_validate(args):
 
 
 def cmd_check(args):
+    from . import checker
+
     return _violations(checker.check_laws(_load_model(args.model)))
 
 
@@ -135,7 +136,8 @@ def cmd_quantum_build(args):
     if not output.parent.is_dir():
         code = errno.ENOTDIR if output.parent.exists() else errno.ENOENT
         raise OSError(code, os.strerror(code), args.output)
-    # The only command that needs numpy, so the only one that imports it.
+    # The only command that needs numpy, so the only one that imports it;
+    # `check` and `fuzz` import `checker` the same way.
     from . import quantum
 
     doc = modelio.parse_quantum(text)
@@ -163,6 +165,8 @@ def cmd_quantum_build(args):
 
 
 def cmd_fuzz(args):
+    from . import checker
+
     params = checker.GeneratorParams(n_states=args.states, n_props=args.props, n_obs=args.obs, seed=args.seed)
     summary = checker.fuzz(params, args.count)
     first = sorted(summary.first_by_law.items())

@@ -15,7 +15,7 @@ is the index `n = len(space)`, which every map fixes.  Names and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 from enum import Enum
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -51,21 +51,64 @@ def show_state(ref: StateRef) -> str:
     return ZERO_TOKEN if ref is ZERO else ref
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class _Record:
+    """Immutable record compared, hashed and shown by its fields.
+
+    A subclass names its fields in `_fields` and lists them first in
+    `__slots__`; slots after them are derived, so neither compared nor
+    shown.  Its `__init__` validates and then sets every slot once with
+    `_assign`; any later assignment or deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        # Most comparisons are of a state space with itself.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class StateSpace(_Record):
     """Ordered finite set of proper state names."""
 
-    states: tuple[str, ...]
-    # Each name's index in declaration order, and every index in name
-    # order (the order of all reports); derived, so not compared.
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-    by_name: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # `index` maps each name to its index in declaration order, and
+    # `by_name` lists every index in name order (the order of all
+    # reports); both are derived.
+    _fields = ("states",)
+    __slots__ = (*_fields, "index", "by_name")
 
-    def __post_init__(self):
-        if not self.states:
+    def __init__(self, states: tuple[str, ...]):
+        if not states:
             raise StructuralError("state space must not be empty")
         index = {}
-        for i, name in enumerate(self.states):
+        for i, name in enumerate(states):
             if not isinstance(name, str) or not name:
                 raise StructuralError(f"state names must be non-empty strings, got {name!r}")
             if name == ZERO_TOKEN:
@@ -73,9 +116,8 @@ class StateSpace:
             if name in index:
                 raise StructuralError(f"duplicate state name {name!r}")
             index[name] = i
-        object.__setattr__(self, "index", index)
         # Built from a list: a tuple grown from a generator left peak RSS creeping.
-        object.__setattr__(self, "by_name", tuple(sorted(range(len(index)), key=self.states.__getitem__)))
+        self._assign(states, index, tuple(sorted(range(len(index)), key=states.__getitem__)))
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name in self.index
@@ -88,24 +130,22 @@ class StateSpace:
         return self.states[i] if i < len(self.states) else ZERO
 
 
-@dataclass(frozen=True)
-class PropMap:
+class PropMap(_Record):
     """Total map on the states of a space, zero state included.
 
     `table[i]` is the index of the image of state `i`; the last entry,
     `table[n]` for `n = len(space)`, is the zero state, which is absorbing.
     """
 
-    space: StateSpace
-    table: tuple[int, ...]
+    __slots__ = _fields = ("space", "table")
 
-    def __post_init__(self):
-        table = tuple(self.table)
-        object.__setattr__(self, "table", table)
-        n = len(self.space)
+    def __init__(self, space: StateSpace, table: Iterable[int]):
+        table = tuple(table)
+        n = len(space)
         in_range = len(table) == n + 1 and set(map(type, table)) == {int} and min(table) >= 0 and max(table) <= n
         if not in_range or table[n] != n:
             raise StructuralError(f"map table must hold {n + 1} state indices in 0..{n} and end with {n}")
+        self._assign(space, table)
 
     @classmethod
     def from_names(cls, space: StateSpace, mapping: Mapping[str, StateRef]) -> "PropMap":
@@ -141,19 +181,17 @@ def constant_zero_map(space: StateSpace) -> PropMap:
     return PropMap(space, (len(space),) * (len(space) + 1))
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(_Record):
     """Named yes/no question with a post-measurement map for each outcome."""
 
-    name: str
-    yes: PropMap
-    no: PropMap
+    __slots__ = _fields = ("name", "yes", "no")
 
-    def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
+    def __init__(self, name: str, yes: PropMap, no: PropMap):
+        if not name or not isinstance(name, str):
             raise StructuralError("proposition name must be a non-empty string")
-        if self.yes.space != self.no.space:
-            raise StructuralError(f"proposition {self.name!r}: yes/no maps use different state spaces")
+        if yes.space != no.space:
+            raise StructuralError(f"proposition {name!r}: yes/no maps use different state spaces")
+        self._assign(name, yes, no)
 
     @property
     def space(self) -> StateSpace:
@@ -191,8 +229,7 @@ def negate(p: Proposition) -> Proposition:
     return Proposition(name, p.no, p.yes)
 
 
-@dataclass(frozen=True)
-class DerivedProposition:
+class DerivedProposition(_Record):
     """One known outcome map of a derived yes/no question.
 
     Conjunction and adjunction pin down only one side of the result; the
@@ -200,16 +237,15 @@ class DerivedProposition:
     look the full proposition up in a model.
     """
 
-    known_side: str
-    known_map: PropMap
-    provenance: str
+    __slots__ = _fields = ("known_side", "known_map", "provenance")
 
-    def __post_init__(self):
-        if self.known_side not in ("yes", "no"):
-            raise StructuralError(f"known_side must be 'yes' or 'no', got {self.known_side!r}")
-        unfixed = unfixed_points(self.known_map)
+    def __init__(self, known_side: str, known_map: PropMap, provenance: str):
+        if known_side not in ("yes", "no"):
+            raise StructuralError(f"known_side must be 'yes' or 'no', got {known_side!r}")
+        unfixed = unfixed_points(known_map)
         if unfixed:
             raise StructuralError(f"derived map is not idempotent at {unfixed[0]!r}")
+        self._assign(known_side, known_map, provenance)
 
 
 class ModalStatus(Enum):
@@ -224,39 +260,35 @@ class PairClass(Enum):
     STRONGLY_COMPLEMENTARY = "strongly-complementary"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A broken law, with the subject names and witnessing states."""
 
-    law: str
-    subjects: tuple[str, ...]
-    witness: tuple[str, ...]
-    detail: str = ""
+    __slots__ = _fields = ("law", "subjects", "witness", "detail")
+
+    def __init__(self, law: str, subjects: tuple[str, ...], witness: tuple[str, ...], detail: str = ""):
+        self._assign(law, subjects, witness, detail)
 
     def __str__(self) -> str:
         head = f"[{self.law}] {' '.join(self.subjects)}"
         return f"{head}: {self.detail}" if self.detail else head
 
 
-@dataclass(frozen=True)
-class CommutationWitness:
+class CommutationWitness(_Record):
     """A state where two propositions fail to commute on the given sides."""
 
-    p_name: str
-    q_name: str
-    p_side: str
-    q_side: str
-    state: str
-    pq: StateRef
-    qp: StateRef
+    __slots__ = _fields = ("p_name", "q_name", "p_side", "q_side", "state", "pq", "qp")
+
+    def __init__(self, p_name: str, q_name: str, p_side: str, q_side: str, state: str, pq: StateRef, qp: StateRef):
+        self._assign(p_name, q_name, p_side, q_side, state, pq, qp)
 
 
-@dataclass(frozen=True)
-class PairEvidence:
+class PairEvidence(_Record):
     """Why a pair of observables got its classification."""
 
-    witness: Optional[CommutationWitness]
-    common: tuple[tuple[str, str, str], ...]
+    __slots__ = _fields = ("witness", "common")
+
+    def __init__(self, witness: Optional[CommutationWitness], common: tuple[tuple[str, str, str], ...]):
+        self._assign(witness, common)
 
 
 def check_spectrum(name: str, spectrum: Sequence[str], labels: Collection[str]) -> None:
@@ -281,27 +313,25 @@ def check_spectrum(name: str, spectrum: Sequence[str], labels: Collection[str]) 
         raise StructuralError(f"observable {name!r}: family has propositions for unknown value(s) {extra}")
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(_Record):
     """Finite spectrum of values, each answered by one proposition."""
 
-    name: str
-    spectrum: tuple[str, ...]
-    family: Mapping[str, Proposition]
-    # Entry i: the values whose yes-branch fixes state i, in spectrum
-    # order; the zero slot is (), so it is nobody's eigenstate.  Derived.
-    eigenvalues: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    # Derived `eigenvalues`, entry i: the values whose yes-branch fixes
+    # state i, in spectrum order; the zero slot is (), so it is nobody's
+    # eigenstate.
+    _fields = ("name", "spectrum", "family")
+    __slots__ = (*_fields, "eigenvalues")
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", dict(self.family))
-        check_spectrum(self.name, self.spectrum, self.family)
-        space = self.family[self.spectrum[0]].space
-        for value in self.spectrum:
-            if self.family[value].space != space:
-                raise StructuralError(f"observable {self.name!r}: family members use different state spaces")
-        branches = [(v, self.family[v].yes.table) for v in self.spectrum]
+    def __init__(self, name: str, spectrum: tuple[str, ...], family: Mapping[str, Proposition]):
+        family = dict(family)
+        check_spectrum(name, spectrum, family)
+        space = family[spectrum[0]].space
+        for value in spectrum:
+            if family[value].space != space:
+                raise StructuralError(f"observable {name!r}: family members use different state spaces")
+        branches = [(v, family[v].yes.table) for v in spectrum]
         eigen = [tuple(v for v, t in branches if t[i] == i) for i in range(len(space))]
-        object.__setattr__(self, "eigenvalues", (*eigen, ()))
+        self._assign(name, spectrum, family, (*eigen, ()))
 
     @property
     def space(self) -> StateSpace:
@@ -319,29 +349,26 @@ def observable_from_proposition(p: Proposition, name: Optional[str] = None) -> O
     return Observable(name or p.name, ("yes", "no"), {"yes": p, "no": negate(p)})
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Split of a model into subsystems, tagging observables local or global."""
 
-    subsystems: tuple[str, ...]
-    local_tags: Mapping[str, str]
-    global_tags: tuple[str, ...]
+    __slots__ = _fields = ("subsystems", "local_tags", "global_tags")
 
-    def __post_init__(self):
-        object.__setattr__(self, "local_tags", dict(self.local_tags))
-        if not self.subsystems:
+    def __init__(self, subsystems: tuple[str, ...], local_tags: Mapping[str, str], global_tags: tuple[str, ...]):
+        local_tags = dict(local_tags)
+        if not subsystems:
             raise StructuralError("partition must name at least one subsystem")
         seen = set()
-        for name in self.subsystems:
+        for name in subsystems:
             if not isinstance(name, str) or not name:
                 raise StructuralError("subsystem names must be non-empty strings")
             if name in seen:
                 raise StructuralError(f"duplicate subsystem name {name!r}")
             seen.add(name)
+        self._assign(subsystems, local_tags, global_tags)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Record):
     """A state space with named propositions and observables.
 
     `propositions` always contains the builtins ONE and ZERO; use
@@ -349,14 +376,16 @@ class Model:
     and cross-references are checked.
     """
 
-    space: StateSpace
-    propositions: Mapping[str, Proposition]
-    observables: Mapping[str, Observable]
-    partition: Optional[Partition] = None
+    __slots__ = _fields = ("space", "propositions", "observables", "partition")
 
-    def __post_init__(self):
-        object.__setattr__(self, "propositions", dict(self.propositions))
-        object.__setattr__(self, "observables", dict(self.observables))
+    def __init__(
+        self,
+        space: StateSpace,
+        propositions: Mapping[str, Proposition],
+        observables: Mapping[str, Observable],
+        partition: Optional[Partition] = None,
+    ):
+        self._assign(space, dict(propositions), dict(observables), partition)
 
     @classmethod
     def build(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _quote
 from typing import Mapping, Optional
 
@@ -295,30 +294,33 @@ def serialize_model(model: core.Model) -> str:
 # Quantum documents
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
+class ObservableSpec(core._Record):
     """Observable declaration: spectrum values naming projectors."""
 
-    name: str
-    spectrum: tuple[str, ...]
-    family: dict[str, str]
+    __slots__ = _fields = ("name", "spectrum", "family")
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", dict(self.family))
-        core.check_spectrum(self.name, self.spectrum, self.family)
+    def __init__(self, name: str, spectrum: tuple[str, ...], family: Mapping[str, str]):
+        family = dict(family)
+        core.check_spectrum(name, spectrum, family)
+        self._assign(name, spectrum, family)
 
 
-@dataclass(frozen=True)
-class QuantumDocument:
+class QuantumDocument(core._Record):
     """Parsed quantum system: seeds, projectors, observables, knobs."""
 
-    dimension: int
-    seeds: tuple[tuple[str, np.ndarray], ...]
-    propositions: tuple[tuple[str, np.ndarray], ...]
-    observables: tuple[ObservableSpec, ...]
-    cap: Optional[int] = None
-    tolerance: Optional[float] = None
-    partition: Optional[core.Partition] = None
+    __slots__ = _fields = ("dimension", "seeds", "propositions", "observables", "cap", "tolerance", "partition")
+
+    def __init__(
+        self,
+        dimension: int,
+        seeds: tuple[tuple[str, np.ndarray], ...],
+        propositions: tuple[tuple[str, np.ndarray], ...],
+        observables: tuple[ObservableSpec, ...],
+        cap: Optional[int] = None,
+        tolerance: Optional[float] = None,
+        partition: Optional[core.Partition] = None,
+    ):
+        self._assign(dimension, seeds, propositions, observables, cap, tolerance, partition)
 
 
 def _is_number(x) -> bool:

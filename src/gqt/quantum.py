@@ -11,7 +11,6 @@ ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -127,19 +126,6 @@ def expectation(z: DensityState, observable_matrix, tol: float = DEFAULT_TOL) ->
     return float(value.real)
 
 
-def act_observable(z: DensityState, observable_matrix, tol: float = DEFAULT_TOL) -> Union[DensityState, core._ZeroState]:
-    """Two-sided action `A z A`, unnormalized; zero when the trace vanishes."""
-    a = _as_matrix(observable_matrix, "observable matrix")
-    if a.shape[0] != z.dimension:
-        raise StructuralError("observable matrix dimension does not match the state")
-    if not _is_hermitian(a, tol):
-        raise StructuralError("observable matrix is not hermitian within tolerance")
-    m = a @ z.matrix @ a
-    if m.trace().real <= tol:
-        return core.ZERO
-    return DensityState(m, tol)
-
-
 def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Union[DensityState, core._ZeroState]:
     """Projective measurement branch `P z P`, trace-normalized."""
     if p.dimension != z.dimension:
@@ -151,30 +137,27 @@ def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Un
     return DensityState(m / trace, tol)
 
 
-@dataclass(frozen=True)
-class ProjectorFamily:
+class ProjectorFamily(core._Record):
     """Named family of matrices meant to partition the identity.
 
     Members are stored as raw matrices so that `validate_projector_family`
     can report rather than refuse families that break the laws.
     """
 
-    name: str
-    labels: tuple[str, ...]
-    members: dict[str, np.ndarray]
+    __slots__ = _fields = ("name", "labels", "members")
 
-    def __post_init__(self):
-        core.check_spectrum(self.name, self.labels, self.members)
+    def __init__(self, name: str, labels: tuple[str, ...], members: dict[str, np.ndarray]):
+        core.check_spectrum(name, labels, members)
         converted = {}
         dim = None
-        for label in self.labels:
-            m = _as_matrix(self.members[label], f"family member {label!r}")
+        for label in labels:
+            m = _as_matrix(members[label], f"family member {label!r}")
             if dim is None:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
-                raise StructuralError(f"projector family {self.name!r}: members have mixed dimensions")
+                raise StructuralError(f"projector family {name!r}: members have mixed dimensions")
             converted[label] = m
-        object.__setattr__(self, "members", converted)
+        self._assign(name, labels, converted)
 
     @property
     def dimension(self) -> int:
@@ -216,8 +199,7 @@ def validate_projector_family(family: ProjectorFamily, tol: float = DEFAULT_TOL)
 # Orbit closure
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(core._Record):
     """A closed orbit: the induced finite model plus the state matrices.
 
     `matrices` holds one read-only trace-normalized density matrix per
@@ -238,12 +220,18 @@ class Orbit:
     settings the closure ran with.
     """
 
-    model: core.Model
-    matrices: tuple[np.ndarray, ...]
-    max_merge_distance: float
-    min_split_distance: float
-    cap: int
-    tol: float
+    __slots__ = _fields = ("model", "matrices", "max_merge_distance", "min_split_distance", "cap", "tol")
+
+    def __init__(
+        self,
+        model: core.Model,
+        matrices: tuple[np.ndarray, ...],
+        max_merge_distance: float,
+        min_split_distance: float,
+        cap: int,
+        tol: float,
+    ):
+        self._assign(model, matrices, max_merge_distance, min_split_distance, cap, tol)
 
 
 def close_orbit(
@@ -402,7 +390,8 @@ def document_orbit(doc, cap: Optional[int] = None, tol: Optional[float] = None) 
         core.Observable(spec.name, spec.spectrum, {v: props[spec.family[v]] for v in spec.spectrum})
         for spec in doc.observables
     ]
-    return replace(orbit, model=core.Model.build(orbit.model.space, props.values(), observables, doc.partition))
+    model = core.Model.build(orbit.model.space, props.values(), observables, doc.partition)
+    return Orbit(model, orbit.matrices, orbit.max_merge_distance, orbit.min_split_distance, orbit.cap, orbit.tol)
 
 
 def document_model(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> core.Model:

@@ -475,6 +475,29 @@ def test_pure_imports_leave_numpy_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_cli_import_is_light():
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import gqt.cli"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "gqt.cli" in imported
+    assert not imported & {"dataclasses", "inspect", "gqt.checker", "numpy"}
+
+
+def test_only_check_and_fuzz_load_the_checker():
+    code = f"""
+import contextlib, io, sys
+from gqt import cli
+seen = []
+for command in ("validate", "check"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, {QZX!r}])
+    seen.append([command, code, "gqt.checker" in sys.modules])
+print(seen)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[['validate', 0, False], ['check', 0, True]]\n", "")
+
+
 # Runs each argv through cli.main in a fresh interpreter in which any
 # numpy import fails, and prints [exit code, stdout] per command as JSON.
 _RUN_WITHOUT_NUMPY = """

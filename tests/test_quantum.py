@@ -115,19 +115,6 @@ def test_act_projector_oracle():
     assert np.abs(out.matrix - dm(MINUS)).max() < 1e-12
 
 
-def test_act_observable_unnormalized():
-    z = DensityState(dm(PLUS))
-    out = quantum.act_observable(z, dm(KET0))
-    assert isinstance(out, DensityState)
-    assert abs(out.trace() - 0.5) < 1e-12
-    assert np.abs(out.normalized() - dm(KET0)).max() < 1e-12
-    # Pauli Z maps |+> to |-> under two-sided action
-    pauli_z = np.diag([1.0, -1.0])
-    out = quantum.act_observable(z, pauli_z)
-    assert np.abs(out.normalized() - dm(MINUS)).max() < 1e-12
-    assert quantum.act_observable(z, np.zeros((2, 2))) is ZERO
-
-
 def test_quantum_proposition_laws_pointwise():
     p = Projector(dm(KET0))
     tol = quantum.DEFAULT_TOL

@@ -1,0 +1,176 @@
+"""Record semantics: every record type is an immutable `__slots__` class
+compared, hashed and shown by its declared fields only."""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from gqt import checker, core, modelio, quantum
+
+from conftest import FIXTURES
+
+SPACE = core.StateSpace(("a", "b"))
+OTHER_SPACE = core.StateSpace(("a", "c"))
+YES = core.PropMap(SPACE, (0, 2, 2))
+NO = core.PropMap(SPACE, (2, 1, 2))
+P = core.Proposition("P", YES, NO)
+Q = core.Proposition("Q", core.PropMap(SPACE, (2, 1, 2)), core.PropMap(SPACE, (0, 2, 2)))
+VIOLATION = core.Violation("law", ("P",), ("a",), "detail")
+WITNESS = core.CommutationWitness("P", "Q", "yes", "no", "a", "b", "a")
+OBSERVABLE = core.observable_from_proposition(P, "A")
+PARTITION = core.Partition(("L", "R"), {"A": "L"}, ("B",))
+MODEL = core.Model.build(SPACE, [P, core.negate(P)], [OBSERVABLE])
+PARAMS = checker.GeneratorParams(5, 2, 1, 4, 9)
+SPEC = modelio.ObservableSpec("O", ("0", "1"), {"0": "Z0", "1": "Z1"})
+# Matrices are 1x1, so that `==` between equal copies of them is a plain bool.
+ONE_BY_ONE = np.ones((1, 1), dtype=complex)
+
+# Per record type: its constructor arguments, in field order, and for
+# each field a value that makes an unequal record.
+CASES = {
+    core.StateSpace: ((("a", "b"),), [("a", "c")]),
+    core.PropMap: ((SPACE, (0, 2, 2)), [OTHER_SPACE, (0, 1, 2)]),
+    core.Proposition: (("P", YES, NO), ["Q", NO, YES]),
+    core.DerivedProposition: (("yes", YES, "P AND P"), ["no", NO, "P OR P"]),
+    core.Violation: (("law", ("P",), ("a",), "detail"), ["other", ("Q",), ("b",), ""]),
+    core.CommutationWitness: (
+        ("P", "Q", "yes", "no", "a", "b", "a"),
+        ["R", "R", "no", "yes", "b", core.ZERO, core.ZERO],
+    ),
+    core.PairEvidence: ((None, (("a", "yes", "yes"),)), [WITNESS, ()]),
+    core.Observable: (
+        ("A", ("yes", "no"), {"yes": P, "no": core.negate(P)}),
+        ["B", ("no", "yes"), {"yes": Q, "no": core.negate(Q)}],
+    ),
+    core.Partition: ((("L", "R"), {"A": "L"}, ("B",)), [("L",), {"A": "R"}, ()]),
+    core.Model: ((SPACE, MODEL.propositions, MODEL.observables, None), [OTHER_SPACE, {}, {}, PARTITION]),
+    modelio.ObservableSpec: (("O", ("0", "1"), {"0": "Z0", "1": "Z1"}), ["X", ("1", "0"), {"0": "Z1", "1": "Z0"}]),
+    modelio.QuantumDocument: (
+        (1, (("s", ONE_BY_ONE),), (("Z0", ONE_BY_ONE),), (SPEC,), 8, 1e-9, PARTITION),
+        [2, (), (), (), None, None, None],
+    ),
+    checker.GeneratorParams: ((5, 2, 1, 4, 9), [6, 3, 2, 5, 10]),
+    checker.FuzzCounterexample: (("law", 3, VIOLATION, MODEL), ["other", 4, core.Violation("law", (), ()), None]),
+    checker.FuzzSummary: ((PARAMS, 1, 0, {"law": None}), [checker.GeneratorParams(6), 2, 1, {}]),
+    quantum.ProjectorFamily: (("Z", ("0",), {"0": ONE_BY_ONE}), ["X", ("1",), {"0": 2 * ONE_BY_ONE}]),
+    quantum.Orbit: ((MODEL, (ONE_BY_ONE,), 0.0, 1.0, 16, 1e-9), [None, (), 0.5, 2.0, 32, 1e-6]),
+}
+
+# ProjectorFamily takes labels and members together, so its label variant
+# needs matching members.
+VARIANT_ARGS = {(quantum.ProjectorFamily, 1): ("Z", ("1",), {"1": ONE_BY_ONE})}
+
+HASHABLE = {
+    core.StateSpace,
+    core.PropMap,
+    core.Proposition,
+    core.DerivedProposition,
+    core.Violation,
+    core.CommutationWitness,
+    core.PairEvidence,
+    checker.GeneratorParams,
+}
+
+DERIVED = {core.StateSpace: {"index": {}, "by_name": ()}, core.Observable: {"eigenvalues": ()}}
+
+RECORDS = sorted(CASES, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+IDS = [cls.__qualname__ for cls in RECORDS]
+
+
+def test_every_record_type_is_covered():
+    assert len(CASES) == 17
+    for module in (core, modelio, checker, quantum):
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, core._Record) and value is not core._Record:
+                assert value in CASES
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_equal_fields_give_equal_records(cls):
+    args, _ = CASES[cls]
+    a, b = cls(*args), cls(*args)
+    assert a is not b
+    assert a == b and not a != b
+    assert a != "not a record"
+    assert repr(a) == repr(b) == f"{cls.__qualname__}({', '.join(f'{f}={getattr(a, f)!r}' for f in cls._fields)})"
+    if cls in HASHABLE:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_each_field_is_compared(cls):
+    args, variants = CASES[cls]
+    assert len(args) == len(variants) == len(cls._fields)
+    base = cls(*args)
+    for i, value in enumerate(variants):
+        changed = VARIANT_ARGS.get((cls, i), (*args[:i], value, *args[i + 1 :]))
+        other = cls(*changed)
+        assert other != base and not other == base, cls._fields[i]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_records_are_immutable_and_have_no_dict(cls):
+    r = cls(*CASES[cls][0])
+    assert not hasattr(r, "__dict__")
+    for name in (*cls.__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert cls(*CASES[cls][0]) == r
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_copies_are_equal_and_complete(cls):
+    r = cls(*CASES[cls][0])
+    for clone in (copy.copy(r), pickle.loads(pickle.dumps(r))):
+        assert type(clone) is cls and clone == r
+        for name in cls.__slots__:
+            getattr(clone, name)
+
+
+@pytest.mark.parametrize("cls", sorted(DERIVED, key=lambda c: c.__qualname__), ids=lambda c: c.__qualname__)
+def test_derived_fields_are_not_compared_or_shown(cls):
+    args, _ = CASES[cls]
+    a, b = cls(*args), cls(*args)
+    for name, value in DERIVED[cls].items():
+        assert name not in cls._fields and name in cls.__slots__
+        object.__setattr__(b, name, value)
+        assert getattr(a, name) != value
+    assert a == b
+    assert repr(a) == repr(b)
+    if cls in HASHABLE:
+        assert hash(a) == hash(b)
+
+
+def test_defaults():
+    assert core.Violation("law", (), ()).detail == ""
+    assert core.Model(SPACE, {}, {}).partition is None
+    params = checker.GeneratorParams(3)
+    assert (params.n_props, params.n_obs, params.max_spectrum, params.seed) == (0, 0, 4, 0)
+    doc = modelio.QuantumDocument(1, (), (), ())
+    assert (doc.cap, doc.tolerance, doc.partition) == (None, None, None)
+
+
+def test_model_build_stays_a_classmethod():
+    assert isinstance(vars(core.Model)["build"], classmethod)
+
+
+def test_models_stay_equal_through_modelio():
+    texts = [(FIXTURES / name).read_text(encoding="utf-8") for name in ("qzx.json", "bell.json", "bistable.json")]
+    models = [modelio.parse_model(text) for text in texts]
+    for name in ("qzx_quantum.json", "bell_quantum.json"):
+        models.append(quantum.document_model(modelio.parse_quantum((FIXTURES / name).read_text(encoding="utf-8"))))
+    models += [checker.generate_model(checker.GeneratorParams(n, 6, 3, seed=n)) for n in (1, 8, 24)]
+    for model in models:
+        again = modelio.parse_model(modelio.serialize_model(model))
+        assert again is not model
+        assert again == model
+        assert (again.space.index, again.space.by_name) == (model.space.index, model.space.by_name)
+        for name, observable in model.observables.items():
+            assert again.observables[name].eigenvalues == observable.eigenvalues
