@@ -41,6 +41,10 @@ class _ZeroState:
     def __repr__(self) -> str:
         return "ZERO"
 
+    def __reduce__(self):
+        # By name, so that a copy or an unpickled ZERO is ZERO itself.
+        return "ZERO"
+
 
 ZERO = _ZeroState()
 
@@ -56,15 +60,17 @@ class _Record:
 
     A subclass names its fields in `_fields` and lists them first in
     `__slots__`; slots after them are derived, so neither compared nor
-    shown.  Its `__init__` validates and then sets every slot once with
-    `_assign`; any later assignment or deletion raises AttributeError.
+    shown; one with array fields compares them through `array_key` in its
+    own `_key`.  Its `__init__` validates and then sets every slot once
+    with `_assign`; any later assignment or deletion raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._key = operator.attrgetter(*cls._fields)
+        if "_key" not in vars(cls):
+            cls._key = operator.attrgetter(*cls._fields)
 
     def _assign(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -93,6 +99,11 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def array_key(a) -> tuple:
+    """An array's value for `==` and `hash`: its dtype, shape and bytes."""
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 class StateSpace(_Record):

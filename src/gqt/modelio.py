@@ -322,6 +322,11 @@ class QuantumDocument(core._Record):
     ):
         self._assign(dimension, seeds, propositions, observables, cap, tolerance, partition)
 
+    @staticmethod
+    def _key(d):
+        seeds, props = (tuple((name, core.array_key(m)) for name, m in pairs) for pairs in (d.seeds, d.propositions))
+        return d.dimension, seeds, props, d.observables, d.cap, d.tolerance, d.partition
+
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)

@@ -159,6 +159,10 @@ class ProjectorFamily(core._Record):
             converted[label] = m
         self._assign(name, labels, converted)
 
+    @staticmethod
+    def _key(f):
+        return f.name, f.labels, tuple(core.array_key(f.members[label]) for label in f.labels)
+
     @property
     def dimension(self) -> int:
         return self.members[self.labels[0]].shape[0]
@@ -233,6 +237,10 @@ class Orbit(core._Record):
     ):
         self._assign(model, matrices, max_merge_distance, min_split_distance, cap, tol)
 
+    @staticmethod
+    def _key(o):
+        return o.model, tuple(map(core.array_key, o.matrices)), o.max_merge_distance, o.min_split_distance, o.cap, o.tol
+
 
 def close_orbit(
     seeds: Sequence[DensityState],
@@ -267,55 +275,57 @@ def close_orbit(
             raise StructuralError(f"duplicate proposition name {name!r}")
         names.append(name)
 
-    # The known states are stack[:n]; the stack doubles when full and is
-    # never sized from `cap`, which has no upper bound.
-    stack = np.empty((16, dim, dim), dtype=complex)
+    # The known states are the columns store[:, :n], matrices flattened, so
+    # that a distance reduces over the leading axis, in contiguous rows.  The
+    # store doubles when full; it is never sized from `cap`, which has no bound.
+    store = np.empty((dim * dim, 16), dtype=complex)
     n = 0
     max_merge, min_split = 0.0, math.inf
 
     def absorb(batch: np.ndarray, processed: int) -> list[int]:
         """The state index of each matrix of `batch`, in order, adding misses."""
-        nonlocal stack, n, max_merge, min_split
-        n0 = n
-        # The whole batch against every state known before it, in blocks of
-        # about BROADCAST_BYTES of difference matrices.  abs and max act entry
-        # by entry, so each distance is bit for bit max|known - m| of that
-        # pair alone, as a one-by-one scan finds it.
-        distances = np.empty((len(batch), n0))
+        nonlocal store, n, max_merge, min_split
+        n0, end = n, n + len(batch)
+        # The batch goes into the columns after the known states, and one
+        # comparison sets it against them and against itself, in blocks of
+        # about BROADCAST_BYTES of differences.  abs and max act entry by
+        # entry, so each distance is bit for bit max|known - m| of that pair
+        # alone, as a one-by-one scan finds it.
+        while end > store.shape[1]:
+            store = np.hstack((store, np.empty_like(store)))
+        own = store[:, n0:end]
+        own[...] = batch.reshape(-1, len(store)).T
+        distances = np.empty((len(batch), end))
         block = max(1, BROADCAST_BYTES // max(1, batch.nbytes))
-        for lo in range(0, n0, block):
-            np.abs(stack[lo : min(lo + block, n0)] - batch[:, None]).max(axis=(2, 3), out=distances[:, lo : lo + block])
-        hits = distances <= tol
-        found = hits.any(axis=1)
-        # The first hit is the lowest index, the first in discovery order;
-        # with no known states (the seeds) there is none.
-        first = hits.argmax(axis=1) if n0 else np.zeros(len(batch), dtype=int)
-        if found.any():
-            max_merge = max(max_merge, float(distances[found, first[found]].max()))
-        out = first.tolist()
-        for t in np.flatnonzero(~found).tolist():
-            # A miss can still match a state added earlier in this batch.
-            m = batch[t]
-            same = np.abs(stack[n0:n] - m).max(axis=(1, 2)).tolist() if n > n0 else []
-            j = next((j for j, d in enumerate(same) if d <= tol), None)
-            if j is not None:
-                max_merge = max(max_merge, same[j])
-                out[t] = n0 + j
-                continue
-            if n >= cap:
-                discovered = [f"s{k}" for k in range(n)]
-                raise OrbitCapExceeded(
-                    f"orbit closure exceeded cap {cap}: {n} states discovered, {n - processed} still unexpanded",
-                    cap,
-                    discovered=discovered,
-                    frontier=discovered[processed:],
-                )
-            min_split = min(min_split, float(distances[t].min(initial=math.inf)), *same)
-            if n == len(stack):
-                stack = np.concatenate((stack, np.empty_like(stack)))
-            stack[n] = m
-            out[t] = n
-            n += 1
+        for lo in range(0, end, block):
+            known = store[:, None, lo : min(lo + block, end)]
+            np.abs(known - own[:, :, None]).max(axis=0, out=distances[:, lo : lo + block])
+        # The first column within tol is the lowest index, the first in
+        # discovery order; a hit if it is a known state.
+        first = (distances <= tol).argmax(axis=1).tolist()
+        out, added = [], []
+        for t, j in enumerate(first):
+            d = distances.item(t, j)
+            if j >= n0 or not d <= tol:
+                # A miss can still match a state added earlier in this batch;
+                # the k-th of them is state n0 + k.
+                same = [distances.item(t, n0 + u) for u in added]
+                k = next((k for k, e in enumerate(same) if e <= tol), None)
+                if k is not None:
+                    j, d = n0 + k, same[k]
+                else:
+                    if n >= cap:
+                        discovered = [f"s{k}" for k in range(n)]
+                        message = f"orbit closure exceeded cap {cap}: {n} states discovered, {n - processed} still unexpanded"
+                        raise OrbitCapExceeded(message, cap, discovered=discovered, frontier=discovered[processed:])
+                    min_split = min(min_split, float(distances[t, :n0].min(initial=math.inf)), *same)
+                    # Its column moves down to index n, over an absorbed image.
+                    if n < n0 + t:
+                        store[:, n] = own[:, t]
+                    added.append(t)
+                    j, d, n = n, 0.0, n + 1
+            max_merge = max(max_merge, d)
+            out.append(j)
         return out
 
     absorb(np.array([s.normalized() for s in seeds]), 0)
@@ -327,22 +337,25 @@ def close_orbit(
     rows = []
     i = 0
     while i < n:
-        imgs = actions @ stack[i] @ actions
+        # A contiguous copy: numpy may send a strided operand through another
+        # matmul loop, which can round differently.
+        imgs = actions @ store[:, i].reshape(dim, dim).copy() @ actions
         traces = imgs.trace(axis1=1, axis2=2).real
-        live = traces > tol
-        row = np.full(len(actions), -1)
-        row[live] = absorb(imgs[live] / traces[live, None, None], i)
-        rows.append(row)
+        live = (traces > tol).tolist()
+        if not all(live):
+            imgs, traces = imgs[live], traces[live]
+        index = iter(absorb(imgs / traces[:, None, None], i))
+        rows.append([next(index) if ok else -1 for ok in live])
         i += 1
 
     space = core.StateSpace(tuple(f"s{k}" for k in range(n)))
-    table = np.array(rows)
-    table[table < 0] = n
-    maps = [core.PropMap(space, column.tolist() + [n]) for column in table.T]
+    maps = [core.PropMap(space, [j if j >= 0 else n for j in column] + [n]) for column in zip(*rows)]
     props = [core.Proposition(name, maps[2 * k], maps[2 * k + 1]) for k, (name, _) in enumerate(propositions)]
     model = core.Model.build(space, props)
-    stack.flags.writeable = False
-    return Orbit(model, tuple(stack[:n]), max_merge, min_split, cap, tol)
+    # One read-only contiguous copy of the states, viewed matrix by matrix.
+    matrices = store[:, :n].T.reshape(n, dim, dim).copy()
+    matrices.flags.writeable = False
+    return Orbit(model, tuple(matrices), max_merge, min_split, cap, tol)
 
 
 # ---------------------------------------------------------------------------

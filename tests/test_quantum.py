@@ -547,14 +547,53 @@ def test_image_near_an_earlier_step_state_and_a_same_step_state_joins_the_earlie
 
 
 def test_one_step_adds_states_across_a_stack_doubling():
-    # Fifteen diagonal seeds fill 15 of the first 16 slots; expanding the
-    # first adds the two rays of P, the second into a doubled stack.
+    # Fifteen diagonal seeds fill 15 of the first 16 columns; expanding the
+    # first adds the two rays of P, the second into a doubled store.
     seeds = [DensityState(np.diag([0.03 * k, 1 - 0.03 * k])) for k in range(1, 16)]
     projs = near_rays(0.5)
     orbit = assert_same_closure(seeds, projs, 256, 1e-9)
     assert len(orbit.model.space) == 17
     p = orbit.model.propositions["P0.5"]
     assert (p.yes("s0"), p.no("s0")) == ("s15", "s16")
+
+
+def test_one_step_batch_crosses_a_store_doubling():
+    # Fourteen diagonal seeds; expanding the first puts its four images in
+    # columns 14 to 17, past the first store's 16.  The two of P0.5 become
+    # s14 and s15, and those of its copy Q join them.
+    seeds = [DensityState(np.diag([0.03 * k, 1 - 0.03 * k])) for k in range(1, 15)]
+    projs = near_rays(0.5) + [("Q", Projector(ray(0.5)))]
+    orbit = assert_same_closure(seeds, projs, 256, 1e-9)
+    assert len(orbit.model.space) == 16
+    p = orbit.model.propositions
+    assert (p["P0.5"].yes("s0"), p["P0.5"].no("s0"), p["Q"].yes("s0"), p["Q"].no("s0")) == ("s14", "s15", "s14", "s15")
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 256])
+def test_new_state_moves_down_and_a_later_image_joins_it(cap):
+    # Expanding |0>: the yes-image of P0.5 is the seed s1, so its no-image,
+    # new, moves down from the second batch column to s2; the no-image of
+    # P0.6 joins it.  The images of P1 are new and move down to s3 and s4;
+    # at caps 2 to 4 one of the new images overruns the cap while the rest
+    # of the batch still sits past the known states.
+    projs = near_rays(0.5, 0.6, 1.0)
+    orbit = assert_same_closure([DensityState(ray(0)), DensityState(ray(0.5))], projs, cap, NEAR_RAYS_TOL)
+    if cap == 256:
+        p = orbit.model.propositions
+        images = [getattr(p[name], side)("s0") for name in ("P0.5", "P0.6", "P1") for side in ("yes", "no")]
+        assert images == ["s1", "s2", "s1", "s2", "s3", "s4"]
+        assert len(orbit.model.space) == 5
+    else:
+        with pytest.raises(OrbitCapExceeded, match=f"{cap} states discovered, {cap} still unexpanded"):
+            quantum.close_orbit([DensityState(ray(0)), DensityState(ray(0.5))], projs, cap=cap, tol=NEAR_RAYS_TOL)
+
+
+def test_step_whose_images_all_vanish():
+    # At tol 0.6 both images of |0> under |+><+| have trace 0.5, so the
+    # step absorbs an empty batch.
+    orbit = assert_same_closure([DensityState(dm(KET0))], [("X", Projector(dm(PLUS)))], 256, 0.6)
+    assert len(orbit.model.space) == 1
+    assert (orbit.model.propositions["X"].yes("s0"), orbit.model.propositions["X"].no("s0")) == (ZERO, ZERO)
 
 
 @pytest.mark.parametrize("cap", [4, 5, 6])

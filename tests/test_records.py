@@ -24,8 +24,8 @@ PARTITION = core.Partition(("L", "R"), {"A": "L"}, ("B",))
 MODEL = core.Model.build(SPACE, [P, core.negate(P)], [OBSERVABLE])
 PARAMS = checker.GeneratorParams(5, 2, 1, 4, 9)
 SPEC = modelio.ObservableSpec("O", ("0", "1"), {"0": "Z0", "1": "Z1"})
-# Matrices are 1x1, so that `==` between equal copies of them is a plain bool.
-ONE_BY_ONE = np.ones((1, 1), dtype=complex)
+# Records compare arrays by value, so equal copies of a 2x2 matrix are equal.
+MATRIX = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
 
 # Per record type: its constructor arguments, in field order, and for
 # each field a value that makes an unequal record.
@@ -48,19 +48,19 @@ CASES = {
     core.Model: ((SPACE, MODEL.propositions, MODEL.observables, None), [OTHER_SPACE, {}, {}, PARTITION]),
     modelio.ObservableSpec: (("O", ("0", "1"), {"0": "Z0", "1": "Z1"}), ["X", ("1", "0"), {"0": "Z1", "1": "Z0"}]),
     modelio.QuantumDocument: (
-        (1, (("s", ONE_BY_ONE),), (("Z0", ONE_BY_ONE),), (SPEC,), 8, 1e-9, PARTITION),
-        [2, (), (), (), None, None, None],
+        (2, (("s", MATRIX),), (("Z0", MATRIX),), (SPEC,), 8, 1e-9, PARTITION),
+        [3, (), (), (), None, None, None],
     ),
     checker.GeneratorParams: ((5, 2, 1, 4, 9), [6, 3, 2, 5, 10]),
     checker.FuzzCounterexample: (("law", 3, VIOLATION, MODEL), ["other", 4, core.Violation("law", (), ()), None]),
     checker.FuzzSummary: ((PARAMS, 1, 0, {"law": None}), [checker.GeneratorParams(6), 2, 1, {}]),
-    quantum.ProjectorFamily: (("Z", ("0",), {"0": ONE_BY_ONE}), ["X", ("1",), {"0": 2 * ONE_BY_ONE}]),
-    quantum.Orbit: ((MODEL, (ONE_BY_ONE,), 0.0, 1.0, 16, 1e-9), [None, (), 0.5, 2.0, 32, 1e-6]),
+    quantum.ProjectorFamily: (("Z", ("0",), {"0": MATRIX}), ["X", ("1",), {"0": 2 * MATRIX}]),
+    quantum.Orbit: ((MODEL, (MATRIX,), 0.0, 1.0, 16, 1e-9), [None, (), 0.5, 2.0, 32, 1e-6]),
 }
 
 # ProjectorFamily takes labels and members together, so its label variant
 # needs matching members.
-VARIANT_ARGS = {(quantum.ProjectorFamily, 1): ("Z", ("1",), {"1": ONE_BY_ONE})}
+VARIANT_ARGS = {(quantum.ProjectorFamily, 1): ("Z", ("1",), {"1": MATRIX})}
 
 HASHABLE = {
     core.StateSpace,
@@ -71,6 +71,7 @@ HASHABLE = {
     core.CommutationWitness,
     core.PairEvidence,
     checker.GeneratorParams,
+    quantum.ProjectorFamily,
 }
 
 DERIVED = {core.StateSpace: {"index": {}, "by_name": ()}, core.Observable: {"eigenvalues": ()}}
@@ -174,3 +175,40 @@ def test_models_stay_equal_through_modelio():
         assert (again.space.index, again.space.by_name) == (model.space.index, model.space.by_name)
         for name, observable in model.observables.items():
             assert again.observables[name].eigenvalues == observable.eigenvalues
+
+
+def test_arrays_are_compared_by_value():
+    # Distinct arrays with equal dtype, shape and bytes are equal; each of
+    # the three differing makes an unequal record.
+    zeros = np.zeros((2, 2))
+    makers = [
+        lambda m: modelio.QuantumDocument(2, (("s", m),), (("Z0", m),), (SPEC,)),
+        lambda m: quantum.Orbit(MODEL, (m,), 0.0, 1.0, 16, 1e-9),
+    ]
+    for make in makers:
+        assert make(MATRIX.copy()) == make(MATRIX.copy())
+        assert make(zeros) == make(zeros.copy())
+        for other in (zeros.astype(np.int64), zeros.reshape(4, 1), zeros + np.eye(2)):
+            assert make(other) != make(zeros) and not make(other) == make(zeros)
+    family = quantum.ProjectorFamily("Z", ("0",), {"0": MATRIX})
+    again = quantum.ProjectorFamily("Z", ("0",), {"0": MATRIX.copy()})
+    assert family.members["0"] is not again.members["0"]
+    assert family == again and hash(family) == hash(again)
+    assert family != quantum.ProjectorFamily("Z", ("0",), {"0": MATRIX.conj()})
+
+
+def test_two_closures_of_one_system_give_equal_orbits():
+    doc = modelio.parse_quantum((FIXTURES / "bell_quantum.json").read_text(encoding="utf-8"))
+    first, second = quantum.document_orbit(doc), quantum.document_orbit(doc)
+    assert first.matrices[0] is not second.matrices[0]
+    assert first == second and not first != second
+    assert first != quantum.document_orbit(doc, tol=1e-6)
+
+
+def test_zero_survives_copy_and_pickle():
+    assert pickle.loads(pickle.dumps(core.ZERO)) is core.ZERO
+    assert copy.copy(core.ZERO) is core.ZERO and copy.deepcopy(core.ZERO) is core.ZERO
+    witness = core.CommutationWitness("P", "Q", "yes", "no", "a", core.ZERO, "b")
+    for clone in (copy.deepcopy(witness), pickle.loads(pickle.dumps(witness))):
+        assert clone.pq is core.ZERO and core.show_state(clone.pq) == "null"
+        assert clone == witness
