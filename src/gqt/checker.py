@@ -18,7 +18,9 @@ from . import core
 from .core import Violation
 from .errors import StructuralError
 
-# Laws re-checked by check_laws, in report order.
+# Laws re-checked by check_laws.  Frozen, as is the report order, which
+# follows this one except that each observable pair reports
+# strongcomp-implies-comp before compat-implies-joint-eigenstate.
 LAW_IDS = (
     "PP=P",
     "P·negP=0",

@@ -141,10 +141,11 @@ def cmd_quantum_build(args):
     from . import quantum
 
     doc = modelio.parse_quantum(text)
-    violations = quantum.family_violations(doc, tol=args.tol)
+    cap, tol = quantum.settings(doc, args.cap, args.tol)
+    violations = quantum.family_violations(doc, tol)
     if not violations:
         try:
-            orbit = quantum.document_orbit(doc, cap=args.cap, tol=args.tol)
+            orbit = quantum.document_orbit(doc, cap, tol)
         except OrbitCapExceeded as e:
             return 1, None, [str(e), f"discovered: {' '.join(e.discovered)}"]
         model = orbit.model
@@ -157,8 +158,8 @@ def cmd_quantum_build(args):
         f"states: {len(model.space)}",
         f"propositions: {len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)}",
         f"observables: {len(model.observables)}",
-        f"cap: {orbit.cap}",
-        f"tolerance: {orbit.tol:.9f}",
+        f"cap: {cap}",
+        f"tolerance: {tol:.9f}",
         f"wrote: {args.output}",
     ]
     return 0, None, lines

@@ -25,10 +25,13 @@ import json
 import operator
 import sys
 from json.encoder import encode_basestring as _quote
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from . import core
 from .errors import StructuralError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _fail(path: str, message: str):
@@ -73,6 +76,11 @@ def _load_json(text: str):
         raise StructuralError(f"not valid JSON: line {e.lineno} column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise StructuralError("not valid JSON: nested too deeply") from None
+    except StructuralError:
+        raise
+    except ValueError:
+        # The decoder's one other error: an integer past Python's digit limit.
+        raise StructuralError("not valid JSON: an integer has too many digits") from None
     # Text decoded from UTF-8 holds a surrogate only through a \u escape,
     # so text without one skips the walk.
     if "\\u" in text:
@@ -335,7 +343,10 @@ def _is_number(x) -> bool:
 def _parse_complex(entry, path: str) -> complex:
     if not isinstance(entry, list) or len(entry) != 2 or not all(_is_number(x) for x in entry):
         _fail(path, "complex entries must be [re, im] number pairs")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError:
+        _fail(path, "complex entries must fit in a float")
 
 
 def _entry_depth(value) -> int:

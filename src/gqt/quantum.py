@@ -11,7 +11,7 @@ ground truth.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,8 +37,12 @@ def _as_matrix(value, what: str) -> np.ndarray:
     return m
 
 
-def _is_hermitian(m: np.ndarray, tol: float) -> bool:
-    return np.abs(m - m.conj().T).max() <= tol
+def _hermiticity_residue(m: np.ndarray) -> float:
+    return float(np.abs(m - m.conj().T).max())
+
+
+def _idempotence_residue(m: np.ndarray) -> float:
+    return float(np.abs(m @ m - m).max())
 
 
 class DensityState:
@@ -52,10 +56,9 @@ class DensityState:
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         m = _as_matrix(matrix, "density matrix")
-        if not _is_hermitian(m, tol):
+        if not _hermiticity_residue(m) <= tol:
             raise StructuralError("density matrix is not hermitian within tolerance")
-        eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues.min() < -tol:
+        if np.linalg.eigvalsh(m).min() < -tol:
             raise StructuralError("density matrix has a negative eigenvalue beyond tolerance")
         if m.trace().real <= tol:
             raise StructuralError("density matrix trace must exceed the tolerance")
@@ -83,9 +86,9 @@ class Projector:
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         m = _as_matrix(matrix, "projector")
-        if not _is_hermitian(m, tol):
+        if not _hermiticity_residue(m) <= tol:
             raise StructuralError("projector is not hermitian within tolerance")
-        if np.abs(m @ m - m).max() > tol:
+        if _idempotence_residue(m) > tol:
             raise StructuralError("projector is not idempotent within tolerance")
         m.flags.writeable = False
         self.matrix = m
@@ -115,17 +118,6 @@ def states_equal(z1: DensityState, z2: DensityState, tol: float = DEFAULT_TOL) -
     return bool(np.abs(z1.normalized() - z2.normalized()).max() <= tol)
 
 
-def expectation(z: DensityState, observable_matrix, tol: float = DEFAULT_TOL) -> float:
-    """Expectation value of a hermitian matrix in the given state."""
-    a = _as_matrix(observable_matrix, "observable matrix")
-    if a.shape[0] != z.dimension:
-        raise StructuralError("observable matrix dimension does not match the state")
-    if not _is_hermitian(a, tol):
-        raise StructuralError("observable matrix is not hermitian within tolerance")
-    value = np.trace(z.matrix @ a) / z.matrix.trace()
-    return float(value.real)
-
-
 def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Union[DensityState, core._ZeroState]:
     """Projective measurement branch `P z P`, trace-normalized."""
     if p.dimension != z.dimension:
@@ -137,65 +129,36 @@ def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Un
     return DensityState(m / trace, tol)
 
 
-class ProjectorFamily(core._Record):
-    """Named family of matrices meant to partition the identity.
+def validate_projector_family(name: str, members: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL) -> list[core.Violation]:
+    """Each member a projector, pairwise orthogonal, summing to the identity.
 
-    Members are stored as raw matrices so that `validate_projector_family`
-    can report rather than refuse families that break the laws.
+    `members` maps each label to its raw matrix, in spectrum order, so
+    that a family that breaks the laws is reported rather than refused.
     """
-
-    __slots__ = _fields = ("name", "labels", "members")
-
-    def __init__(self, name: str, labels: tuple[str, ...], members: dict[str, np.ndarray]):
-        core.check_spectrum(name, labels, members)
-        converted = {}
-        dim = None
-        for label in labels:
-            m = _as_matrix(members[label], f"family member {label!r}")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise StructuralError(f"projector family {name!r}: members have mixed dimensions")
-            converted[label] = m
-        self._assign(name, labels, converted)
-
-    @staticmethod
-    def _key(f):
-        return f.name, f.labels, tuple(core.array_key(f.members[label]) for label in f.labels)
-
-    @property
-    def dimension(self) -> int:
-        return self.members[self.labels[0]].shape[0]
-
-
-def validate_projector_family(family: ProjectorFamily, tol: float = DEFAULT_TOL) -> list[core.Violation]:
-    """Each member a projector, pairwise orthogonal, summing to the identity."""
+    labels = tuple(members)
+    core.check_spectrum(name, labels, members)
+    matrices: list[np.ndarray] = []
+    for label in labels:
+        m = _as_matrix(members[label], f"family member {label!r}")
+        if matrices and m.shape != matrices[0].shape:
+            raise StructuralError(f"projector family {name!r}: members have mixed dimensions")
+        matrices.append(m)
     out: list[core.Violation] = []
-    for label in family.labels:
-        m = family.members[label]
-        if not _is_hermitian(m, tol):
-            residue = float(np.abs(m - m.conj().T).max())
-            out.append(
-                core.Violation("projector-hermitian", (family.name, label), (), f"max |M - M†| = {residue:.9f}")
-            )
-        residue = float(np.abs(m @ m - m).max())
+    for label, m in zip(labels, matrices):
+        residue = _hermiticity_residue(m)
+        if not residue <= tol:
+            out.append(core.Violation("projector-hermitian", (name, label), (), f"max |M - M†| = {residue:.9f}"))
+        residue = _idempotence_residue(m)
         if residue > tol:
-            out.append(
-                core.Violation("projector-idempotent", (family.name, label), (), f"max |MM - M| = {residue:.9f}")
-            )
-    for i, l1 in enumerate(family.labels):
-        for l2 in family.labels[i + 1 :]:
-            residue = float(np.abs(family.members[l1] @ family.members[l2]).max())
+            out.append(core.Violation("projector-idempotent", (name, label), (), f"max |MM - M| = {residue:.9f}"))
+    for i, l1 in enumerate(labels):
+        for l2, m2 in zip(labels[i + 1 :], matrices[i + 1 :]):
+            residue = float(np.abs(matrices[i] @ m2).max())
             if residue > tol:
-                out.append(
-                    core.Violation("orthogonality", (family.name, l1, l2), (), f"max |M1 M2| = {residue:.9f}")
-                )
-    total = sum(family.members[l] for l in family.labels)
-    residue = float(np.abs(total - np.eye(family.dimension)).max())
+                out.append(core.Violation("orthogonality", (name, l1, l2), (), f"max |M1 M2| = {residue:.9f}"))
+    residue = float(np.abs(sum(matrices) - np.eye(len(matrices[0]))).max())
     if residue > tol:
-        out.append(
-            core.Violation("resolution-of-identity", (family.name,), (), f"max |sum - I| = {residue:.9f}")
-        )
+        out.append(core.Violation("resolution-of-identity", (name,), (), f"max |sum - I| = {residue:.9f}"))
     return out
 
 
@@ -362,39 +325,40 @@ def close_orbit(
 # Building models from quantum documents
 
 
+def settings(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> tuple[int, float]:
+    """The orbit cap and tolerance of a build: each the flag given here,
+    else the document's, else the default.  A flag is checked here; the
+    parser has checked the document's."""
+    if tol is None:
+        tol = DEFAULT_TOL if doc.tolerance is None else doc.tolerance
+    elif not (math.isfinite(tol) and tol >= 0):
+        # A NaN or negative tolerance fails every residue comparison, which
+        # would blame exact projectors instead of the setting.
+        raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
+    if cap is None:
+        cap = DEFAULT_CAP if doc.cap is None else doc.cap
+    elif cap < 1:
+        raise StructuralError("orbit cap must be at least 1")
+    return cap, tol
+
+
 def family_violations(doc, tol: Optional[float] = None) -> list[core.Violation]:
     """Projector-family law report for every observable of a quantum document."""
-    tol = _effective_tol(doc, tol)
+    _, tol = settings(doc, tol=tol)
     matrices = dict(doc.propositions)
     out: list[core.Violation] = []
     for spec in doc.observables:
-        family = ProjectorFamily(spec.name, spec.spectrum, {v: matrices[spec.family[v]] for v in spec.spectrum})
-        out.extend(validate_projector_family(family, tol))
+        out.extend(validate_projector_family(spec.name, {v: matrices[spec.family[v]] for v in spec.spectrum}, tol))
     return out
-
-
-def _effective_tol(doc, tol: Optional[float]) -> float:
-    if tol is not None:
-        # A NaN or negative tolerance fails every residue comparison, which
-        # would blame exact projectors instead of the setting.
-        if not (math.isfinite(tol) and tol >= 0):
-            raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
-        return tol
-    if doc.tolerance is not None:
-        return doc.tolerance
-    return DEFAULT_TOL
 
 
 def document_orbit(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> Orbit:
     """Close the orbit of a quantum document's seeds under its projectors.
 
-    Each setting is the flag given here, else the document's, else the
-    default; the orbit records both.  Its model carries the document's
-    observables and partition.
+    Cap and tolerance come from `settings`, and the orbit records both.
+    Its model carries the document's observables and partition.
     """
-    tol = _effective_tol(doc, tol)
-    if cap is None:
-        cap = DEFAULT_CAP if doc.cap is None else doc.cap
+    cap, tol = settings(doc, cap, tol)
     projectors = [(name, Projector(m, tol)) for name, m in doc.propositions]
     seeds = [DensityState(m, tol) for _, m in doc.seeds]
     orbit = close_orbit(seeds, projectors, cap=cap, tol=tol)

@@ -277,12 +277,6 @@ def test_criterion_5_quantum_law_sampling():
             failures.append(f"trial {trial}: scaling changed whether the yes branch vanishes")
         elif yes is not core.ZERO and not quantum.states_equal(yes, rescaled, tol):
             failures.append(f"trial {trial}: scaling changed the yes branch")
-
-        e = quantum.expectation(rho, p.matrix)
-        if not -tol <= e <= 1 + tol:
-            failures.append(f"trial {trial}: expectation {e} outside [0, 1]")
-        if abs(e - quantum.expectation(scaled, p.matrix)) > tol:
-            failures.append(f"trial {trial}: expectation not scale invariant")
     _finish(5, "quantum law sampling", started, 5.0, failures)
 
 

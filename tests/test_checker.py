@@ -80,6 +80,24 @@ def test_check_laws_clean_on_generated():
         assert checker.check_laws(model) == []
 
 
+def rows(report):
+    return [(v.law, v.subjects, v.witness, v.detail) for v in report]
+
+
+def broken_one():
+    # ONE that maps every state to z0.
+    qzx = make_qzx()
+    const_z0 = core.PropMap.from_names(qzx.space, {z: "z0" for z in qzx.space.states})
+    one = core.Proposition("ONE", const_z0, core.constant_zero_map(qzx.space))
+    return core.Model(qzx.space, {**qzx.propositions, "ONE": one}, qzx.observables)
+
+
+def broken_qzx():
+    broken = mutate_entry(make_qzx(), "Z0", "yes", "z0", ZERO)
+    broken = mutate_entry(broken, "Z0", "yes", "zp", "zp")
+    return mutate_entry(broken, "X0", "yes", "zm", "z0")
+
+
 def test_check_laws_flags_redirected_entry():
     qzx = make_qzx()
     # yes(z1) pointed at zp, which is not a yes-eigenstate: idempotence breaks
@@ -103,14 +121,7 @@ def test_check_laws_flags_annihilation_break():
 
 
 def test_check_laws_flags_broken_builtin():
-    qzx = make_qzx()
-    broken_props = dict(qzx.propositions)
-    # ONE that maps everything to z0 breaks 1P=P1=P and 1ANDP=P
-    space = qzx.space
-    const_z0 = core.PropMap.from_names(space, {z: "z0" for z in space.states})
-    broken_props["ONE"] = core.Proposition("ONE", const_z0, core.constant_zero_map(space))
-    model = core.Model(space, broken_props, qzx.observables)
-    laws = {v.law for v in checker.check_laws(model)}
+    laws = {v.law for v in checker.check_laws(broken_one())}
     assert "1P=P1=P" in laws and "1ANDP=P" in laws
 
 
@@ -162,10 +173,7 @@ def test_violation_holds_replays_the_report():
 
 
 def test_check_laws_report_golden():
-    broken = mutate_entry(make_qzx(), "Z0", "yes", "z0", ZERO)
-    broken = mutate_entry(broken, "Z0", "yes", "zp", "zp")
-    broken = mutate_entry(broken, "X0", "yes", "zm", "z0")
-    assert [(v.law, v.subjects, v.witness, v.detail) for v in checker.check_laws(broken)] == [
+    assert rows(checker.check_laws(broken_qzx())) == [
         ("PP=P", ("X0", "yes"), ("zm",), "yes map is not idempotent at zm"),
         ("P·negP=0", ("X0",), ("z0",), "outcome maps do not annihilate at z0"),
         ("P·negP=0", ("X0",), ("zm",), "outcome maps do not annihilate at zm"),
@@ -196,6 +204,100 @@ def test_law_ids_frozen():
         "strongcomp-implies-comp",
         "compat-order-independence",
     )
+
+
+def zero_keeps_a_state():
+    # A raw model whose ZERO yes-map keeps a: nothing composed with it vanishes there.
+    space = core.StateSpace(("a", "b"))
+    zero = core.Proposition(
+        "ZERO",
+        core.PropMap.from_names(space, {"a": "a", "b": ZERO}),
+        core.PropMap.from_names(space, {"a": ZERO, "b": "b"}),
+    )
+    return core.Model(space, {"ONE": core.make_one(space), "ZERO": zero}, {})
+
+
+def test_zero_that_keeps_a_state_breaks_zero_absorption():
+    assert rows(checker.check_laws(zero_keeps_a_state())) == [
+        ("0P=P0=0", ("ONE",), ("a",), "composition with ZERO is not ZERO at a"),
+        ("0P=P0=0", ("ZERO",), ("a",), "composition with ZERO is not ZERO at a"),
+    ]
+
+
+def zero_and_one_observables():
+    # {v: ZERO} and {w: ONE} commute, and ZERO fixes no state, so they are
+    # compatible with no common eigenstate.
+    space = core.StateSpace(("a", "b"))
+    v = core.Observable("V", ("v",), {"v": core.make_zero(space)})
+    w = core.Observable("W", ("w",), {"w": core.make_one(space)})
+    return core.Model.build(space, [], [v, w])
+
+
+def test_compatible_pair_without_common_eigenstate_is_reported():
+    model = zero_and_one_observables()
+    assert core.classify_pair(*model.observables.values()) == (core.PairClass.COMPATIBLE, core.PairEvidence(None, ()))
+    # Per pair, strongcomp-implies-comp comes before compat-implies-joint-eigenstate.
+    no_common = "pair has no common eigenstate yet classifies as compatible"
+    unreached = "no common eigenstate reachable by one measurement of each"
+    assert rows(checker.check_laws(model)) == [
+        ("completeness", ("V",), ("a",), "every value is impossible at a"),
+        ("completeness", ("V",), ("b",), "every value is impossible at b"),
+        ("strongcomp-implies-comp", ("V", "V"), (), no_common),
+        ("compat-implies-joint-eigenstate", ("V", "V"), ("a",), unreached),
+        ("compat-implies-joint-eigenstate", ("V", "V"), ("b",), unreached),
+        ("strongcomp-implies-comp", ("V", "W"), (), no_common),
+        ("compat-implies-joint-eigenstate", ("V", "W"), ("a",), unreached),
+        ("compat-implies-joint-eigenstate", ("V", "W"), ("b",), unreached),
+    ]
+
+
+def call_every_pair_compatible(monkeypatch):
+    # The order law and classify_pair share core.noncommuting, so the law
+    # fires only when the classification is wrong.
+    classify = core.classify_pair
+    monkeypatch.setattr(core, "classify_pair", lambda a, b: (core.PairClass.COMPATIBLE, classify(a, b)[1]))
+
+
+def test_noncommuting_pair_called_compatible_breaks_order_independence(monkeypatch):
+    call_every_pair_compatible(monkeypatch)
+    states = ("z0", "zp", "zm", "z1")
+    # Z and X share no eigenstate, so all three pair laws fire, in report order.
+    assert rows(checker.check_laws(make_qzx())) == [
+        ("strongcomp-implies-comp", ("X", "Z"), (), "pair has no common eigenstate yet classifies as compatible"),
+        *(
+            ("compat-implies-joint-eigenstate", ("X", "Z"), (z,), "no common eigenstate reachable by one measurement of each")
+            for z in states
+        ),
+        *(
+            ("compat-order-independence", ("X", vx, "Z", vz), (z,), f"measurement order changes the outcome at {z}")
+            for vx in "+-"
+            for vz in "01"
+            for z in states
+        ),
+    ]
+
+
+# One model per law id on which check_laws reports that law.
+LAW_MODELS = {
+    "PP=P": broken_qzx,
+    "P·negP=0": broken_qzx,
+    "consistency": broken_qzx,
+    "0P=P0=0": zero_keeps_a_state,
+    "1P=P1=P": broken_one,
+    "1ANDP=P": broken_one,
+    "mutual-exclusion": broken_qzx,
+    "completeness": broken_qzx,
+    "compat-implies-joint-eigenstate": zero_and_one_observables,
+    "strongcomp-implies-comp": zero_and_one_observables,
+    "compat-order-independence": make_qzx,
+}
+
+
+@pytest.mark.parametrize("law", checker.LAW_IDS)
+def test_every_law_id_is_reported_on_some_model(monkeypatch, law):
+    if law == "compat-order-independence":
+        call_every_pair_compatible(monkeypatch)
+    assert law in {v.law for v in checker.check_laws(LAW_MODELS[law]())}
 
 
 def test_minimize_counterexample():

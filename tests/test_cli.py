@@ -402,6 +402,18 @@ EXIT_2_CASES = {
         ["quantum", "build", QZX_Q, "--tol=nan", "-o", "{tmp}/built.json"],
         "tol must be a finite non-negative number",
     ),
+    **{
+        f"quantum-build-cap-{cap}-broken-families": (
+            ["quantum", "build", "{tmp}/broken.json", f"--cap={cap}", "-o", "{tmp}/built.json"],
+            "orbit cap must be at least 1",
+        )
+        for cap in (0, -3)
+    },
+    "quantum-build-entry-too-large": (
+        ["quantum", "build", "{tmp}/huge.json", "-o", "{tmp}/built.json"],
+        "propositions.Z0[0][0]: complex entries must fit in a float",
+    ),
+    "validate-integer-too-long": (["validate", "{tmp}/long.json"], "not valid JSON: an integer has too many digits"),
     "quantum-build-missing-directory": (
         ["quantum", "build", QZX_Q, "-o", "{tmp}/missing/built.json"],
         "No such file or directory",
@@ -436,6 +448,14 @@ def test_error_exit_leaves_stdout_empty(tmp_path, capsys, monkeypatch, case):
     doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
     doc["observables"]["Z"] = {"spectrum": ["0", "0"], "family": {"0": "Z0"}}
     (tmp_path / "duplicate.json").write_text(json.dumps(doc), encoding="utf-8")
+    # Z answered by two non-orthogonal projectors: a family report at any good cap.
+    doc["observables"]["Z"] = {"spectrum": ["0", "1"], "family": {"0": "Z0", "1": "X0"}}
+    (tmp_path / "broken.json").write_text(json.dumps(doc), encoding="utf-8")
+    # An entry written as an integer too large for a float.
+    doc["propositions"]["Z0"][0][0] = [10**400, 0]
+    (tmp_path / "huge.json").write_text(json.dumps(doc), encoding="utf-8")
+    model = (FIXTURES / "qzx.json").read_text(encoding="utf-8")
+    (tmp_path / "long.json").write_text(model.replace("{", '{"n": ' + "9" * 5000 + ",", 1), encoding="utf-8")
     # A state and a projector renamed with a \ud800 escape that nothing pairs.
     for name, old in (("surrogate.json", '"z0"'), ("surrogate_quantum.json", '"Z0"')):
         source = (FIXTURES / name.replace("surrogate", "qzx")).read_text(encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -345,3 +346,36 @@ def test_parse_quantum_errors():
             modelio.parse_quantum(quantum_doc(observables={"Z": {"spectrum": spectrum, "family": family}}))
     with pytest.raises(StructuralError, match="at least one seed"):
         modelio.parse_quantum(quantum_doc(seeds={}))
+
+
+def test_parse_quantum_rejects_entries_too_large_for_a_float():
+    huge = 10**400
+    cases = [
+        (quantum_doc(seeds={"s": [[1, 0], [0, huge]]}), r"^seeds\.s\[1\]: complex entries must fit in a float$"),
+        (
+            quantum_doc(propositions={"P": [[[1, 0], [0, 0]], [[0, 0], [huge, 0]]]}),
+            r"^propositions\.P\[1\]\[1\]: complex entries must fit in a float$",
+        ),
+    ]
+    for text, message in cases:
+        with pytest.raises(StructuralError, match=message):
+            modelio.parse_quantum(text)
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(StructuralError, match="^not valid JSON: an integer has too many digits$"):
+        modelio.parse_quantum(quantum_doc(dimension=2).replace("2", "9" * 5000, 1))
+
+
+def test_quantum_annotations_resolve_for_a_type_checker(monkeypatch):
+    # modelio imports numpy for its annotations only when TYPE_CHECKING is
+    # true, so that parsing model documents never loads it.  A fresh copy
+    # of the module, run as a type checker reads it, resolves every hint.
+    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+    spec = importlib.util.find_spec("gqt.modelio")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    hints = typing.get_type_hints(module.QuantumDocument.__init__)
+    assert hints["seeds"] == hints["propositions"] == tuple[tuple[str, np.ndarray], ...]
+    for name in ("_parse_vector", "_parse_matrix", "_parse_state_entry"):
+        assert typing.get_type_hints(getattr(module, name))["return"] is np.ndarray

@@ -76,32 +76,7 @@ def test_density_matrices_are_frozen():
 
 
 # ---------------------------------------------------------------------------
-# Expectation and actions
-
-
-def test_expectation_oracle_values():
-    z_plus = DensityState(dm(PLUS))
-    p0 = dm(KET0)
-    assert abs(quantum.expectation(z_plus, p0) - 0.5) < 1e-12
-    assert abs(quantum.expectation(DensityState(dm(KET0)), p0) - 1.0) < 1e-12
-    assert abs(quantum.expectation(DensityState(dm(KET1)), p0)) < 1e-12
-    assert abs(quantum.expectation(z_plus, np.eye(2)) - 1.0) < 1e-12
-
-
-def test_expectation_scale_invariance():
-    z1 = DensityState(dm(PLUS))
-    z2 = DensityState(3.7 * dm(PLUS))
-    a = np.array([[0.3, 0.1], [0.1, -0.2]])
-    assert abs(quantum.expectation(z1, a) - quantum.expectation(z2, a)) < 1e-12
-    assert quantum.states_equal(z1, z2)
-
-
-def test_expectation_requires_hermitian():
-    z = DensityState(dm(KET0))
-    with pytest.raises(StructuralError, match="hermitian"):
-        quantum.expectation(z, np.array([[0, 1], [0, 0]]))
-    with pytest.raises(StructuralError, match="dimension"):
-        quantum.expectation(z, np.eye(3))
+# Actions
 
 
 def test_act_projector_oracle():
@@ -138,6 +113,7 @@ def test_states_equal_inclusive_boundary():
     assert quantum.states_equal(a, b, tol=tol)
     assert not quantum.states_equal(a, b, tol=tol / 2)
     assert not quantum.states_equal(DensityState(dm(KET0)), DensityState(dm(KET1)))
+    assert quantum.states_equal(DensityState(dm(PLUS)), DensityState(3.7 * dm(PLUS)))
     with pytest.raises(StructuralError):
         quantum.states_equal(DensityState(dm(KET0)), DensityState(np.eye(3) / 3))
 
@@ -150,7 +126,7 @@ def test_constructors_leave_the_callers_arrays_writeable():
     rho, proj, member = dm(PLUS), dm(KET0), dm(KET1)
     DensityState(rho)
     Projector(proj)
-    quantum.ProjectorFamily("Z", ("0", "1"), {"0": proj, "1": member})
+    quantum.validate_projector_family("Z", {"0": proj, "1": member})
     assert rho.flags.writeable and proj.flags.writeable and member.flags.writeable
 
 
@@ -161,29 +137,38 @@ def test_document_model_leaves_document_arrays_writeable():
 
 
 def test_projector_family_validation():
-    fam = quantum.ProjectorFamily("Z", ("0", "1"), {"0": dm(KET0), "1": dm(KET1)})
-    assert quantum.validate_projector_family(fam) == []
+    validate = quantum.validate_projector_family
+    assert validate("Z", {"0": dm(KET0), "1": dm(KET1)}) == []
 
-    dup = quantum.ProjectorFamily("D", ("a", "b"), {"a": dm(KET0), "b": dm(KET0)})
-    report = quantum.validate_projector_family(dup)
-    laws = {v.law for v in report}
+    laws = {v.law for v in validate("D", {"a": dm(KET0), "b": dm(KET0)})}
     assert "orthogonality" in laws and "resolution-of-identity" in laws
 
-    short = quantum.ProjectorFamily("S", ("a",), {"a": dm(KET0)})
-    report = quantum.validate_projector_family(short)
-    assert [v.law for v in report] == ["resolution-of-identity"]
+    assert [v.law for v in validate("S", {"a": dm(KET0)})] == ["resolution-of-identity"]
 
-    soft = quantum.ProjectorFamily("H", ("a", "b"), {"a": np.diag([0.5, 0.5]), "b": np.diag([0.5, 0.5])})
-    report = quantum.validate_projector_family(soft)
+    report = validate("H", {"a": np.diag([0.5, 0.5]), "b": np.diag([0.5, 0.5])})
     assert any(v.law == "projector-idempotent" for v in report)
 
-    skew = quantum.ProjectorFamily("K", ("a",), {"a": np.array([[1, 1], [0, 0]], dtype=complex)})
-    assert any(v.law == "projector-hermitian" for v in quantum.validate_projector_family(skew))
+    skew = validate("K", {"a": np.array([[1, 1], [0, 0]], dtype=complex)})
+    assert any(v.law == "projector-hermitian" for v in skew)
 
-    with pytest.raises(StructuralError):
-        quantum.ProjectorFamily("M", ("a", "b"), {"a": dm(KET0), "b": np.eye(3)})
-    with pytest.raises(StructuralError, match="duplicate spectrum value 'a'"):
-        quantum.ProjectorFamily("D", ("a", "a"), {"a": dm(KET0)})
+    with pytest.raises(StructuralError, match="mixed dimensions"):
+        validate("M", {"a": dm(KET0), "b": np.eye(3)})
+    with pytest.raises(StructuralError, match="square"):
+        validate("R", {"a": np.ones((2, 3))})
+    with pytest.raises(StructuralError, match="spectrum must be non-empty"):
+        validate("E", {})
+
+
+def test_projector_family_report_is_exact():
+    # Members in spectrum order; every residue is printed to nine places.
+    skew = np.array([[1, 0.5], [0, 0]], dtype=complex)
+    report = quantum.validate_projector_family("F", {"x": skew, "y": np.eye(2) / 2})
+    assert [(v.law, v.subjects, v.witness, v.detail) for v in report] == [
+        ("projector-hermitian", ("F", "x"), (), "max |M - M†| = 0.500000000"),
+        ("projector-idempotent", ("F", "y"), (), "max |MM - M| = 0.250000000"),
+        ("orthogonality", ("F", "x", "y"), (), "max |M1 M2| = 0.500000000"),
+        ("resolution-of-identity", ("F",), (), "max |sum - I| = 0.500000000"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +269,41 @@ def test_document_orbit_settles_cap_and_tol(flags, settings, want):
     del doc["cap"], doc["tolerance"]
     orbit = quantum.document_orbit(modelio.parse_quantum(json.dumps({**doc, **settings})), **flags)
     assert (orbit.cap, orbit.tol) == want
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ({"cap": 0}, "orbit cap must be at least 1"),
+        ({"cap": -3}, "orbit cap must be at least 1"),
+        ({"tol": float("nan")}, "tol must be a finite non-negative number, got nan"),
+        ({"tol": float("inf")}, "tol must be a finite non-negative number, got inf"),
+        ({"tol": -1e-9}, "tol must be a finite non-negative number, got -1e-09"),
+        # The tolerance is checked first.
+        ({"cap": 0, "tol": float("nan")}, "tol must be a finite non-negative number, got nan"),
+    ],
+)
+def test_settings_reject_bad_flags(flags, message):
+    doc = modelio.parse_quantum((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    with pytest.raises(StructuralError) as exc:
+        quantum.settings(doc, **flags)
+    assert str(exc.value) == message
+    for settle in (quantum.document_orbit, quantum.document_model):
+        with pytest.raises(StructuralError, match=message):
+            settle(doc, **flags)
+    if "tol" in flags:
+        with pytest.raises(StructuralError, match=message):
+            quantum.family_violations(doc, tol=flags["tol"])
+
+
+def test_settings_take_flag_then_document_then_default():
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    doc["cap"], doc["tolerance"] = 7, 0
+    parsed = modelio.parse_quantum(json.dumps(doc))
+    assert quantum.settings(parsed) == (7, 0.0)
+    assert quantum.settings(parsed, cap=1, tol=0.5) == (1, 0.5)
+    del doc["cap"], doc["tolerance"]
+    assert quantum.settings(modelio.parse_quantum(json.dumps(doc))) == (quantum.DEFAULT_CAP, quantum.DEFAULT_TOL)
 
 
 def test_family_violations_from_document():

@@ -54,13 +54,8 @@ CASES = {
     checker.GeneratorParams: ((5, 2, 1, 4, 9), [6, 3, 2, 5, 10]),
     checker.FuzzCounterexample: (("law", 3, VIOLATION, MODEL), ["other", 4, core.Violation("law", (), ()), None]),
     checker.FuzzSummary: ((PARAMS, 1, 0, {"law": None}), [checker.GeneratorParams(6), 2, 1, {}]),
-    quantum.ProjectorFamily: (("Z", ("0",), {"0": MATRIX}), ["X", ("1",), {"0": 2 * MATRIX}]),
     quantum.Orbit: ((MODEL, (MATRIX,), 0.0, 1.0, 16, 1e-9), [None, (), 0.5, 2.0, 32, 1e-6]),
 }
-
-# ProjectorFamily takes labels and members together, so its label variant
-# needs matching members.
-VARIANT_ARGS = {(quantum.ProjectorFamily, 1): ("Z", ("1",), {"1": MATRIX})}
 
 HASHABLE = {
     core.StateSpace,
@@ -71,7 +66,6 @@ HASHABLE = {
     core.CommutationWitness,
     core.PairEvidence,
     checker.GeneratorParams,
-    quantum.ProjectorFamily,
 }
 
 DERIVED = {core.StateSpace: {"index": {}, "by_name": ()}, core.Observable: {"eigenvalues": ()}}
@@ -81,7 +75,7 @@ IDS = [cls.__qualname__ for cls in RECORDS]
 
 
 def test_every_record_type_is_covered():
-    assert len(CASES) == 17
+    assert len(CASES) == 16
     for module in (core, modelio, checker, quantum):
         for value in vars(module).values():
             if isinstance(value, type) and issubclass(value, core._Record) and value is not core._Record:
@@ -109,8 +103,7 @@ def test_each_field_is_compared(cls):
     assert len(args) == len(variants) == len(cls._fields)
     base = cls(*args)
     for i, value in enumerate(variants):
-        changed = VARIANT_ARGS.get((cls, i), (*args[:i], value, *args[i + 1 :]))
-        other = cls(*changed)
+        other = cls(*args[:i], value, *args[i + 1 :])
         assert other != base and not other == base, cls._fields[i]
 
 
@@ -190,11 +183,6 @@ def test_arrays_are_compared_by_value():
         assert make(zeros) == make(zeros.copy())
         for other in (zeros.astype(np.int64), zeros.reshape(4, 1), zeros + np.eye(2)):
             assert make(other) != make(zeros) and not make(other) == make(zeros)
-    family = quantum.ProjectorFamily("Z", ("0",), {"0": MATRIX})
-    again = quantum.ProjectorFamily("Z", ("0",), {"0": MATRIX.copy()})
-    assert family.members["0"] is not again.members["0"]
-    assert family == again and hash(family) == hash(again)
-    assert family != quantum.ProjectorFamily("Z", ("0",), {"0": MATRIX.conj()})
 
 
 def test_two_closures_of_one_system_give_equal_orbits():
