@@ -21,9 +21,10 @@ from .errors import OrbitCapExceeded, StructuralError
 DEFAULT_TOL = 1e-9
 DEFAULT_CAP = 256
 
-# Size of one block of the broadcast comparison in orbit closure.  A
-# temporary that grew with the orbit would be fresh memory, faulted in
-# page by page, at every step; blocks of one size reuse the same memory.
+# Size of one block of the broadcast comparison in orbit closure, and of
+# the work buffers it writes into.  A closure allocates them once; numpy
+# temporaries that grew with the orbit up to one block would be fresh
+# memory, faulted in page by page, at each step.
 BROADCAST_BYTES = 1 << 20
 
 
@@ -37,10 +38,14 @@ def _as_matrix(value, what: str) -> np.ndarray:
     return m
 
 
+# Entries near the float limit make a residue overflow to inf or nan,
+# which the tolerance comparison then judges; numpy need not warn of it.
+@np.errstate(over="ignore", invalid="ignore")
 def _hermiticity_residue(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _idempotence_residue(m: np.ndarray) -> float:
     return float(np.abs(m @ m - m).max())
 
@@ -129,6 +134,7 @@ def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Un
     return DensityState(m / trace, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_projector_family(name: str, members: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL) -> list[core.Violation]:
     """Each member a projector, pairwise orthogonal, summing to the identity.
 
@@ -244,6 +250,11 @@ def close_orbit(
     store = np.empty((dim * dim, 16), dtype=complex)
     n = 0
     max_merge, min_split = 0.0, math.inf
+    # The comparison's differences and their moduli, one block at a time:
+    # at most BROADCAST_BYTES of differences, or one column of the largest
+    # batch, the seeds or the 2k images of a state.
+    size = max(BROADCAST_BYTES // 16, dim * dim * max(len(seeds), 2 * len(propositions)))
+    diff_buffer, abs_buffer = np.empty(size, dtype=complex), np.empty(size)
 
     def absorb(batch: np.ndarray, processed: int) -> list[int]:
         """The state index of each matrix of `batch`, in order, adding misses."""
@@ -262,7 +273,12 @@ def close_orbit(
         block = max(1, BROADCAST_BYTES // max(1, batch.nbytes))
         for lo in range(0, end, block):
             known = store[:, None, lo : min(lo + block, end)]
-            np.abs(known - own[:, :, None]).max(axis=0, out=distances[:, lo : lo + block])
+            # Views cut to this block's exact shape, so no entry of an
+            # earlier block or step is read.
+            shape = (len(store), len(batch), known.shape[2])
+            count = math.prod(shape)
+            diff = np.subtract(known, own[:, :, None], out=diff_buffer[:count].reshape(shape))
+            np.abs(diff, out=abs_buffer[:count].reshape(shape)).max(axis=0, out=distances[:, lo : lo + block])
         # The first column within tol is the lowest index, the first in
         # discovery order; a hit if it is a known state.
         first = (distances <= tol).argmax(axis=1).tolist()

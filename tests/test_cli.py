@@ -298,6 +298,33 @@ def test_quantum_build_rejects_non_projector(tmp_path, capsys):
     assert "projector-idempotent" in out
 
 
+def test_quantum_build_of_huge_entries_prints_no_numpy_warning(tmp_path):
+    # MM - M overflows for this member, which the report shows as inf.  A
+    # fresh interpreter, since pytest would capture the warnings itself.
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    doc["propositions"]["Z0"] = [[[1e300, 0], [1e300, 0]], [[1e300, 0], [-1e300, 0]]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [sys.executable, "-m", "gqt", "quantum", "build", str(path), "-o", str(tmp_path / "out.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    big = f"{1e300:.9f}"
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (
+        "3 violations\n"
+        "[projector-idempotent] Z 0: max |MM - M| = inf\n"
+        f"[orthogonality] Z 0 1: max |M1 M2| = {big}\n"
+        f"[resolution-of-identity] Z: max |sum - I| = {big}\n"
+    )
+    # Outside every family the member is checked as a projector, exit 2.
+    doc["observables"]["Z"]["family"]["0"] = "X0"
+    doc["observables"]["Z"]["family"]["1"] = "X1"
+    del doc["observables"]["X"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: projector is not idempotent within tolerance\n"
+
+
 @pytest.mark.parametrize("tol", ["-1"])
 def test_quantum_build_rejects_bad_tol_flag(tmp_path, capsys, tol):
     out_path = tmp_path / "built.json"

@@ -660,12 +660,53 @@ def test_close_orbit_matches_linear_reference_on_random_systems(system, tol, cap
     assert_same_closure(seeds, projs, cap, tol)
 
 
-@pytest.mark.parametrize("block_bytes", [1, 20000])
+@pytest.mark.parametrize("block_bytes", [1, 1728, 20000])
 @pytest.mark.parametrize("system", ["bell_quantum-tol1e-09", "plane0.5-tol1e-09", "plane1.2-tol1e-06"])
 def test_blocked_comparison_matches_linear_reference(system, block_bytes, monkeypatch):
     # Orbits of the test systems fit one block at the default size; small
     # blocks split every comparison, down to one known state per block.
+    # At 1728 bytes the six images of |0> in the near-rays system, 64 bytes
+    # a matrix, are set against its seven columns in blocks of 4 and 3, so
+    # the last block is narrower than the one before.
     monkeypatch.setattr(quantum, "BROADCAST_BYTES", block_bytes)
     seeds, projs, tol = ORACLE_SYSTEMS[system]
     assert_same_closure(seeds, projs, 256, tol)
     assert_same_closure([DensityState(ray(0))], near_rays(0.5, 0.7, 0.6), 256, NEAR_RAYS_TOL)
+
+
+def live_images(orbit, projs):
+    """The number of live images of each state, the batch its step absorbs."""
+    n, props = len(orbit.model.space), orbit.model.propositions
+    maps = [m for name, _ in projs for m in (props[name].yes, props[name].no)]
+    return [sum(m.table[i] < n for m in maps) for i in range(n)]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1728])
+def test_step_with_fewer_images_than_the_step_before(block_bytes, monkeypatch):
+    # Expanding |0> absorbs six images, expanding the ray at 0.5 three: its
+    # no-images have traces below tol 0.15.  The work buffers still hold
+    # differences of the first step past those of the second, which a view
+    # cut to the wrong batch length would read.
+    if block_bytes is not None:
+        monkeypatch.setattr(quantum, "BROADCAST_BYTES", block_bytes)
+    projs = near_rays(0.5, 0.7, 0.6)
+    orbit = assert_same_closure([DensityState(ray(0))], projs, 256, NEAR_RAYS_TOL)
+    assert live_images(orbit, projs)[:2] == [6, 3]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1728])
+def test_back_to_back_closures_match_each_closed_alone(block_bytes, monkeypatch):
+    # Each closure has its own work buffers, so a closure right after one of
+    # another dimension and batch length is the closure on its own.
+    if block_bytes is not None:
+        monkeypatch.setattr(quantum, "BROADCAST_BYTES", block_bytes)
+    systems = [
+        ORACLE_SYSTEMS["bell_quantum-tol1e-09"],
+        ORACLE_SYSTEMS["plane0.5-tol1e-09"],
+        ([DensityState(ray(0))], near_rays(0.5, 0.7, 0.6), NEAR_RAYS_TOL),
+    ]
+    alone = [quantum.close_orbit(seeds, projs, tol=tol) for seeds, projs, tol in systems]
+    for first, second in [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]:
+        for k in (first, second):
+            seeds, projs, tol = systems[k]
+            assert quantum.close_orbit(seeds, projs, tol=tol) == alone[k]
