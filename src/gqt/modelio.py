@@ -363,7 +363,11 @@ def _parse_vector(value, dim: int, path: str) -> np.ndarray:
     import numpy as np
 
     v = np.array([_parse_complex(e, f"{path}[{i}]") for i, e in enumerate(value)])
-    return np.outer(v, v.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.outer(v, v.conj())
+    if not np.all(np.isfinite(rho)):
+        _fail(path, "ket entries must give a finite density matrix")
+    return rho
 
 
 def _parse_matrix(value, dim: int, path: str) -> np.ndarray:

@@ -11,7 +11,7 @@ ground truth.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,8 +38,8 @@ def _as_matrix(value, what: str) -> np.ndarray:
     return m
 
 
-# Entries near the float limit make a residue overflow to inf or nan,
-# which the tolerance comparison then judges; numpy need not warn of it.
+# Every check passes only when its condition holds, so a residue or trace
+# that overflows to inf or nan fails it; numpy need not warn of that.
 @np.errstate(over="ignore", invalid="ignore")
 def _hermiticity_residue(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
@@ -50,8 +50,17 @@ def _idempotence_residue(m: np.ndarray) -> float:
     return float(np.abs(m @ m - m).max())
 
 
+def _derived(cls, m: np.ndarray):
+    """A `cls` holding `m`, computed from checked matrices, whose checks it
+    inherits: frozen, and not checked again."""
+    m.flags.writeable = False
+    obj = object.__new__(cls)
+    obj.matrix = m
+    return obj
+
+
 class DensityState:
-    """Hermitian positive-semidefinite matrix with positive trace.
+    """Hermitian positive-semidefinite matrix with positive finite trace.
 
     Not necessarily normalized; a state and any positive multiple of it
     describe the same physics, so comparisons go through `states_equal`.
@@ -63,10 +72,14 @@ class DensityState:
         m = _as_matrix(matrix, "density matrix")
         if not _hermiticity_residue(m) <= tol:
             raise StructuralError("density matrix is not hermitian within tolerance")
-        if np.linalg.eigvalsh(m).min() < -tol:
+        if not np.linalg.eigvalsh(m).min() >= -tol:
             raise StructuralError("density matrix has a negative eigenvalue beyond tolerance")
-        if m.trace().real <= tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = m.trace().real
+        if not trace > tol:
             raise StructuralError("density matrix trace must exceed the tolerance")
+        if not trace < math.inf:
+            raise StructuralError("density matrix trace must be finite")
         m.flags.writeable = False
         self.matrix = m
 
@@ -93,7 +106,7 @@ class Projector:
         m = _as_matrix(matrix, "projector")
         if not _hermiticity_residue(m) <= tol:
             raise StructuralError("projector is not hermitian within tolerance")
-        if _idempotence_residue(m) > tol:
+        if not _idempotence_residue(m) <= tol:
             raise StructuralError("projector is not idempotent within tolerance")
         m.flags.writeable = False
         self.matrix = m
@@ -106,11 +119,7 @@ class Projector:
         """I - P, which inherits the check P passed at its own tolerance:
         its hermiticity and idempotence residues are those of P, up to
         rounding."""
-        m = np.eye(self.dimension) - self.matrix
-        m.flags.writeable = False
-        c = object.__new__(Projector)
-        c.matrix = m
-        return c
+        return _derived(Projector, np.eye(self.dimension) - self.matrix)
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dimension})"
@@ -124,48 +133,16 @@ def states_equal(z1: DensityState, z2: DensityState, tol: float = DEFAULT_TOL) -
 
 
 def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Union[DensityState, core._ZeroState]:
-    """Projective measurement branch `P z P`, trace-normalized."""
+    """Projective measurement branch `P z P`, trace-normalized; the zero
+    state unless its trace exceeds `tol`.  A branch inherits the checks of
+    `z` and `p`, as an image in `close_orbit` does."""
     if p.dimension != z.dimension:
         raise StructuralError("projector dimension does not match the state")
     m = p.matrix @ z.matrix @ p.matrix
     trace = m.trace().real
-    if trace <= tol:
+    if not trace > tol:
         return core.ZERO
-    return DensityState(m / trace, tol)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def validate_projector_family(name: str, members: Mapping[str, np.ndarray], tol: float = DEFAULT_TOL) -> list[core.Violation]:
-    """Each member a projector, pairwise orthogonal, summing to the identity.
-
-    `members` maps each label to its raw matrix, in spectrum order, so
-    that a family that breaks the laws is reported rather than refused.
-    """
-    labels = tuple(members)
-    core.check_spectrum(name, labels, members)
-    matrices: list[np.ndarray] = []
-    for label in labels:
-        m = _as_matrix(members[label], f"family member {label!r}")
-        if matrices and m.shape != matrices[0].shape:
-            raise StructuralError(f"projector family {name!r}: members have mixed dimensions")
-        matrices.append(m)
-    out: list[core.Violation] = []
-    for label, m in zip(labels, matrices):
-        residue = _hermiticity_residue(m)
-        if not residue <= tol:
-            out.append(core.Violation("projector-hermitian", (name, label), (), f"max |M - M†| = {residue:.9f}"))
-        residue = _idempotence_residue(m)
-        if residue > tol:
-            out.append(core.Violation("projector-idempotent", (name, label), (), f"max |MM - M| = {residue:.9f}"))
-    for i, l1 in enumerate(labels):
-        for l2, m2 in zip(labels[i + 1 :], matrices[i + 1 :]):
-            residue = float(np.abs(matrices[i] @ m2).max())
-            if residue > tol:
-                out.append(core.Violation("orthogonality", (name, l1, l2), (), f"max |M1 M2| = {residue:.9f}"))
-    residue = float(np.abs(sum(matrices) - np.eye(len(matrices[0]))).max())
-    if residue > tol:
-        out.append(core.Violation("resolution-of-identity", (name,), (), f"max |sum - I| = {residue:.9f}"))
-    return out
+    return _derived(DensityState, m / trace)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +335,33 @@ def settings(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> tup
     return cap, tol
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def family_violations(doc, tol: Optional[float] = None) -> list[core.Violation]:
-    """Projector-family law report for every observable of a quantum document."""
+    """Projector-family law report for every observable of a quantum
+    document, members in spectrum order: each a projector, pairwise
+    orthogonal, summing to the identity.  The parser has checked the
+    spectra and dimensions; a family that breaks a law is reported."""
     _, tol = settings(doc, tol=tol)
-    matrices = dict(doc.propositions)
+    raw = dict(doc.propositions)
     out: list[core.Violation] = []
     for spec in doc.observables:
-        out.extend(validate_projector_family(spec.name, {v: matrices[spec.family[v]] for v in spec.spectrum}, tol))
+        name, labels = spec.name, spec.spectrum
+        matrices = [_as_matrix(raw[spec.family[label]], f"family member {label!r}") for label in labels]
+        for label, m in zip(labels, matrices):
+            residue = _hermiticity_residue(m)
+            if not residue <= tol:
+                out.append(core.Violation("projector-hermitian", (name, label), (), f"max |M - M†| = {residue:.9f}"))
+            residue = _idempotence_residue(m)
+            if not residue <= tol:
+                out.append(core.Violation("projector-idempotent", (name, label), (), f"max |MM - M| = {residue:.9f}"))
+        for i, l1 in enumerate(labels):
+            for l2, m2 in zip(labels[i + 1 :], matrices[i + 1 :]):
+                residue = float(np.abs(matrices[i] @ m2).max())
+                if not residue <= tol:
+                    out.append(core.Violation("orthogonality", (name, l1, l2), (), f"max |M1 M2| = {residue:.9f}"))
+        residue = float(np.abs(sum(matrices) - np.eye(len(matrices[0]))).max())
+        if not residue <= tol:
+            out.append(core.Violation("resolution-of-identity", (name,), (), f"max |sum - I| = {residue:.9f}"))
     return out
 
 

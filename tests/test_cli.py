@@ -1,6 +1,7 @@
 """Command-line contract: output shapes, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -323,6 +324,48 @@ def test_quantum_build_of_huge_entries_prints_no_numpy_warning(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: projector is not idempotent within tolerance\n"
+
+
+@pytest.mark.parametrize(
+    "section, name, value, message",
+    [
+        # Each entry is finite, but the trace overflows to inf.
+        ("seeds", "a", [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]], "density matrix trace must be finite"),
+        # The ket's v v† overflows while the document is parsed.
+        ("seeds", "a", [[1e200, 0], [0, 0]], "seeds.a: ket entries must give a finite density matrix"),
+        # Hermitian, but MM - M is nan, outside every family.
+        (
+            "propositions",
+            "N",
+            [[[1e300, 0], [1e300, 1e300]], [[1e300, -1e300], [1e300, 0]]],
+            "projector is not idempotent within tolerance",
+        ),
+    ],
+    ids=["trace-overflow", "ket-overflow", "nan-idempotence"],
+)
+def test_quantum_build_of_overflowing_entries_exits_2_without_warning(tmp_path, section, name, value, message):
+    # A fresh interpreter, since pytest would capture the warnings itself.
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    doc[section][name] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [sys.executable, "-m", "gqt", "quantum", "build", str(path), "-o", str(tmp_path / "out.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_quantum_build_help_shows_the_defaults(capsys):
+    # The CLI does not import numpy for its help, so it spells the
+    # defaults out; they must stay those of `quantum`.
+    from gqt import quantum
+
+    assert cli.main(["quantum", "build", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    cap = re.search(r"--cap CAP orbit size cap \(default ([^)\s]+)\)", text)
+    tol = re.search(r"--tol TOL numeric tolerance \(default ([^)\s]+)\)", text)
+    assert int(cap.group(1)) == quantum.DEFAULT_CAP
+    assert float(tol.group(1)) == quantum.DEFAULT_TOL
 
 
 @pytest.mark.parametrize("tol", ["-1"])

@@ -340,7 +340,11 @@ def test_parse_quantum_errors():
     with pytest.raises(StructuralError, match="unknown projector"):
         modelio.parse_quantum(quantum_doc(observables={"A": {"spectrum": ["v"], "family": {"v": "NOPE"}}}))
     # Quantum observables obey the spectrum rule of model documents.
-    for spectrum, message in ((["v", "v"], "duplicate spectrum value 'v'"), (["", "v"], "non-empty strings")):
+    for spectrum, message in (
+        (["v", "v"], "duplicate spectrum value 'v'"),
+        (["", "v"], "non-empty strings"),
+        ([], "spectrum must be non-empty"),
+    ):
         family = {v: "P" for v in spectrum}
         with pytest.raises(StructuralError, match=rf"^observables\.Z: observable 'Z': .*{message}"):
             modelio.parse_quantum(quantum_doc(observables={"Z": {"spectrum": spectrum, "family": family}}))

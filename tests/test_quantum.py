@@ -105,6 +105,21 @@ def test_quantum_proposition_laws_pointwise():
         assert yes is not ZERO or no is not ZERO
 
 
+def test_act_projector_at_zero_tolerance_returns_the_image():
+    # The image inherits the checks of z and p.  Checked again at tol=0 it
+    # would fail on rounding, though close_orbit at tol=0 keeps it.
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        z = DensityState(a @ a.conj().T, tol=1e-9)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        p = Projector(q[:, :2] @ q[:, :2].conj().T, tol=1e-9)
+        image = quantum.act_projector(z, p, 0.0)
+        assert type(image) is DensityState and not image.matrix.flags.writeable
+        m = p.matrix @ z.matrix @ p.matrix
+        assert image.matrix.tobytes() == (m / m.trace().real).tobytes()
+
+
 def test_states_equal_inclusive_boundary():
     # difference of exactly tol must still count as equal
     tol = 2.0**-30
@@ -122,11 +137,22 @@ def test_states_equal_inclusive_boundary():
 # Projector families
 
 
+def family_document(name, members):
+    """A qubit document whose one observable `name` has `members`, label to
+    matrix, in spectrum order; member `v` is proposition `Pv`."""
+    return modelio.QuantumDocument(
+        dimension=2,
+        seeds=(("z0", dm(KET0)),),
+        propositions=tuple((f"P{label}", m) for label, m in members.items()),
+        observables=(modelio.ObservableSpec(name, tuple(members), {label: f"P{label}" for label in members}),),
+    )
+
+
 def test_constructors_leave_the_callers_arrays_writeable():
     rho, proj, member = dm(PLUS), dm(KET0), dm(KET1)
     DensityState(rho)
     Projector(proj)
-    quantum.validate_projector_family("Z", {"0": proj, "1": member})
+    quantum.family_violations(family_document("Z", {"0": proj, "1": member}))
     assert rho.flags.writeable and proj.flags.writeable and member.flags.writeable
 
 
@@ -137,38 +163,58 @@ def test_document_model_leaves_document_arrays_writeable():
 
 
 def test_projector_family_validation():
-    validate = quantum.validate_projector_family
-    assert validate("Z", {"0": dm(KET0), "1": dm(KET1)}) == []
+    def report(name, members):
+        return quantum.family_violations(family_document(name, members))
 
-    laws = {v.law for v in validate("D", {"a": dm(KET0), "b": dm(KET0)})}
+    assert report("Z", {"0": dm(KET0), "1": dm(KET1)}) == []
+
+    laws = {v.law for v in report("D", {"a": dm(KET0), "b": dm(KET0)})}
     assert "orthogonality" in laws and "resolution-of-identity" in laws
 
-    assert [v.law for v in validate("S", {"a": dm(KET0)})] == ["resolution-of-identity"]
+    assert [v.law for v in report("S", {"a": dm(KET0)})] == ["resolution-of-identity"]
 
-    report = validate("H", {"a": np.diag([0.5, 0.5]), "b": np.diag([0.5, 0.5])})
-    assert any(v.law == "projector-idempotent" for v in report)
+    idempotent = report("H", {"a": np.diag([0.5, 0.5]), "b": np.diag([0.5, 0.5])})
+    assert any(v.law == "projector-idempotent" for v in idempotent)
 
-    skew = validate("K", {"a": np.array([[1, 1], [0, 0]], dtype=complex)})
+    skew = report("K", {"a": np.array([[1, 1], [0, 0]], dtype=complex)})
     assert any(v.law == "projector-hermitian" for v in skew)
 
-    with pytest.raises(StructuralError, match="mixed dimensions"):
-        validate("M", {"a": dm(KET0), "b": np.eye(3)})
-    with pytest.raises(StructuralError, match="square"):
-        validate("R", {"a": np.ones((2, 3))})
-    with pytest.raises(StructuralError, match="spectrum must be non-empty"):
-        validate("E", {})
+    # A parsed document is square by construction; one built by hand may not be.
+    with pytest.raises(StructuralError, match="family member 'a' must be a square matrix"):
+        report("R", {"a": np.ones((2, 3))})
+
+
+def test_projector_family_rejects_non_finite_member():
+    # JSON reads 1e400 as inf, which the parser lets through to the report.
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    doc["propositions"]["Z0"][0][0] = [1e400, 0]
+    parsed = modelio.parse_quantum(json.dumps(doc))
+    with pytest.raises(StructuralError, match="^family member '0' contains non-finite entries$"):
+        quantum.family_violations(parsed)
 
 
 def test_projector_family_report_is_exact():
     # Members in spectrum order; every residue is printed to nine places.
     skew = np.array([[1, 0.5], [0, 0]], dtype=complex)
-    report = quantum.validate_projector_family("F", {"x": skew, "y": np.eye(2) / 2})
+    report = quantum.family_violations(family_document("F", {"x": skew, "y": np.eye(2) / 2}))
     assert [(v.law, v.subjects, v.witness, v.detail) for v in report] == [
         ("projector-hermitian", ("F", "x"), (), "max |M - M†| = 0.500000000"),
         ("projector-idempotent", ("F", "y"), (), "max |MM - M| = 0.250000000"),
         ("orthogonality", ("F", "x", "y"), (), "max |M1 M2| = 0.500000000"),
         ("resolution-of-identity", ("F",), (), "max |sum - I| = 0.500000000"),
     ]
+
+
+def test_projector_family_reports_a_nan_residue():
+    # Hermitian, but MM overflows to inf and MM - M to nan, which fails the
+    # check as any residue beyond the tolerance does, without a warning
+    # (pytest makes a RuntimeWarning an error).
+    huge = np.array([[1e300, 1e300 + 1e300j], [1e300 - 1e300j, 1e300]])
+    report = quantum.family_violations(family_document("F", {"p": huge}))
+    with pytest.raises(StructuralError, match="^projector is not idempotent within tolerance$"):
+        Projector(huge)
+    assert [v.law for v in report] == ["projector-idempotent", "resolution-of-identity"]
+    assert (report[0].subjects, report[0].detail) == (("F", "p"), "max |MM - M| = nan")
 
 
 # ---------------------------------------------------------------------------
