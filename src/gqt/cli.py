@@ -154,12 +154,14 @@ def cmd_quantum_build(args):
         code, _, lines = _violations(violations)
         return code, None, lines
     output.write_text(modelio.serialize_model(model), encoding="utf-8")
+    # Nine places where they read back as `tol` (1e-9 does), repr where not (1e-12).
+    shown = f"{tol:.9f}"
     lines = [
         f"states: {len(model.space)}",
         f"propositions: {len(model.propositions) - len(core.RESERVED_PROPOSITION_NAMES)}",
         f"observables: {len(model.observables)}",
         f"cap: {cap}",
-        f"tolerance: {tol:.9f}",
+        f"tolerance: {shown if float(shown) == tol else repr(tol)}",
         f"wrote: {args.output}",
     ]
     return 0, None, lines

@@ -184,12 +184,19 @@ class PropMap(_Record):
         return self.space.ref(self.table[self.space.index[z]])
 
 
+def _checked_map(space: StateSpace, table: tuple[int, ...]) -> PropMap:
+    """A PropMap holding `table`, which its caller built valid: not checked again."""
+    m = object.__new__(PropMap)
+    m._assign(space, table)
+    return m
+
+
 def identity_map(space: StateSpace) -> PropMap:
-    return PropMap(space, range(len(space) + 1))
+    return _checked_map(space, tuple(range(len(space) + 1)))
 
 
 def constant_zero_map(space: StateSpace) -> PropMap:
-    return PropMap(space, (len(space),) * (len(space) + 1))
+    return _checked_map(space, (len(space),) * (len(space) + 1))
 
 
 class Proposition(_Record):
@@ -340,9 +347,12 @@ class Observable(_Record):
         for value in spectrum:
             if family[value].space != space:
                 raise StructuralError(f"observable {name!r}: family members use different state spaces")
-        branches = [(v, family[v].yes.table) for v in spectrum]
-        eigen = [tuple(v for v, t in branches if t[i] == i) for i in range(len(space))]
-        self._assign(name, spectrum, family, (*eigen, ()))
+        n = len(space)
+        eigen = [()] * (n + 1)
+        for v in spectrum:
+            for i in [i for i, w in zip(range(n), family[v].yes.table) if i == w]:
+                eigen[i] += (v,)
+        self._assign(name, spectrum, family, tuple(eigen))
 
     @property
     def space(self) -> StateSpace:

@@ -21,6 +21,7 @@ loads it.
 
 from __future__ import annotations
 
+import cmath
 import json
 import operator
 import sys
@@ -114,24 +115,29 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], 
 
 
 def _parse_map(obj, space: core.StateSpace, path: str) -> core.PropMap:
-    if not isinstance(obj, dict):
-        _fail(path, "must be an object mapping every state to a state or null")
     index = space.index
     n = len(space)
-    table = [n] * (n + 1)
+    # A map with n entries that holds every state is over exactly the
+    # states and needs one lookup per entry.  Anything else (a missing
+    # state, an unknown, non-string or unhashable target) is named by the scan.
+    if isinstance(obj, dict) and len(obj) == n:
+        try:
+            return core._checked_map(space, (*[n if (t := obj[z]) is None else index[t] for z in space.states], n))
+        except (KeyError, TypeError):
+            pass
+    # The scan: fail at the first error in document order.
+    if not isinstance(obj, dict):
+        _fail(path, "must be an object mapping every state to a state or null")
     for state, target in obj.items():
         if state not in index:
             _fail(f"{path}.{state}", f"unknown state {state!r}")
         if isinstance(target, str):
             if target not in index:
                 _fail(f"{path}.{state}", f"unknown state {target!r}")
-            table[index[state]] = index[target]
         elif target is not None:
             _fail(f"{path}.{state}", "map values must be state names or null")
-    if len(obj) != n:
-        missing = [s for s in space.states if s not in obj]
-        _fail(path, f"missing entries for state(s) {missing}; maps must be total")
-    return core.PropMap(space, table)
+    missing = [s for s in space.states if s not in obj]
+    _fail(path, f"missing entries for state(s) {missing}; maps must be total")
 
 
 def _parse_partition(obj, path: str) -> core.Partition:
@@ -344,9 +350,13 @@ def _parse_complex(entry, path: str) -> complex:
     if not isinstance(entry, list) or len(entry) != 2 or not all(_is_number(x) for x in entry):
         _fail(path, "complex entries must be [re, im] number pairs")
     try:
-        return complex(entry[0], entry[1])
+        z = complex(entry[0], entry[1])
     except OverflowError:
         _fail(path, "complex entries must fit in a float")
+    # JSON reads 1e400 as inf, and Python's decoder takes Infinity and NaN.
+    if not cmath.isfinite(z):
+        _fail(path, "complex entries must be finite")
+    return z
 
 
 def _entry_depth(value) -> int:

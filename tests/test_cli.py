@@ -1,6 +1,8 @@
 """Command-line contract: output shapes, determinism, exit codes."""
 
 import json
+import math
+import random
 import re
 import subprocess
 import sys
@@ -412,6 +414,15 @@ def test_quantum_build_tolerance_is_absolute(tmp_path, capsys):
     assert "density matrix trace must exceed the tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "tol, shown", [("1e-12", "1e-12"), ("1e-300", "1e-300"), ("1e-9", "0.000000001"), ("0", "0.000000000")]
+)
+def test_quantum_build_prints_a_tolerance_that_reads_back(tmp_path, capsys, tol, shown):
+    code, out, _ = run_cli(["quantum", "build", QZX_Q, "--tol", tol, "-o", str(tmp_path / "built.json")], capsys)
+    assert code == 0 and f"\ntolerance: {shown}\n" in out
+    assert float(shown) == float(tol)
+
+
 def test_fuzz_cli(capsys):
     code, out, err = run_cli(["fuzz", "--states", "5", "--props", "3", "--obs", "2", "--seed", "3", "--count", "20"], capsys)
     assert code == 0 and err == ""
@@ -483,6 +494,14 @@ EXIT_2_CASES = {
         ["quantum", "build", "{tmp}/huge.json", "-o", "{tmp}/built.json"],
         "propositions.Z0[0][0]: complex entries must fit in a float",
     ),
+    # A message starting "error: " is the whole of stderr.
+    **{
+        f"quantum-build-nan-{kind}-seed": (
+            ["quantum", "build", f"{{tmp}}/nan_{kind}.json", "-o", "{tmp}/built.json"],
+            f"error: {path}: complex entries must be finite\n",
+        )
+        for kind, path in (("matrix", "seeds.m[1][1]"), ("ket", "seeds.k[1]"))
+    },
     "validate-integer-too-long": (["validate", "{tmp}/long.json"], "not valid JSON: an integer has too many digits"),
     "quantum-build-missing-directory": (
         ["quantum", "build", QZX_Q, "-o", "{tmp}/missing/built.json"],
@@ -524,6 +543,11 @@ def test_error_exit_leaves_stdout_empty(tmp_path, capsys, monkeypatch, case):
     # An entry written as an integer too large for a float.
     doc["propositions"]["Z0"][0][0] = [10**400, 0]
     (tmp_path / "huge.json").write_text(json.dumps(doc), encoding="utf-8")
+    # Seeds holding NaN, which json writes as the literal that it reads back.
+    doc["propositions"]["Z0"][0][0] = [1, 0]
+    nan_seeds = {"matrix": {"m": [[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]}, "ket": {"k": [[1, 0], [math.nan, 0]]}}
+    for kind, seed in nan_seeds.items():
+        (tmp_path / f"nan_{kind}.json").write_text(json.dumps({**doc, "seeds": seed}), encoding="utf-8")
     model = (FIXTURES / "qzx.json").read_text(encoding="utf-8")
     (tmp_path / "long.json").write_text(model.replace("{", '{"n": ' + "9" * 5000 + ",", 1), encoding="utf-8")
     # A state and a projector renamed with a \ud800 escape that nothing pairs.
@@ -537,8 +561,71 @@ def test_error_exit_leaves_stdout_empty(tmp_path, capsys, monkeypatch, case):
     monkeypatch.setattr("gqt.quantum.close_orbit", close_orbit)
     code, out, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and message in err
+    assert err == message if message.startswith("error: ") else err.startswith("error: ") and message in err
     assert not (tmp_path / "built.json").exists()
+
+
+# Values a hostile document may hold in place of any field: wrong types,
+# unknown names, null, numbers too large for a float, inf and nan.
+HOSTILE_VALUES = (
+    *(None, True, 0, -1, 2.5, 10**400, 1e400, -1e400, math.nan),
+    *("", "nope", "null", "Z0", "z1", [], [[0, 0]], {}, {"a": 1}),
+)
+
+
+def _members(node):
+    """Every (container, key) pair in a JSON value."""
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _members(node[key])
+
+
+def hostile_variant(rng: random.Random, text: str) -> str:
+    """The document truncated, or with one or two fields deleted, replaced
+    by a hostile value, or (in an array, such as the states) repeated."""
+    if rng.random() < 0.1:
+        return text[: rng.randrange(len(text))]
+    doc = json.loads(text)
+    for _ in range(rng.randint(1, 2)):
+        members = list(_members(doc))
+        if not members:
+            break
+        node, key = rng.choice(members)
+        action = rng.random()
+        if action < 0.3:
+            del node[key]
+        elif action < 0.4 and isinstance(node, list):
+            node.append(node[key])
+        else:
+            node[key] = rng.choice(HOSTILE_VALUES)
+    return json.dumps(doc)
+
+
+def test_hostile_documents_exit_cleanly(tmp_path, capsys):
+    # Seeded mutations of every shipped fixture, through each command that
+    # reads its kind: an exit code of 0-2, never a traceback, and on exit 2
+    # one error line on stderr and nothing on stdout.
+    rng = random.Random(16)
+    commands = (["validate"], ["check"], ["report", "--format", "json"], ["eigen", "--observable", "Z"])
+    document = tmp_path / "hostile.json"
+    runs = 0
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        text = fixture.read_text(encoding="utf-8")
+        quantum = fixture.name.endswith("_quantum.json")
+        for i in range(40 if quantum else 60):
+            document.write_text(hostile_variant(rng, text), encoding="utf-8")
+            if quantum:
+                argv = ["quantum", "build", str(document), "--cap", "64", "-o", str(tmp_path / "built.json")]
+            else:
+                command = commands[i % len(commands)]
+                argv = [command[0], str(document), *command[1:]]
+            code, out, err = run_cli(argv, capsys)
+            assert code in (0, 1, 2), (argv, document.read_text(encoding="utf-8"))
+            if code == 2:
+                assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (err, document.read_text(encoding="utf-8"))
+            runs += 1
+    assert runs == 2 * 40 + 3 * 60
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,5 +1,7 @@
 """Core calculus: propositions, observables, classification, entanglement."""
 
+import pickle
+
 import pytest
 
 from gqt import checker, core
@@ -94,6 +96,17 @@ def test_prop_map_zero_is_absorbing():
     assert m("a") == "a"
     with pytest.raises(StructuralError):
         m("zz")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_builtin_maps_equal_those_of_the_public_constructor(n):
+    # identity_map and constant_zero_map skip the table check, as valid by
+    # construction; each must be the map PropMap(space, table) checks and builds.
+    space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
+    for got, table in ((core.identity_map(space), range(n + 1)), (core.constant_zero_map(space), [n] * (n + 1))):
+        want = core.PropMap(space, table)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert type(got.table) is tuple and pickle.loads(pickle.dumps(got)) == want
 
 
 def test_proposition_requires_matching_spaces():

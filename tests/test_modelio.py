@@ -2,10 +2,14 @@
 
 import importlib.util
 import json
+import random
 import typing
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gqt import core, modelio
 from gqt.errors import StructuralError
@@ -14,6 +18,17 @@ from conftest import FIXTURES, make_bell, make_bistable, make_qzx
 
 ROOT = FIXTURES.parent
 GOLDEN = ROOT / "tests" / "golden"
+
+
+def _load_bench_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's document generator.
+gen = _load_bench_gen()
 
 
 def read_fixture(name):
@@ -114,9 +129,6 @@ def test_writer_matches_json_dumps_on_edge_cases(case):
 
 
 def _bench_model_documents():
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
     # Every size, with index 3 a mutated document.
     return [gen.model_document(n, index) for n in gen.MODEL_STATES for index in (0, 3)]
 
@@ -219,6 +231,100 @@ def test_parse_rejects_partial_map():
     bad = minimal_doc(propositions={"P": {"yes": {"a": "a"}, "no": {"a": None, "b": "b"}}})
     with pytest.raises(StructuralError, match="total"):
         modelio.parse_model(bad)
+
+
+def scan_parse_map(obj, space, path):
+    """The parser's map reader before valid maps were read by one lookup per
+    state, kept as the oracle for its models and its messages: it checks each
+    entry in document order, then totality, then builds the public PropMap."""
+    if not isinstance(obj, dict):
+        raise StructuralError(f"{path}: must be an object mapping every state to a state or null")
+    index = space.index
+    n = len(space)
+    table = [n] * (n + 1)
+    for state, target in obj.items():
+        if state not in index:
+            raise StructuralError(f"{path}.{state}: unknown state {state!r}")
+        if isinstance(target, str):
+            if target not in index:
+                raise StructuralError(f"{path}.{state}: unknown state {target!r}")
+            table[index[state]] = index[target]
+        elif target is not None:
+            raise StructuralError(f"{path}.{state}: map values must be state names or null")
+    if len(obj) != n:
+        missing = [s for s in space.states if s not in obj]
+        raise StructuralError(f"{path}: missing entries for state(s) {missing}; maps must be total")
+    return core.PropMap(space, table)
+
+
+def parse_outcome(text):
+    """The model `parse_model` gives for `text`, or its error message."""
+    try:
+        return modelio.parse_model(text)
+    except StructuralError as e:
+        return str(e)
+
+
+def scan_outcome(text):
+    """`parse_outcome` with every map read by the scan."""
+    with mock.patch.object(modelio, "_parse_map", scan_parse_map):
+        return parse_outcome(text)
+
+
+MAP_STATES = ("a", "b", "c", "d", "e")
+HOSTILE_TARGETS = (True, False, 0, 1, -1, 2.5, [], ["a"], {}, {"a": "a"}, "zz", "", "null", "A")
+UNKNOWN_STATES = ("zz", "f", "", "null", "A", "a ")
+
+
+@st.composite
+def broken_maps(draw):
+    """A state list and a map over it with up to three breaks: an unknown
+    state, a missing state, a target of the wrong type or an unknown name,
+    or no object at all; entries in any order.  With no break it is valid."""
+    states = MAP_STATES[: draw(st.integers(1, len(MAP_STATES)))]
+    targets = st.sampled_from([*states, None])
+    entries = {z: draw(targets) for z in states}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["unknown-state", "missing-state", "bad-target"]))
+        if kind == "unknown-state":
+            entries[draw(st.sampled_from(UNKNOWN_STATES))] = draw(targets)
+        elif entries and kind == "missing-state":
+            del entries[draw(st.sampled_from(sorted(entries)))]
+        elif entries:
+            entries[draw(st.sampled_from(sorted(entries)))] = draw(st.sampled_from(HOSTILE_TARGETS))
+    entries = {key: entries[key] for key in draw(st.permutations(list(entries)))}
+    if draw(st.integers(0, 9)) == 0:
+        return states, draw(st.sampled_from([[], list(entries), None, "a", 1]))
+    return states, entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(broken_maps(), st.sampled_from(["yes", "no"]))
+def test_map_reader_matches_the_scan(case, side):
+    # Every broken map fails with the scan's message, naming its first bad
+    # entry in document order; every valid one gives the scan's model.
+    states, entries = case
+    sides = {"yes": {z: z for z in states}, "no": {z: None for z in states}, side: entries}
+    text = json.dumps({"states": list(states), "propositions": {"P": sides}})
+    assert parse_outcome(text) == scan_outcome(text)
+
+
+def test_map_reader_matches_the_scan_on_mutated_benchmark_documents():
+    # Twenty breaks of one entry each, to a wrong type or an unknown name,
+    # in a mutated document of each of three sizes; then the document itself.
+    rng = random.Random(16)
+    for n in (8, 24, 64):
+        doc = json.loads(gen.model_document(n, 3))
+        for _ in range(20):
+            body = doc["propositions"][rng.choice(sorted(doc["propositions"]))][rng.choice(["yes", "no"])]
+            state = rng.choice(sorted(body))
+            saved, body[state] = body[state], rng.choice(HOSTILE_TARGETS)
+            text = json.dumps(doc)
+            got = parse_outcome(text)
+            assert isinstance(got, str) and got == scan_outcome(text)
+            body[state] = saved
+        text = json.dumps(doc)
+        assert parse_outcome(text) == scan_outcome(text)
 
 
 def test_parse_rejects_builtin_redefinition():
@@ -364,6 +470,18 @@ def test_parse_quantum_rejects_entries_too_large_for_a_float():
     for text, message in cases:
         with pytest.raises(StructuralError, match=message):
             modelio.parse_quantum(text)
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "Infinity", "-Infinity", "NaN"])
+def test_parse_quantum_rejects_non_finite_entries(number):
+    # Each reads as a float inf or nan; the integer 10**400 keeps its own message.
+    for text, path in (
+        (quantum_doc(seeds={"s": [[1, 0], [0, "X"]]}), r"seeds\.s\[1\]"),
+        (quantum_doc(seeds={"m": [[[1, 0], [0, 0]], [[0, 0], ["X", 0]]]}), r"seeds\.m\[1\]\[1\]"),
+        (quantum_doc(propositions={"P": [[[1, 0], [0, 0]], [[0, 0], [0, "X"]]]}), r"propositions\.P\[1\]\[1\]"),
+    ):
+        with pytest.raises(StructuralError, match=rf"^{path}: complex entries must be finite$"):
+            modelio.parse_quantum(text.replace('"X"', number))
 
 
 def test_integer_past_the_digit_limit_is_a_parse_error():

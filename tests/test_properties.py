@@ -271,6 +271,15 @@ def test_eigen_queries_match_the_per_state_scans(model):
     assert_eigen_queries_match_reference(model)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generated_models(), hostile_models()))
+def test_eigenvalues_follow_the_per_state_definition(model):
+    # Entry i lists, in spectrum order, the values whose yes-map fixes state i.
+    for a in model.observables.values():
+        fixed = [tuple(v for v in a.spectrum if a.family[v].yes.table[i] == i) for i in range(len(a.space))]
+        assert a.eigenvalues == (*fixed, ())
+
+
 @settings(max_examples=40, deadline=None)
 @given(generated_models(), st.randoms(use_true_random=False))
 def test_reachable_submodel_stays_valid(model, rnd):

@@ -185,12 +185,12 @@ def test_projector_family_validation():
 
 
 def test_projector_family_rejects_non_finite_member():
-    # JSON reads 1e400 as inf, which the parser lets through to the report.
+    # JSON reads 1e400 as inf, which the parser refuses with its field path
+    # before any family report.
     doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
     doc["propositions"]["Z0"][0][0] = [1e400, 0]
-    parsed = modelio.parse_quantum(json.dumps(doc))
-    with pytest.raises(StructuralError, match="^family member '0' contains non-finite entries$"):
-        quantum.family_violations(parsed)
+    with pytest.raises(StructuralError, match=r"^propositions\.Z0\[0\]\[0\]: complex entries must be finite$"):
+        modelio.parse_quantum(json.dumps(doc))
 
 
 def test_projector_family_report_is_exact():

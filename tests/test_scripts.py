@@ -16,8 +16,9 @@ ROOT = FIXTURES.parent
     [
         ["scripts/commutation_survey.py", "--trials", "30"],
         ["scripts/orbit_scale.py", "--angles", "0.9", "--tol", "1e-6", "--mub-caps", "40", "--repeats", "1"],
+        ["scripts/json_payloads.py", "--sizes", "8", "--repeats", "1"],
     ],
-    ids=["commutation_survey", "orbit_scale"],
+    ids=["commutation_survey", "orbit_scale", "json_payloads"],
 )
 def test_script_exits_cleanly(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
