@@ -3,61 +3,10 @@
 Propositions are pairs of idempotent state maps, observables are
 mutually exclusive and jointly complete proposition families, and the
 usual quantum phenomena (complementarity, order-dependent measurement,
-entanglement) appear as properties of plain finite maps.  The
-`gqt.quantum` submodule grounds the calculus in density matrices and
-projectors; `gqt.checker` fuzzes the laws; `gqt.cli` exposes everything
-on the command line.
+entanglement) appear as properties of plain finite maps.  Names are
+imported from their modules: `gqt.core` (the calculus and its laws),
+`gqt.modelio` (documents), `gqt.quantum` (density matrices and
+projectors), `gqt.checker` (law fuzzing), `gqt.errors` and `gqt.cli`.
 """
-
-from .core import (
-    ZERO,
-    CommutationWitness,
-    DerivedProposition,
-    ModalStatus,
-    Model,
-    Observable,
-    PairClass,
-    PairEvidence,
-    Partition,
-    PropMap,
-    Proposition,
-    StateRef,
-    StateSpace,
-    Violation,
-    adjunction,
-    apply,
-    check_entanglement_preconditions,
-    classify_pair,
-    common_eigenstates,
-    compose,
-    conjunction,
-    constant_zero_map,
-    eigenstates_of_observable,
-    eigenstates_of_proposition,
-    entangled_states,
-    identity_map,
-    is_compatible_propositions,
-    make_one,
-    make_zero,
-    measure_sequence,
-    modal_status,
-    negate,
-    observable_from_proposition,
-    reachable_submodel,
-    realize,
-    rename_states,
-    validate_model,
-    validate_observable,
-    validate_proposition,
-)
-from .errors import (
-    AmbiguousRealization,
-    DomainError,
-    EntanglementPreconditionError,
-    GqtError,
-    IncompatibleOperands,
-    OrbitCapExceeded,
-    StructuralError,
-)
 
 __version__ = "0.1.0"

@@ -832,12 +832,12 @@ def check_entanglement_preconditions(model: Model, global_name: str, local_names
                 continue
             cls_, ev = classify_pair(model.observable(l1), model.observable(l2))
             if cls_ is not PairClass.COMPATIBLE:
-                w = ev.witness
+                # Every class but compatible comes with a witness.
                 out.append(
                     Violation(
                         "entangle-locals-compatible",
                         (l1, l2),
-                        (w.state,) if w is not None else (),
+                        (ev.witness.state,),
                         f"local observables {l1} and {l2} on different subsystems are {cls_.value}",
                     )
                 )
@@ -915,20 +915,15 @@ def validate_model(model: Model) -> list[Violation]:
 
 
 def _rebuild(model: Model, space: StateSpace, convert) -> Model:
-    """Rebuild a model over a new space, mapping every PropMap through `convert`."""
-    props = {}
-    for name, p in model.propositions.items():
-        if name in RESERVED_PROPOSITION_NAMES:
-            continue
-        props[name] = Proposition(name, convert(p.yes), convert(p.no))
-    full = dict(props)
-    full["ONE"] = make_one(space)
-    full["ZERO"] = make_zero(space)
-    observables = [
-        Observable(o.name, o.spectrum, {v: full[o.family[v].name] for v in o.spectrum})
-        for o in model.observables.values()
-    ]
-    return Model.build(space, props.values(), observables, model.partition)
+    """Rebuild a model over a new space, mapping every PropMap through `convert`.
+
+    ONE and ZERO are converted as they are, so `validate_model` reports the same."""
+    props = {name: Proposition(p.name, convert(p.yes), convert(p.no)) for name, p in model.propositions.items()}
+    observables = {
+        name: Observable(o.name, o.spectrum, {v: props[o.family[v].name] for v in o.spectrum})
+        for name, o in model.observables.items()
+    }
+    return Model(space, props, observables, model.partition)
 
 
 def rename_states(model: Model, mapping: Mapping[str, str]) -> Model:

@@ -50,6 +50,11 @@ def _idempotence_residue(m: np.ndarray) -> float:
     return float(np.abs(m @ m - m).max())
 
 
+def _shown(residue: float) -> str:
+    """A residue as reports print it: nine places below 1e9, an exponent from there on."""
+    return f"{residue:.9f}" if abs(residue) < 1e9 else f"{residue:.9e}"
+
+
 def _derived(cls, m: np.ndarray):
     """A `cls` holding `m`, computed from checked matrices, whose checks it
     inherits: frozen, and not checked again."""
@@ -350,18 +355,18 @@ def family_violations(doc, tol: Optional[float] = None) -> list[core.Violation]:
         for label, m in zip(labels, matrices):
             residue = _hermiticity_residue(m)
             if not residue <= tol:
-                out.append(core.Violation("projector-hermitian", (name, label), (), f"max |M - M†| = {residue:.9f}"))
+                out.append(core.Violation("projector-hermitian", (name, label), (), f"max |M - M†| = {_shown(residue)}"))
             residue = _idempotence_residue(m)
             if not residue <= tol:
-                out.append(core.Violation("projector-idempotent", (name, label), (), f"max |MM - M| = {residue:.9f}"))
+                out.append(core.Violation("projector-idempotent", (name, label), (), f"max |MM - M| = {_shown(residue)}"))
         for i, l1 in enumerate(labels):
             for l2, m2 in zip(labels[i + 1 :], matrices[i + 1 :]):
                 residue = float(np.abs(matrices[i] @ m2).max())
                 if not residue <= tol:
-                    out.append(core.Violation("orthogonality", (name, l1, l2), (), f"max |M1 M2| = {residue:.9f}"))
+                    out.append(core.Violation("orthogonality", (name, l1, l2), (), f"max |M1 M2| = {_shown(residue)}"))
         residue = float(np.abs(sum(matrices) - np.eye(len(matrices[0]))).max())
         if not residue <= tol:
-            out.append(core.Violation("resolution-of-identity", (name,), (), f"max |sum - I| = {residue:.9f}"))
+            out.append(core.Violation("resolution-of-identity", (name,), (), f"max |sum - I| = {_shown(residue)}"))
     return out
 
 

@@ -168,6 +168,10 @@ def test_measure(capsys):
     assert doc["steps"][1]["state"] is None
 
 
+def test_measure_without_steps_stays_put(capsys):
+    assert run_cli(["measure", QZX, "--state", "z0", "--steps", ""], capsys) == (0, "result: z0\n", "")
+
+
 def test_measure_errors(capsys):
     code, _, err = run_cli(["measure", BELL, "--state", "nope", "--steps", "ZA=0"], capsys)
     assert code == 2 and "unknown state" in err
@@ -184,6 +188,27 @@ def test_entangle(capsys):
     code, out, _ = run_cli(["entangle", BELL, "--global", "BELL", "--locals", "ZA,ZB", "--format", "json"], capsys)
     doc = json.loads(out)
     assert doc == {"preconditions": [], "entangled": ["phiM", "phiP"]}
+
+
+def _bell_with_local_tags(tmp_path, **tags) -> str:
+    doc = json.loads((FIXTURES / "bell.json").read_text(encoding="utf-8"))
+    doc["partition"]["local"].update(tags)
+    path = tmp_path / "retagged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_entangle_skips_locals_on_one_subsystem(tmp_path, capsys):
+    # ZA and ZB both on A: the pair is not classified, so no precondition fails.
+    path = _bell_with_local_tags(tmp_path, ZB="A")
+    code, out, err = run_cli(["entangle", path, "--global", "BELL", "--locals", "ZA,ZB"], capsys)
+    assert (code, out, err) == (0, "preconditions: ok\nentangled states: phiM phiP\n", "")
+
+
+def test_validate_reports_a_local_tag_on_an_unknown_subsystem(tmp_path, capsys):
+    code, out, err = run_cli(["validate", _bell_with_local_tags(tmp_path, ZA="C")], capsys)
+    expected = "1 violations\n[partition-reference] ZA: local tag for 'ZA' names unknown subsystem 'C'\n"
+    assert (code, out, err) == (1, expected, "")
 
 
 def test_entangle_checks_preconditions_once(capsys, monkeypatch):
@@ -310,7 +335,8 @@ def test_quantum_build_of_huge_entries_prints_no_numpy_warning(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = [sys.executable, "-m", "gqt", "quantum", "build", str(path), "-o", str(tmp_path / "out.json")]
     proc = subprocess.run(argv, capture_output=True, text=True)
-    big = f"{1e300:.9f}"
+    # From 1e9 on a residue prints in exponent form, not as 301 digits.
+    big = "1.000000000e+300"
     assert (proc.returncode, proc.stderr) == (1, "")
     assert proc.stdout == (
         "3 violations\n"
@@ -478,6 +504,26 @@ EXIT_2_CASES = {
         "unknown observable 'NOPE'",
     ),
     "entangle-unknown-local": (["entangle", BELL, "--global", "BELL", "--locals", "ZA,NOPE"], "unknown observable 'NOPE'"),
+    "entangle-no-locals": (
+        ["entangle", BELL, "--global", "BELL", "--locals", ","],
+        "error: at least one local observable is required\n",
+    ),
+    # `{tmp}/subsystems_<name>.json` is the Bell model with the subsystems of SUBSYSTEMS[name].
+    **{
+        f"validate-subsystems-{name}": (
+            ["validate", f"{{tmp}}/subsystems_{name}.json"],
+            f"error: partition: {message}\n",
+        )
+        for name, message in (
+            ("none", "partition must name at least one subsystem"),
+            ("duplicate", "duplicate subsystem name 'A'"),
+            ("empty-name", "subsystem names must be non-empty strings"),
+        )
+    },
+    "quantum-build-no-projectors": (
+        ["quantum", "build", "{tmp}/no_projectors.json", "-o", "{tmp}/built.json"],
+        "error: propositions: at least one projector is required\n",
+    ),
     "fuzz-states-0": (["fuzz", "--states", "0", "--count", "1"], "n_states"),
     "quantum-build-tol-nan": (
         ["quantum", "build", QZX_Q, "--tol=nan", "-o", "{tmp}/built.json"],
@@ -530,11 +576,19 @@ EXIT_2_CASES = {
 }
 
 
+SUBSYSTEMS = {"none": [], "duplicate": ["A", "A"], "empty-name": [""]}
+
+
 @pytest.mark.parametrize("case", sorted(EXIT_2_CASES))
 def test_error_exit_leaves_stdout_empty(tmp_path, capsys, monkeypatch, case):
     argv, message = EXIT_2_CASES[case]
     (tmp_path / "truncated.json").write_text((FIXTURES / "qzx.json").read_text(encoding="utf-8")[:150], encoding="utf-8")
+    bell = json.loads((FIXTURES / "bell.json").read_text(encoding="utf-8"))
+    for name, subsystems in SUBSYSTEMS.items():
+        bell["partition"]["subsystems"] = subsystems
+        (tmp_path / f"subsystems_{name}.json").write_text(json.dumps(bell), encoding="utf-8")
     doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    (tmp_path / "no_projectors.json").write_text(json.dumps({**doc, "propositions": {}}), encoding="utf-8")
     doc["observables"]["Z"] = {"spectrum": ["0", "0"], "family": {"0": "Z0"}}
     (tmp_path / "duplicate.json").write_text(json.dumps(doc), encoding="utf-8")
     # Z answered by two non-orthogonal projectors: a family report at any good cap.

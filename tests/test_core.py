@@ -568,6 +568,9 @@ def test_validate_model_flags_broken_builtin(qzx):
     model = core.Model(qzx.space, broken, qzx.observables)
     report = core.validate_model(model)
     assert any(v.law == "builtin-structure" and v.subjects == ("ONE",) for v in report)
+    del broken["ONE"]
+    report = core.validate_model(core.Model(qzx.space, broken, qzx.observables))
+    assert report == [core.Violation("builtin-structure", ("ONE",), (), "builtin proposition ONE is missing")]
 
 
 def test_validate_model_flags_partition_problems(bell):

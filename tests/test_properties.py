@@ -6,7 +6,11 @@ is evidence rather than tautology.  Law statements are re-derived inline
 from the map tables instead of calling the validators under test.
 """
 
+import random
+import re
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from gqt import checker, core, modelio
@@ -300,6 +304,58 @@ def test_rename_then_invert_is_identity(model, rnd):
     fwd = {z: f"r_{w}" for z, w in zip(states, shuffled)}
     back = {v: k for k, v in fwd.items()}
     assert core.rename_states(core.rename_states(model, fwd), back) == model
+
+
+def _with_broken_builtin(model: Model, how: str) -> Model:
+    """A raw model whose ONE or ZERO sends every state to the first, or has no ONE."""
+    n = len(model.space)
+    stuck = PropMap(model.space, [0] * n + [n])
+    props = dict(model.propositions)
+    if how == "missing ONE":
+        del props["ONE"]
+    else:
+        name = how.split()[1]
+        props[name] = Proposition(name, stuck, stuck)
+    return Model(model.space, props, model.observables, model.partition)
+
+
+BROKEN_BUILTINS = ("malformed ONE", "malformed ZERO", "missing ONE")
+
+
+@st.composite
+def raw_models(draw):
+    return _with_broken_builtin(draw(generated_models()), draw(st.sampled_from(BROKEN_BUILTINS)))
+
+
+def assert_rebuilds_faithfully(model: Model, rnd) -> None:
+    """A rebuild keeps the model, builtins included, and its report up to names."""
+    states = model.space.states
+    assert core.rename_states(model, {z: z for z in states}) == model
+    assert core.reachable_submodel(model, states) == model
+    shuffled = list(states)
+    rnd.shuffle(shuffled)
+    fwd = {z: f"r_{w}" for z, w in zip(states, shuffled)}
+    renamed = core.rename_states(model, fwd)
+    assert core.rename_states(renamed, {v: k for k, v in fwd.items()}) == model
+    name = re.compile(r"\b(" + "|".join(map(re.escape, sorted(states, key=len, reverse=True))) + r")\b")
+    expected = [
+        core.Violation(v.law, v.subjects, tuple(fwd[z] for z in v.witness), name.sub(lambda m: fwd[m[0]], v.detail))
+        for v in core.validate_model(model)
+    ]
+    assert core.validate_model(renamed) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generated_models(), raw_models()), st.randoms(use_true_random=False))
+def test_rebuilds_keep_the_model_and_its_report(model, rnd):
+    assert_rebuilds_faithfully(model, rnd)
+
+
+@pytest.mark.parametrize("how", BROKEN_BUILTINS)
+def test_rebuilds_keep_a_broken_builtin(qzx, how):
+    model = _with_broken_builtin(qzx, how)
+    assert [v.law for v in core.validate_model(model)][:1] == ["builtin-structure"]
+    assert_rebuilds_faithfully(model, random.Random(0))
 
 
 @settings(max_examples=40, deadline=None)
