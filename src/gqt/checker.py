@@ -68,7 +68,7 @@ def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -
     for _ in range(n):
         r = rng.random()
         cats.append("Y" if r < 0.4 else ("N" if r < 0.8 else "C"))
-    if all(c == "C" for c in cats):
+    if "Y" not in cats and "N" not in cats:
         cats[rng.choice(range(n))] = rng.choice("YN")
     yes_eigen = [i for i in range(n) if cats[i] == "Y"]
     no_eigen = [i for i in range(n) if cats[i] == "N"]
@@ -129,8 +129,14 @@ def _random_observable(
             if all(_mutually_annihilating(p, q) for q in chosen):
                 chosen.append(p)
     n = len(space)
-    uncovered = [i for i in range(n) if all(p.yes.table[i] == n for p in chosen)]
-    kill = {i for p in chosen for i in range(n) if p.yes.table[i] == i}
+    # The states that every chosen branch sends to zero, listed from bytes
+    # computed in C when the maps have codes.
+    zeroed = core._zeroed_by_all([p.yes for p in chosen], n)
+    if zeroed is None:
+        uncovered = [i for i in range(n) if all(p.yes.table[i] == n for p in chosen)]
+    else:
+        uncovered = [i for i in range(n) if zeroed[i]]
+    kill = {i for p in chosen for i, w in zip(range(n), p.yes.table) if i == w}
     pads: list[core.Proposition] = []
     if uncovered:
         pad = _remainder_proposition(rng, space, f"{name}rest", uncovered, kill)

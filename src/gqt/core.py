@@ -15,6 +15,7 @@ is the index `n = len(space)`, which every map fixes.  Names and the
 
 from __future__ import annotations
 
+import functools
 import operator
 from enum import Enum
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -55,6 +56,20 @@ def show_state(ref: StateRef) -> str:
     return ZERO_TOKEN if ref is ZERO else ref
 
 
+@functools.cache
+def _assigner(k: int):
+    """A function of `k` slot setters that returns `_assign(self, v0, ...,
+    v<k-1>)`, which calls each setter once with its value.  Unrolled: a
+    loop over `object.__setattr__` cost about three times as much on a
+    two-slot record.  One compile per slot count."""
+    setters = ", ".join(f"set{i}" for i in range(k))
+    values = "".join(f", v{i}" for i in range(k))
+    calls = "".join(f"\n        set{i}(self, v{i})" for i in range(k))
+    scope = {}
+    exec(f"def make({setters}):\n    def _assign(self{values}):{calls}\n    return _assign", scope)
+    return scope["make"]
+
+
 class _Record:
     """Immutable record compared, hashed and shown by its fields.
 
@@ -62,7 +77,8 @@ class _Record:
     `__slots__`; slots after them are derived, so neither compared nor
     shown; one with array fields compares them through `array_key` in its
     own `_key`.  Its `__init__` validates and then sets every slot once
-    with `_assign`; any later assignment or deletion raises AttributeError.
+    with `_assign(*values)`, which takes one value per slot in slot order;
+    any later assignment or deletion raises AttributeError.
     """
 
     __slots__ = ()
@@ -71,10 +87,7 @@ class _Record:
     def __init_subclass__(cls):
         if "_key" not in vars(cls):
             cls._key = operator.attrgetter(*cls._fields)
-
-    def _assign(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        cls._assign = _assigner(len(cls.__slots__))(*(getattr(cls, name).__set__ for name in cls.__slots__))
 
     def __eq__(self, other):
         # Most comparisons are of a state space with itself.
@@ -141,6 +154,11 @@ class StateSpace(_Record):
         return self.states[i] if i < len(self.states) else ZERO
 
 
+def _code(table: tuple[int, ...]) -> Optional[bytes]:
+    """`table` as a `bytes.translate` table, or None past 256 entries (255 states)."""
+    return bytes(table).ljust(256, b"\0") if len(table) <= 256 else None
+
+
 class PropMap(_Record):
     """Total map on the states of a space, zero state included.
 
@@ -148,7 +166,11 @@ class PropMap(_Record):
     `table[n]` for `n = len(space)`, is the zero state, which is absorbing.
     """
 
-    __slots__ = _fields = ("space", "table")
+    # Derived `code`: the table as bytes padded to 256, so that `f` after
+    # `g` is `g.code[:n + 1].translate(f.code)`, one C call; None on
+    # spaces of more than 255 states, where the laws scan `table` alone.
+    _fields = ("space", "table")
+    __slots__ = (*_fields, "code")
 
     def __init__(self, space: StateSpace, table: Iterable[int]):
         table = tuple(table)
@@ -156,7 +178,7 @@ class PropMap(_Record):
         in_range = len(table) == n + 1 and set(map(type, table)) == {int} and min(table) >= 0 and max(table) <= n
         if not in_range or table[n] != n:
             raise StructuralError(f"map table must hold {n + 1} state indices in 0..{n} and end with {n}")
-        self._assign(space, table)
+        self._assign(space, table, _code(table))
 
     @classmethod
     def from_names(cls, space: StateSpace, mapping: Mapping[str, StateRef]) -> "PropMap":
@@ -187,7 +209,7 @@ class PropMap(_Record):
 def _checked_map(space: StateSpace, table: tuple[int, ...]) -> PropMap:
     """A PropMap holding `table`, which its caller built valid: not checked again."""
     m = object.__new__(PropMap)
-    m._assign(space, table)
+    m._assign(space, table, _code(table))
     return m
 
 
@@ -464,6 +486,11 @@ class Model(_Record):
 # tuples of these.  Where the two reports name one law differently
 # (idempotence-yes/no and PP=P, annihilation and P·negP=0) they share the
 # predicate and differ only in wording.
+#
+# Each predicate first tests the whole table in C through `PropMap.code`,
+# and scans state by state only when that test finds a witness or the
+# maps have no code: the scan is the one place that lists witnesses, so
+# the reports keep their order and wording on both paths.
 
 
 def _after(f: PropMap, g: PropMap) -> list[int]:
@@ -472,8 +499,33 @@ def _after(f: PropMap, g: PropMap) -> list[int]:
     return [ft[w] for w in g.table]
 
 
+def _after_code(f: PropMap, g: PropMap) -> Optional[bytes]:
+    """The table of `f` after `g` as bytes, by one C call; None when a map has no code."""
+    if f.code is None or g.code is None:
+        return None
+    return g.code[: len(g.table)].translate(f.code)
+
+
+def _zeroed_by_all(maps: Sequence[PropMap], n: int) -> Optional[bytes]:
+    """`n + 1` bytes, byte i nonzero exactly where every map in `maps` sends
+    state i to the zero index `n` (so byte n always is), computed in C;
+    None when a map has no code."""
+    if n > 255:
+        return None
+    flags = bytes(n) + b"\1" + bytes(255 - n)
+    common = (1 << 8 * (n + 1)) - 1
+    for m in maps:
+        if m.code is None:
+            return None
+        common &= int.from_bytes(m.code[: n + 1].translate(flags), "little")
+    return common.to_bytes(n + 1, "little")
+
+
 def unfixed_points(m: PropMap) -> list[str]:
     """States where `m(m(z)) != m(z)`: the witnesses against idempotence."""
+    mm = _after_code(m, m)
+    if mm is not None and mm == m.code[: len(mm)]:
+        return []
     t = m.table
     return [z for z, w in zip(m.space.states, t) if t[w] != w]
 
@@ -484,6 +536,9 @@ def unannihilated(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
     """Yield `(z, f(g(z)), g(f(z)))` where either image is not the zero index."""
     ft, gt = f.table, g.table
     n = len(g.space)
+    fg = _after_code(f, g)
+    if fg is not None and fg.count(n) == len(fg) == _after_code(g, f).count(n):
+        return
     for z, w, u in zip(g.space.states, gt, ft):
         fg, gf = ft[w], gt[u]
         if fg != n or gf != n:
@@ -493,6 +548,9 @@ def unannihilated(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
 def noncommuting(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
     """Yield `(z, f(g(z)), g(f(z)))` where the two images differ."""
     ft, gt = f.table, g.table
+    fg = _after_code(f, g)
+    if fg is not None and fg == _after_code(g, f):
+        return
     for z, w, u in zip(g.space.states, gt, ft):
         fg, gf = ft[w], gt[u]
         if fg != gf:
@@ -541,6 +599,9 @@ def negation_annihilates(p: Proposition) -> list[Violation]:
 
 def consistency(p: Proposition) -> list[Violation]:
     n = len(p.space)
+    zeroed = _zeroed_by_all((p.yes, p.no), n)
+    if zeroed is not None and zeroed.count(0) == n:
+        return []
     return [
         Violation("consistency", (p.name,), (z,), f"both outcomes are impossible at {z}")
         for z, yes, no in zip(p.space.states, p.yes.table, p.no.table)
@@ -558,6 +619,9 @@ def zero_absorbs(zero: Proposition, p: Proposition) -> list[Violation]:
 
 def one_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
     """1P=P1=P, against the model's ONE."""
+    one_p = _after_code(one.yes, p.yes)
+    if one_p is not None and one_p == p.yes.code[: len(one_p)] == _after_code(p.yes, one.yes):
+        return []
     return [
         Violation("1P=P1=P", (p.name,), (z,), f"composition with ONE changes the map at {z}")
         for z, yes, one_p, p_one in zip(p.space.states, p.yes.table, _after(one.yes, p.yes), _after(p.yes, one.yes))
@@ -567,6 +631,9 @@ def one_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
 
 def one_and_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
     """1ANDP=P: ONE AND P, whose yes map is ONE after P, is P; first witness only."""
+    one_p = _after_code(one.yes, p.yes)
+    if one_p is not None and one_p == p.yes.code[: len(one_p)]:
+        return []
     for z, yes, one_p in zip(p.space.states, p.yes.table, _after(one.yes, p.yes)):
         if one_p != yes:
             return [Violation("1ANDP=P", (p.name,), (z,), f"ONE AND {p.name} differs from {p.name} at {z}")]
@@ -587,7 +654,11 @@ def exclusion(a: Observable) -> list[Violation]:
 
 def completeness(a: Observable) -> list[Violation]:
     n = len(a.space)
-    branches = [a.family[v].yes.table for v in a.spectrum]
+    maps = [a.family[v].yes for v in a.spectrum]
+    zeroed = _zeroed_by_all(maps, n)
+    if zeroed is not None and zeroed.count(0) == n:
+        return []
+    branches = [m.table for m in maps]
     return [
         Violation("completeness", (a.name,), (z,), f"every value is impossible at {z}")
         for i, z in enumerate(a.space.states)
@@ -758,8 +829,8 @@ def common_eigenstates(a: Observable, b: Observable) -> list[tuple[str, str, str
     """States that are simultaneously eigenstates of both observables."""
     if a.space != b.space:
         raise StructuralError("observables are over different state spaces")
-    states = a.space.states
-    return [(states[i], va, vb) for i in a.space.by_name for va in a.eigenvalues[i] for vb in b.eigenvalues[i]]
+    states, ae, be = a.space.states, a.eigenvalues, b.eigenvalues
+    return [(states[i], va, vb) for i in a.space.by_name if ae[i] and be[i] for va in ae[i] for vb in be[i]]
 
 
 def classify_pair(a: Observable, b: Observable) -> tuple[PairClass, PairEvidence]:
@@ -919,6 +990,12 @@ def _rebuild(model: Model, space: StateSpace, convert) -> Model:
 
     ONE and ZERO are converted as they are, so `validate_model` reports the same."""
     props = {name: Proposition(p.name, convert(p.yes), convert(p.no)) for name, p in model.propositions.items()}
+    for o in model.observables.values():
+        for v in o.spectrum:
+            if o.family[v].name not in props:
+                raise StructuralError(
+                    f"observable {o.name!r}: family member {o.family[v].name!r} is not a proposition of the model"
+                )
     observables = {
         name: Observable(o.name, o.spectrum, {v: props[o.family[v].name] for v in o.spectrum})
         for name, o in model.observables.items()

@@ -598,6 +598,19 @@ def test_rename_states_roundtrip(qzx):
         core.rename_states(qzx, {"z0": "a", "zp": "a", "zm": "c", "z1": "d"})
 
 
+def test_rebuild_over_a_dangling_observable_member_is_structural(qzx):
+    # A raw model whose observable Z names a member, Z0, that is not one
+    # of its propositions.
+    props = {name: p for name, p in qzx.propositions.items() if name != "Z0"}
+    model = core.Model(qzx.space, props, qzx.observables)
+    identity = {z: z for z in qzx.space.states}
+    message = "observable 'Z': family member 'Z0' is not a proposition of the model"
+    with pytest.raises(StructuralError, match=message):
+        core.rename_states(model, identity)
+    with pytest.raises(StructuralError, match=message):
+        core.reachable_submodel(model, ["z0"])
+
+
 def test_reachable_submodel(bell):
     sub = core.reachable_submodel(bell, ["s00"])
     # from s00: PhiP.yes -> phiP, PhiP.no -> phiM, ZA0.no -> ZERO...

@@ -4,12 +4,19 @@
 predicates, so their agreeing with each other proves nothing.  The
 reference below is written straight from the README's law statements,
 without the library's law code, and both reports must match it on every
-single-entry mutation of the fixtures and of a few fuzzed models.
+single-entry mutation of the fixtures and of a few fuzzed models.  Each
+law predicate tests a whole table in C through `PropMap.code` and scans
+state by state only when it finds a witness, or when a map has no code
+(past 255 states); both paths are held to the reference.
 """
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
 
 from gqt import checker, core
 from gqt.checker import GeneratorParams
-from gqt.core import ZERO
+from gqt.core import ZERO, Observable, PropMap, Proposition, StateSpace
 
 from conftest import make_bell, make_bistable, make_qzx, mutate_entry
 
@@ -98,20 +105,137 @@ def single_entry_mutants(model):
                         yield (name, side, z, t), mutate_entry(model, name, side, z, t)
 
 
-def test_reports_match_reference_on_every_single_entry_mutant():
+def checked_mutant_reports(coded):
+    """Both reports of every single-entry mutant, each held to the reference."""
     bases = [make_qzx(), make_bell(), make_bistable()] + [checker.generate_model(p) for p in FUZZ_PARAMS]
     n_mutants = 0
     seen_laws = set()
+    reports = []
     for base in bases:
+        assert all((p.yes.code is not None) == coded for p in base.propositions.values())
         assert reference_laws(base) == set()
         for edit, mutant in single_entry_mutants(base):
             n_mutants += 1
             want = reference_laws(mutant)
             seen_laws.update(law for law, _, _ in want)
-            assert from_validate(core.validate_model(mutant)) == want, edit
-            assert from_check(checker.check_laws(mutant)) == want, edit
+            validated, checked = core.validate_model(mutant), checker.check_laws(mutant)
+            assert from_validate(validated) == want, edit
+            assert from_check(checked) == want, edit
+            reports.append((validated, checked))
     assert n_mutants == 2292
     assert seen_laws == set(CHECK_IDS.values())
+    return reports
+
+
+def test_reports_match_reference_on_every_single_entry_mutant():
+    checked_mutant_reports(coded=True)
+
+
+def test_reports_match_reference_on_every_single_entry_mutant_scan_only(monkeypatch):
+    coded = checked_mutant_reports(coded=True)
+    # Every map built from here on has no code, so each law scans; the
+    # reports keep their order and wording.
+    monkeypatch.setattr(core, "_code", lambda table: None)
+    assert checked_mutant_reports(coded=False) == coded
+
+
+# ---------------------------------------------------------------------------
+# The law predicates, on both paths, against plain per-state definitions.
+#
+# `code` exists up to 255 states (a 256-byte table); from 256 states on
+# every predicate takes the scan alone.
+
+
+def edge_map(space, base, changes):
+    """The identity or the constant-zero map of `space`, with `changes` applied."""
+    n = len(space)
+    table = list(range(n + 1)) if base == "identity" else [n] * (n + 1)
+    for i, w in changes.items():
+        table[i] = w
+    return PropMap(space, table)
+
+
+def edge_witnesses(n):
+    """Each predicate's witnesses on maps over `n` states built so that the
+    only witnesses are states 0 and n - 1."""
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    identity, zero = edge_map(space, "identity", {}), edge_map(space, "zero", {})
+    ends_to_zero = edge_map(space, "identity", {0: n, n - 1: n})
+    ends_kept = edge_map(space, "zero", {0: 0, n - 1: n - 1})
+    p = Proposition("P", identity, zero)
+    family = {"a": Proposition("A", ends_to_zero, zero), "b": Proposition("B", zero, identity)}
+    one = Proposition("ONE", ends_to_zero, zero)
+    steps = edge_map(space, "identity", {0: 1, 1: 2, n - 1: n - 2, n - 2: n - 3})
+    shift_in = edge_map(space, "identity", {0: 1, n - 1: n - 2})
+    shift_out = edge_map(space, "identity", {1: 2, n - 2: n - 3})
+    maps = [identity, zero, ends_to_zero, ends_kept, steps, shift_in, shift_out]
+    witnesses = {
+        "unfixed_points": core.unfixed_points(steps),
+        "unannihilated": [z for z, _, _ in core.unannihilated(ends_kept, identity)],
+        "noncommuting": [z for z, _, _ in core.noncommuting(shift_in, shift_out)],
+        "consistency": [v.witness[0] for v in core.consistency(Proposition("P", ends_to_zero, zero))],
+        "completeness": [v.witness[0] for v in core.completeness(Observable("A", ("a", "b"), family))],
+        "zero_absorbs": [v.witness[0] for v in core.zero_absorbs(Proposition("ZERO", ends_kept, identity), p)],
+        "one_is_identity": [v.witness[0] for v in core.one_is_identity(one, p)],
+        "one_and_is_identity": [v.witness[0] for v in core.one_and_is_identity(one, p)],
+    }
+    return maps, witnesses
+
+
+@pytest.mark.parametrize("coded", [True, False], ids=["byte-coded", "scan-only"])
+@pytest.mark.parametrize("n", [255, 256, 300])
+def test_predicates_find_witnesses_at_both_ends(n, coded, monkeypatch):
+    if not coded:
+        monkeypatch.setattr(core, "_code", lambda table: None)
+    maps, witnesses = edge_witnesses(n)
+    assert all((m.code is not None) == (coded and n <= 255) for m in maps)
+    ends = ["s0", f"s{n - 1}"]
+    for name, got in witnesses.items():
+        assert got == (ends[:1] if name == "one_and_is_identity" else ends), name
+
+
+@st.composite
+def tables_over(draw, n):
+    """A table over `n` states: random, or the identity or constant zero
+    with a few entries changed, so that both no-witness and few-witness
+    maps are common."""
+    base = draw(st.sampled_from(["random", "identity", "zero"]))
+    if base == "random":
+        return [*draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), n]
+    table = list(range(n + 1)) if base == "identity" else [n] * (n + 1)
+    for i, w in draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, n), max_size=3)).items():
+        table[i] = w
+    return table
+
+
+@st.composite
+def map_triples(draw):
+    n = draw(st.integers(1, 300))
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    return [PropMap(space, draw(tables_over(n))) for _ in range(3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(map_triples())
+def test_predicates_match_plain_definitions(maps):
+    f, g, h = maps
+    space = f.space
+    n, states = len(space), space.states
+    ft, gt, ht = f.table, g.table, h.table
+    both = [(states[i], ft[gt[i]], gt[ft[i]]) for i in range(n)]
+    assert core.unfixed_points(f) == [states[i] for i in range(n) if ft[ft[i]] != ft[i]]
+    assert list(core.unannihilated(f, g)) == [(z, fg, gf) for z, fg, gf in both if fg != n or gf != n]
+    assert list(core.noncommuting(f, g)) == [(z, fg, gf) for z, fg, gf in both if fg != gf]
+    p = Proposition("P", f, g)
+    assert [v.witness for v in core.consistency(p)] == [(states[i],) for i in range(n) if ft[i] == gt[i] == n]
+    family = {"a": p, "b": Proposition("Q", g, f), "c": Proposition("R", h, f)}
+    want = [(states[i],) for i in range(n) if ft[i] == gt[i] == ht[i] == n]
+    assert [v.witness for v in core.completeness(Observable("A", ("a", "b", "c"), family))] == want
+    one = Proposition("ONE", h, g)
+    changed = [(states[i],) for i in range(n) if ht[ft[i]] != ft[i] or ft[ht[i]] != ft[i]]
+    assert [v.witness for v in core.one_is_identity(one, p)] == changed
+    after_one = [(states[i],) for i in range(n) if ht[ft[i]] != ft[i]]
+    assert [v.witness for v in core.one_and_is_identity(one, p)] == after_one[:1]
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,11 @@ HASHABLE = {
     checker.GeneratorParams,
 }
 
-DERIVED = {core.StateSpace: {"index": {}, "by_name": ()}, core.Observable: {"eigenvalues": ()}}
+DERIVED = {
+    core.StateSpace: {"index": {}, "by_name": ()},
+    core.PropMap: {"code": None},
+    core.Observable: {"eigenvalues": ()},
+}
 
 RECORDS = sorted(CASES, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
 IDS = [cls.__qualname__ for cls in RECORDS]
@@ -140,6 +144,18 @@ def test_derived_fields_are_not_compared_or_shown(cls):
     assert repr(a) == repr(b)
     if cls in HASHABLE:
         assert hash(a) == hash(b)
+
+
+def test_map_code_is_rebuilt_not_pickled():
+    # `code` is the table as a 256-byte translate table, up to 255 states.
+    assert YES.code == bytes((0, 2, 2)) + bytes(253)
+    assert YES.__reduce__() == (core.PropMap, (SPACE, (0, 2, 2)))
+    space = core.StateSpace(tuple(f"s{i}" for i in range(256)))
+    big = core.identity_map(space)
+    assert big.code is None and core.PropMap(space, big.table).code is None
+    for m in (YES, big):
+        for clone in (copy.copy(m), pickle.loads(pickle.dumps(m))):
+            assert clone == m and clone.code == m.code
 
 
 def test_defaults():

@@ -17,8 +17,9 @@ ROOT = FIXTURES.parent
         ["scripts/commutation_survey.py", "--trials", "30"],
         ["scripts/orbit_scale.py", "--angles", "0.9", "--tol", "1e-6", "--mub-caps", "40", "--repeats", "1"],
         ["scripts/json_payloads.py", "--sizes", "8", "--repeats", "1"],
+        ["scripts/law_kernels.py", "--sizes", "8", "256", "--repeats", "1"],
     ],
-    ids=["commutation_survey", "orbit_scale", "json_payloads"],
+    ids=["commutation_survey", "orbit_scale", "json_payloads", "law_kernels"],
 )
 def test_script_exits_cleanly(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
