@@ -3,17 +3,19 @@
 
 For each size the script draws one valid model as `checker.generate_model`
 does, with 16 propositions, 8 observables and spectra of up to 4 values.
-`GeneratorParams` stops at 64 states, so the script makes the generator's
-own proposition and observable draws over a space of any size.  It prints
-the median milliseconds of `checker.check_laws`, of `core.validate_model`
-and of one `core.classify_pair` (averaged over every observable pair)
-over `--repeats` calls each, and the violations found (0 on a valid
-model).  The `path` column says whether the maps carry their byte table,
+`GeneratorParams` stops at 64 states, so the script calls the generator's
+body, `checker._draw_model`, over a space of any size.  It prints the
+median milliseconds of drawing that model (`generate`), of
+`checker.check_laws`, of `core.validate_model` and of one
+`core.classify_pair` (averaged over every observable pair) over
+`--repeats` calls each, and the violations found (0 on a valid model).
+The `path` column says whether the maps carry their byte table,
 `PropMap.code`, which exists up to 255 states, or whether every law scans
 state by state.  The header line gives the Python version.
 
 Only the generator and the law kernels are called, so the same script
-times any checkout put on PYTHONPATH.  It makes no assertions.
+times any checkout that has `checker._draw_model` put on PYTHONPATH.  It
+makes no assertions.
 """
 
 import argparse
@@ -28,15 +30,8 @@ N_PROPS, N_OBS, MAX_SPECTRUM = 16, 8, 4
 
 
 def generated_model(n: int, seed: int) -> core.Model:
-    rng = random.Random(seed)
     space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
-    props = [checker._random_proposition(rng, space, f"P{k}") for k in range(N_PROPS)]
-    observables, pads = [], []
-    for j in range(N_OBS):
-        obs, extra = checker._random_observable(rng, space, f"A{j}", props, MAX_SPECTRUM)
-        observables.append(obs)
-        pads.extend(extra)
-    return core.Model.build(space, props + pads, observables)
+    return checker._draw_model(random.Random(seed), space, N_PROPS, N_OBS, MAX_SPECTRUM)
 
 
 def median_ms(call, repeats: int) -> float:
@@ -59,8 +54,9 @@ def main(argv=None):
         f"Python {platform.python_version()}; {N_PROPS} propositions, {N_OBS} observables,"
         f" median ms of {args.repeats} calls"
     )
-    print(f"{'states':>6} {'path':>10} {'check_laws':>11} {'validate':>9} {'pair':>7} {'violations':>10}")
+    print(f"{'states':>6} {'path':>10} {'generate':>9} {'check_laws':>11} {'validate':>9} {'pair':>7} {'violations':>10}")
     for n in args.sizes:
+        generate_ms = median_ms(lambda: generated_model(n, args.seed), args.repeats)
         model = generated_model(n, args.seed)
         observables = [model.observables[name] for name in sorted(model.observables)]
         pairs = [(a, b) for i, a in enumerate(observables) for b in observables[i:]]
@@ -70,7 +66,9 @@ def main(argv=None):
         validate_ms = median_ms(lambda: core.validate_model(model), args.repeats)
         pair_ms = median_ms(lambda: [core.classify_pair(a, b) for a, b in pairs], args.repeats) / len(pairs)
         violations = len(checker.check_laws(model)) + len(core.validate_model(model))
-        print(f"{n:>6} {path:>10} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.3f} {violations:>10}")
+        print(
+            f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.3f} {violations:>10}"
+        )
 
 
 if __name__ == "__main__":

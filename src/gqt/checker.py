@@ -57,35 +57,45 @@ class GeneratorParams(core._Record):
         self._assign(n_states, n_props, n_obs, max_spectrum, seed)
 
 
-# The generator builds index tables, n = len(space) being the zero state.
-# `rng.choice` over indices picks the same positions as over state names.
+# The generator builds index tables, n = len(space) being the zero state,
+# valid by construction, so `core._checked_map` wraps them unchecked.
+def _pick(bits, seq: list[int]) -> int:
+    """`rng.choice(seq)` with `bits = rng.getrandbits`: the same draws on Python
+    3.10 to 3.13 (tests/test_generator.py), in one Python call where it makes two."""
+    m = len(seq)
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return seq[r]
+
+
 def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -> core.Proposition:
-    # Partition states: yes-eigen, no-eigen, contingent.  Contingent states
-    # map into the eigen groups, so both outcome maps are idempotent and
-    # mutually annihilating by construction.
+    # Partition states: yes-eigen (draw below 0.4), no-eigen (below 0.8)
+    # and contingent.  Contingent states map into the eigen groups, so both
+    # outcome maps are idempotent and mutually annihilating by construction.
     n = len(space)
-    cats = []
-    for _ in range(n):
-        r = rng.random()
-        cats.append("Y" if r < 0.4 else ("N" if r < 0.8 else "C"))
-    if "Y" not in cats and "N" not in cats:
-        cats[rng.choice(range(n))] = rng.choice("YN")
-    yes_eigen = [i for i in range(n) if cats[i] == "Y"]
-    no_eigen = [i for i in range(n) if cats[i] == "N"]
+    draw, bits = rng.random, rng.getrandbits
+    draws = [draw() for _ in range(n)]
+    if min(draws) >= 0.8:
+        draws[rng.choice(range(n))] = {"Y": 0.0, "N": 0.4}[rng.choice("YN")]
     yes, no = [n] * (n + 1), [n] * (n + 1)
-    for i, c in enumerate(cats):
-        if c == "Y":
+    yes_eigen, no_eigen, contingent = [], [], []
+    for i, r in enumerate(draws):
+        if r < 0.4:
             yes[i] = i
-        elif c == "N":
+            yes_eigen.append(i)
+        elif r < 0.8:
             no[i] = i
+            no_eigen.append(i)
         else:
-            yes[i] = rng.choice(yes_eigen) if yes_eigen else n
-            no[i] = rng.choice(no_eigen) if no_eigen else n
-    return core.Proposition(name, core.PropMap(space, yes), core.PropMap(space, no))
-
-
-def _mutually_annihilating(p: core.Proposition, q: core.Proposition) -> bool:
-    return next(core.unannihilated(p.yes, q.yes), None) is None
+            contingent.append(i)
+    for i in contingent:
+        if yes_eigen:
+            yes[i] = _pick(bits, yes_eigen)
+        if no_eigen:
+            no[i] = _pick(bits, no_eigen)
+    return core.Proposition(name, core._checked_map(space, tuple(yes)), core._checked_map(space, tuple(no)))
 
 
 def _remainder_proposition(
@@ -99,18 +109,19 @@ def _remainder_proposition(
     # states of the selected branches; covered non-eigen states are
     # contingent.  Keeps the family exclusive and makes it complete.
     n = len(space)
-    uncovered_set = set(uncovered)
     kill_list = sorted(kill)
     yes, no = [n] * (n + 1), [n] * (n + 1)
-    for i in range(n):
-        if i in uncovered_set:
-            yes[i] = i
-        elif i in kill:
-            no[i] = i
-        else:
-            yes[i] = rng.choice(uncovered) if (uncovered and rng.random() < 0.5) else n
-            no[i] = rng.choice(kill_list)
-    return core.Proposition(name, core.PropMap(space, yes), core.PropMap(space, no))
+    for i in uncovered:
+        yes[i] = i
+    for i in kill_list:
+        no[i] = i
+    draw, bits = rng.random, rng.getrandbits
+    # `uncovered` and `kill` are disjoint, so a state in neither still has n on both sides.
+    for i in [i for i in range(n) if yes[i] == no[i]]:
+        if draw() < 0.5:
+            yes[i] = _pick(bits, uncovered)
+        no[i] = _pick(bits, kill_list)
+    return core.Proposition(name, core._checked_map(space, tuple(yes)), core._checked_map(space, tuple(no)))
 
 
 def _random_observable(
@@ -119,14 +130,14 @@ def _random_observable(
     name: str,
     pool: list[core.Proposition],
     max_spectrum: int,
-) -> tuple[core.Observable, list[core.Proposition]]:
+) -> core.Observable:
     target = rng.randint(2, max_spectrum)
     chosen: list[core.Proposition] = []
     if pool:
         for p in rng.sample(pool, len(pool)):
             if len(chosen) >= target - 1:
                 break
-            if all(_mutually_annihilating(p, q) for q in chosen):
+            if all(next(core.unannihilated(p.yes, q.yes), None) is None for q in chosen):
                 chosen.append(p)
     n = len(space)
     # The states that every chosen branch sends to zero, listed from bytes
@@ -137,28 +148,25 @@ def _random_observable(
     else:
         uncovered = [i for i in range(n) if zeroed[i]]
     kill = {i for p in chosen for i, w in zip(range(n), p.yes.table) if i == w}
-    pads: list[core.Proposition] = []
     if uncovered:
-        pad = _remainder_proposition(rng, space, f"{name}rest", uncovered, kill)
-        chosen.append(pad)
-        pads.append(pad)
+        chosen.append(_remainder_proposition(rng, space, f"{name}rest", uncovered, kill))
     spectrum = tuple(f"v{i}" for i in range(len(chosen)))
-    family = {f"v{i}": p for i, p in enumerate(chosen)}
-    return core.Observable(name, spectrum, family), pads
+    return core.Observable(name, spectrum, {f"v{i}": p for i, p in enumerate(chosen)})
+
+
+def _draw_model(rng: random.Random, space: core.StateSpace, n_props: int, n_obs: int, max_spectrum: int) -> core.Model:
+    """The generator's model over any space.  It draws the propositions, then the observables, and holds
+    those propositions followed by the observables' remainder branches."""
+    props = [_random_proposition(rng, space, f"P{k}") for k in range(n_props)]
+    observables = [_random_observable(rng, space, f"A{j}", props, max_spectrum) for j in range(n_obs)]
+    members = {p.name: p for p in props} | {p.name: p for a in observables for p in a.family.values()}
+    return core.Model.build(space, members.values(), observables)
 
 
 def generate_model(params: GeneratorParams) -> core.Model:
     """Deterministic pseudo-random valid model for the given parameters."""
-    rng = random.Random(params.seed)
     space = core.StateSpace(tuple(f"s{i}" for i in range(params.n_states)))
-    props = [_random_proposition(rng, space, f"P{k}") for k in range(params.n_props)]
-    observables = []
-    pads: list[core.Proposition] = []
-    for j in range(params.n_obs):
-        obs, extra = _random_observable(rng, space, f"A{j}", props, params.max_spectrum)
-        observables.append(obs)
-        pads.extend(extra)
-    return core.Model.build(space, props + pads, observables)
+    return _draw_model(random.Random(params.seed), space, params.n_props, params.n_obs, params.max_spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +187,9 @@ def check_laws(model: core.Model) -> list[Violation]:
     ONE and ZERO, the conjunction identity with ONE, observable exclusion
     and completeness, and three theorems about observable pairs.  The
     conjunction of a proposition with its own negation is the annihilation
-    composite, so it is reported under "P·negP=0".
+    composite, so it is reported under "P·negP=0".  Raises StructuralError on a dangling observable member.
     """
+    core._check_members(model)
     one = model.propositions.get("ONE")
     zero = model.propositions.get("ZERO")
     prop_laws = (core.idempotent_maps, core.negation_annihilates, core.consistency)

@@ -974,8 +974,19 @@ def _partition_violations(model: Model) -> list[Violation]:
     return out
 
 
+def _check_members(model: Model) -> None:
+    """Raise StructuralError where an observable names a family member that is not a proposition of the model."""
+    for o in model.observables.values():
+        for v in o.spectrum:
+            if o.family[v].name not in model.propositions:
+                raise StructuralError(
+                    f"observable {o.name!r}: family member {o.family[v].name!r} is not a proposition of the model"
+                )
+
+
 def validate_model(model: Model) -> list[Violation]:
-    """Aggregate report: builtins, every proposition, every observable, partition."""
+    """Aggregate report: builtins, every proposition, every observable, partition; raises on a dangling member."""
+    _check_members(model)
     out = _builtin_violations(model)
     for name in sorted(model.propositions):
         out.extend(validate_proposition(model.propositions[name], model.space))
@@ -989,13 +1000,8 @@ def _rebuild(model: Model, space: StateSpace, convert) -> Model:
     """Rebuild a model over a new space, mapping every PropMap through `convert`.
 
     ONE and ZERO are converted as they are, so `validate_model` reports the same."""
+    _check_members(model)
     props = {name: Proposition(p.name, convert(p.yes), convert(p.no)) for name, p in model.propositions.items()}
-    for o in model.observables.values():
-        for v in o.spectrum:
-            if o.family[v].name not in props:
-                raise StructuralError(
-                    f"observable {o.name!r}: family member {o.family[v].name!r} is not a proposition of the model"
-                )
     observables = {
         name: Observable(o.name, o.spectrum, {v: props[o.family[v].name] for v in o.spectrum})
         for name, o in model.observables.items()

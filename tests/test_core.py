@@ -611,6 +611,17 @@ def test_rebuild_over_a_dangling_observable_member_is_structural(qzx):
         core.reachable_submodel(model, ["z0"])
 
 
+@pytest.mark.parametrize("report", [core.validate_model, checker.check_laws], ids=["validate_model", "check_laws"])
+def test_reports_over_a_dangling_observable_member_are_structural(qzx, report):
+    # The same raw model as above: no report can name the laws of a
+    # branch that is not there, so both raise as the rebuild does.
+    props = {name: p for name, p in qzx.propositions.items() if name != "Z0"}
+    model = core.Model(qzx.space, props, qzx.observables)
+    message = "observable 'Z': family member 'Z0' is not a proposition of the model"
+    with pytest.raises(StructuralError, match=message):
+        report(model)
+
+
 def test_reachable_submodel(bell):
     sub = core.reachable_submodel(bell, ["s00"])
     # from s00: PhiP.yes -> phiP, PhiP.no -> phiM, ZA0.no -> ZERO...
