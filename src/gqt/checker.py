@@ -95,7 +95,7 @@ def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -
             yes[i] = _pick(bits, yes_eigen)
         if no_eigen:
             no[i] = _pick(bits, no_eigen)
-    return core.Proposition(name, core._checked_map(space, tuple(yes)), core._checked_map(space, tuple(no)))
+    return core.Proposition(name, core._checked_map(space, yes), core._checked_map(space, no))
 
 
 def _remainder_proposition(
@@ -121,7 +121,7 @@ def _remainder_proposition(
         if draw() < 0.5:
             yes[i] = _pick(bits, uncovered)
         no[i] = _pick(bits, kill_list)
-    return core.Proposition(name, core._checked_map(space, tuple(yes)), core._checked_map(space, tuple(no)))
+    return core.Proposition(name, core._checked_map(space, yes), core._checked_map(space, no))
 
 
 def _random_observable(
@@ -140,13 +140,8 @@ def _random_observable(
             if all(next(core.unannihilated(p.yes, q.yes), None) is None for q in chosen):
                 chosen.append(p)
     n = len(space)
-    # The states that every chosen branch sends to zero, listed from bytes
-    # computed in C when the maps have codes.
     zeroed = core._zeroed_by_all([p.yes for p in chosen], n)
-    if zeroed is None:
-        uncovered = [i for i in range(n) if all(p.yes.table[i] == n for p in chosen)]
-    else:
-        uncovered = [i for i in range(n) if zeroed[i]]
+    uncovered = [i for i in range(n) if zeroed[i]]
     kill = {i for p in chosen for i, w in zip(range(n), p.yes.table) if i == w}
     if uncovered:
         chosen.append(_remainder_proposition(rng, space, f"{name}rest", uncovered, kill))

@@ -16,6 +16,7 @@ is the index `n = len(space)`, which every map fixes.  Names and the
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from enum import Enum
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -154,9 +155,11 @@ class StateSpace(_Record):
         return self.states[i] if i < len(self.states) else ZERO
 
 
-def _code(table: tuple[int, ...]) -> Optional[bytes]:
-    """`table` as a `bytes.translate` table, or None past 256 entries (255 states)."""
-    return bytes(table).ljust(256, b"\0") if len(table) <= 256 else None
+def _table(entries: Sequence[int]) -> Union[bytes, tuple[int, ...]]:
+    """A map's table: bytes while every index fits in a byte (up to 255
+    states), so that the laws compose maps with `bytes.translate`, and a
+    tuple of ints beyond."""
+    return bytes(entries) if len(entries) <= 256 else tuple(entries)
 
 
 class PropMap(_Record):
@@ -164,13 +167,10 @@ class PropMap(_Record):
 
     `table[i]` is the index of the image of state `i`; the last entry,
     `table[n]` for `n = len(space)`, is the zero state, which is absorbing.
+    The table is bytes up to 255 states and a tuple of ints beyond.
     """
 
-    # Derived `code`: the table as bytes padded to 256, so that `f` after
-    # `g` is `g.code[:n + 1].translate(f.code)`, one C call; None on
-    # spaces of more than 255 states, where the laws scan `table` alone.
-    _fields = ("space", "table")
-    __slots__ = (*_fields, "code")
+    __slots__ = _fields = ("space", "table")
 
     def __init__(self, space: StateSpace, table: Iterable[int]):
         table = tuple(table)
@@ -178,7 +178,7 @@ class PropMap(_Record):
         in_range = len(table) == n + 1 and set(map(type, table)) == {int} and min(table) >= 0 and max(table) <= n
         if not in_range or table[n] != n:
             raise StructuralError(f"map table must hold {n + 1} state indices in 0..{n} and end with {n}")
-        self._assign(space, table, _code(table))
+        self._assign(space, _table(table))
 
     @classmethod
     def from_names(cls, space: StateSpace, mapping: Mapping[str, StateRef]) -> "PropMap":
@@ -206,15 +206,15 @@ class PropMap(_Record):
         return self.space.ref(self.table[self.space.index[z]])
 
 
-def _checked_map(space: StateSpace, table: tuple[int, ...]) -> PropMap:
-    """A PropMap holding `table`, which its caller built valid: not checked again."""
+def _checked_map(space: StateSpace, entries: Sequence[int]) -> PropMap:
+    """A PropMap holding `entries`, which its caller built valid: not checked again."""
     m = object.__new__(PropMap)
-    m._assign(space, table, _code(table))
+    m._assign(space, _table(entries))
     return m
 
 
 def identity_map(space: StateSpace) -> PropMap:
-    return _checked_map(space, tuple(range(len(space) + 1)))
+    return _checked_map(space, range(len(space) + 1))
 
 
 def constant_zero_map(space: StateSpace) -> PropMap:
@@ -455,14 +455,10 @@ class Model(_Record):
                 raise StructuralError(f"duplicate observable name {a.name!r}")
             if a.space != space:
                 raise StructuralError(f"observable {a.name!r} is over a different state space")
-            for value in a.spectrum:
-                member = a.family[value]
-                if props.get(member.name) != member:
-                    raise StructuralError(
-                        f"observable {a.name!r}: family member {member.name!r} is not a proposition of the model"
-                    )
             obs[a.name] = a
-        return cls(space, props, obs, partition)
+        model = cls(space, props, obs, partition)
+        _check_members(model)
+        return model
 
     def proposition(self, name: str) -> Proposition:
         try:
@@ -487,74 +483,63 @@ class Model(_Record):
 # (idempotence-yes/no and PP=P, annihilation and P·negP=0) they share the
 # predicate and differ only in wording.
 #
-# Each predicate first tests the whole table in C through `PropMap.code`,
-# and scans state by state only when that test finds a witness or the
-# maps have no code: the scan is the one place that lists witnesses, so
-# the reports keep their order and wording on both paths.
+# Each predicate composes its maps once, returns at once when the
+# composites show no witness, and otherwise lists the witnesses, in state
+# order, from those same composites.
 
 
-def _after(f: PropMap, g: PropMap) -> list[int]:
-    """The table of `f` after `g`."""
-    ft = f.table
-    return [ft[w] for w in g.table]
+def _after(f: PropMap, g: PropMap) -> Union[bytes, tuple[int, ...]]:
+    """The table of `f` after `g`, by one C call: bytes when both tables are
+    bytes, else a tuple (a table has at least two entries, so the getter
+    returns a tuple)."""
+    try:
+        return g.table.translate(f.table.ljust(256, b"\0"))
+    except AttributeError:
+        return operator.itemgetter(*g.table)(f.table)
 
 
-def _after_code(f: PropMap, g: PropMap) -> Optional[bytes]:
-    """The table of `f` after `g` as bytes, by one C call; None when a map has no code."""
-    if f.code is None or g.code is None:
-        return None
-    return g.code[: len(g.table)].translate(f.code)
-
-
-def _zeroed_by_all(maps: Sequence[PropMap], n: int) -> Optional[bytes]:
+def _zeroed_by_all(maps: Sequence[PropMap], n: int) -> bytes:
     """`n + 1` bytes, byte i nonzero exactly where every map in `maps` sends
-    state i to the zero index `n` (so byte n always is), computed in C;
-    None when a map has no code."""
-    if n > 255:
-        return None
-    flags = bytes(n) + b"\1" + bytes(255 - n)
+    state i to the zero index `n` (so byte n always is)."""
+    # 256 bytes where a byte table can occur (n <= 255), unused beyond.
+    flags = (bytes(n) + b"\1").ljust(256, b"\0")
     common = (1 << 8 * (n + 1)) - 1
     for m in maps:
-        if m.code is None:
-            return None
-        common &= int.from_bytes(m.code[: n + 1].translate(flags), "little")
+        try:
+            hits = m.table.translate(flags)
+        except AttributeError:
+            hits = bytes([w == n for w in m.table])
+        common &= int.from_bytes(hits, "little")
     return common.to_bytes(n + 1, "little")
 
 
 def unfixed_points(m: PropMap) -> list[str]:
     """States where `m(m(z)) != m(z)`: the witnesses against idempotence."""
-    mm = _after_code(m, m)
-    if mm is not None and mm == m.code[: len(mm)]:
+    mm = _after(m, m)
+    if mm == m.table:
         return []
-    t = m.table
-    return [z for z, w in zip(m.space.states, t) if t[w] != w]
+    return [z for z, w, u in zip(m.space.states, m.table, mm) if u != w]
 
 
-# The two generators below inline both compositions and yield only hits:
-# a helper call per state made check_laws markedly slower on small models.
 def unannihilated(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
     """Yield `(z, f(g(z)), g(f(z)))` where either image is not the zero index."""
-    ft, gt = f.table, g.table
     n = len(g.space)
-    fg = _after_code(f, g)
-    if fg is not None and fg.count(n) == len(fg) == _after_code(g, f).count(n):
+    fg, gf = _after(f, g), _after(g, f)
+    if fg.count(n) == len(fg) == gf.count(n):
         return
-    for z, w, u in zip(g.space.states, gt, ft):
-        fg, gf = ft[w], gt[u]
-        if fg != n or gf != n:
-            yield z, fg, gf
+    for z, u, w in zip(g.space.states, fg, gf):
+        if u != n or w != n:
+            yield z, u, w
 
 
 def noncommuting(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
     """Yield `(z, f(g(z)), g(f(z)))` where the two images differ."""
-    ft, gt = f.table, g.table
-    fg = _after_code(f, g)
-    if fg is not None and fg == _after_code(g, f):
+    fg, gf = _after(f, g), _after(g, f)
+    if fg == gf:
         return
-    for z, w, u in zip(g.space.states, gt, ft):
-        fg, gf = ft[w], gt[u]
-        if fg != gf:
-            yield z, fg, gf
+    for z, u, w in zip(g.space.states, fg, gf):
+        if u != w:
+            yield z, u, w
 
 
 def idempotence(p: Proposition) -> list[Violation]:
@@ -600,12 +585,11 @@ def negation_annihilates(p: Proposition) -> list[Violation]:
 def consistency(p: Proposition) -> list[Violation]:
     n = len(p.space)
     zeroed = _zeroed_by_all((p.yes, p.no), n)
-    if zeroed is not None and zeroed.count(0) == n:
+    if zeroed.count(0) == n:
         return []
     return [
         Violation("consistency", (p.name,), (z,), f"both outcomes are impossible at {z}")
-        for z, yes, no in zip(p.space.states, p.yes.table, p.no.table)
-        if yes == no == n
+        for z in itertools.compress(p.space.states, zeroed)
     ]
 
 
@@ -619,23 +603,25 @@ def zero_absorbs(zero: Proposition, p: Proposition) -> list[Violation]:
 
 def one_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
     """1P=P1=P, against the model's ONE."""
-    one_p = _after_code(one.yes, p.yes)
-    if one_p is not None and one_p == p.yes.code[: len(one_p)] == _after_code(p.yes, one.yes):
+    yes = p.yes.table
+    one_p, p_one = _after(one.yes, p.yes), _after(p.yes, one.yes)
+    if one_p == yes == p_one:
         return []
     return [
         Violation("1P=P1=P", (p.name,), (z,), f"composition with ONE changes the map at {z}")
-        for z, yes, one_p, p_one in zip(p.space.states, p.yes.table, _after(one.yes, p.yes), _after(p.yes, one.yes))
-        if one_p != yes or p_one != yes
+        for z, w, u, v in zip(p.space.states, yes, one_p, p_one)
+        if u != w or v != w
     ]
 
 
 def one_and_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
     """1ANDP=P: ONE AND P, whose yes map is ONE after P, is P; first witness only."""
-    one_p = _after_code(one.yes, p.yes)
-    if one_p is not None and one_p == p.yes.code[: len(one_p)]:
+    yes = p.yes.table
+    one_p = _after(one.yes, p.yes)
+    if one_p == yes:
         return []
-    for z, yes, one_p in zip(p.space.states, p.yes.table, _after(one.yes, p.yes)):
-        if one_p != yes:
+    for z, w, u in zip(p.space.states, yes, one_p):
+        if u != w:
             return [Violation("1ANDP=P", (p.name,), (z,), f"ONE AND {p.name} differs from {p.name} at {z}")]
     return []
 
@@ -654,15 +640,12 @@ def exclusion(a: Observable) -> list[Violation]:
 
 def completeness(a: Observable) -> list[Violation]:
     n = len(a.space)
-    maps = [a.family[v].yes for v in a.spectrum]
-    zeroed = _zeroed_by_all(maps, n)
-    if zeroed is not None and zeroed.count(0) == n:
+    zeroed = _zeroed_by_all([a.family[v].yes for v in a.spectrum], n)
+    if zeroed.count(0) == n:
         return []
-    branches = [m.table for m in maps]
     return [
         Violation("completeness", (a.name,), (z,), f"every value is impossible at {z}")
-        for i, z in enumerate(a.space.states)
-        if all(t[i] == n for t in branches)
+        for z in itertools.compress(a.space.states, zeroed)
     ]
 
 
@@ -975,12 +958,14 @@ def _partition_violations(model: Model) -> list[Violation]:
 
 
 def _check_members(model: Model) -> None:
-    """Raise StructuralError where an observable names a family member that is not a proposition of the model."""
+    """Raise StructuralError where an observable's family member is not the
+    model's proposition of that name: missing, or with other maps."""
     for o in model.observables.values():
         for v in o.spectrum:
-            if o.family[v].name not in model.propositions:
+            member = o.family[v]
+            if model.propositions.get(member.name) != member:
                 raise StructuralError(
-                    f"observable {o.name!r}: family member {o.family[v].name!r} is not a proposition of the model"
+                    f"observable {o.name!r}: family member {member.name!r} is not a proposition of the model"
                 )
 
 

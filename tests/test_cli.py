@@ -81,6 +81,15 @@ def test_validate_parse_error_goes_to_stderr(tmp_path, capsys):
     assert "error:" in err and "line 1" in err
 
 
+def test_validate_refuses_an_empty_observable_name(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "qzx.json").read_text(encoding="utf-8"))
+    doc["observables"] = {"": doc["observables"]["Z"]}
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: observables.: observable name must be a non-empty string\n")
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run_cli(["validate", "/nonexistent/model.json"], capsys)
     assert code == 2

@@ -2,9 +2,10 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
-from gqt import checker, core
+from gqt import checker, core, quantum
 from gqt.core import ZERO, ModalStatus, PairClass
 from gqt.errors import (
     AmbiguousRealization,
@@ -98,7 +99,7 @@ def test_prop_map_zero_is_absorbing():
         m("zz")
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 5, 256])
 def test_builtin_maps_equal_those_of_the_public_constructor(n):
     # identity_map and constant_zero_map skip the table check, as valid by
     # construction; each must be the map PropMap(space, table) checks and builds.
@@ -106,7 +107,7 @@ def test_builtin_maps_equal_those_of_the_public_constructor(n):
     for got, table in ((core.identity_map(space), range(n + 1)), (core.constant_zero_map(space), [n] * (n + 1))):
         want = core.PropMap(space, table)
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-        assert type(got.table) is tuple and pickle.loads(pickle.dumps(got)) == want
+        assert type(got.table) is (bytes if n <= 255 else tuple) and pickle.loads(pickle.dumps(got)) == want
 
 
 def test_proposition_requires_matching_spaces():
@@ -143,6 +144,95 @@ def test_model_build_rejects_foreign_family_member(qzx):
     obs = core.Observable("A", ("v",), {"v": foreign})
     with pytest.raises(StructuralError, match="not a proposition of the model"):
         core.Model.build(qzx.space, [], [obs])
+
+
+def test_a_member_with_other_maps_than_the_models_proposition_is_refused(qzx):
+    # Observable Z's "0" member is named Z0 but is not the model's Z0.
+    z0 = mutate_entry(qzx, "Z0", "yes", "zp", "zp").propositions["Z0"]
+    z = qzx.observables["Z"]
+    observables = {**qzx.observables, "Z": core.Observable("Z", z.spectrum, {**z.family, "0": z0})}
+    model = core.Model(qzx.space, qzx.propositions, observables, qzx.partition)
+    states = qzx.space.states
+    calls = [
+        lambda: core.Model.build(model.space, model.propositions.values(), model.observables.values()),
+        lambda: core.validate_model(model),
+        lambda: checker.check_laws(model),
+        lambda: core.rename_states(model, {s: s for s in states}),
+        lambda: core.reachable_submodel(model, states),
+    ]
+    for call in calls:
+        with pytest.raises(StructuralError) as info:
+            call()
+        assert str(info.value) == "observable 'Z': family member 'Z0' is not a proposition of the model"
+
+
+def _structural_error_cases():
+    qzx = make_qzx()
+    space, other = qzx.space, core.StateSpace(("x", "y"))
+    z0, z = qzx.propositions["Z0"], qzx.observables["Z"]
+    foreign = core.Proposition("F", core.identity_map(other), core.constant_zero_map(other))
+    foreign_obs = core.observable_from_proposition(foreign, "A")
+    qubit, qutrit = quantum.DensityState(np.eye(2) / 2), quantum.DensityState(np.eye(3) / 3)
+    return {
+        "proposition-name": (lambda: core.Proposition("", z0.yes, z0.no), "proposition name must be a non-empty string"),
+        "derived-side": (
+            lambda: core.DerivedProposition("maybe", z0.yes, "Z0"),
+            "known_side must be 'yes' or 'no', got 'maybe'",
+        ),
+        "observable-spaces": (
+            lambda: core.Observable("A", ("0", "1"), {"0": z0, "1": foreign}),
+            "observable 'A': family members use different state spaces",
+        ),
+        "build-foreign-proposition": (
+            lambda: core.Model.build(space, [foreign]),
+            "proposition 'F' is over a different state space",
+        ),
+        "build-duplicate-proposition": (lambda: core.Model.build(space, [z0, z0]), "duplicate proposition name 'Z0'"),
+        "build-duplicate-observable": (
+            lambda: core.Model.build(space, qzx.propositions.values(), [z, z]),
+            "duplicate observable name 'Z'",
+        ),
+        "build-foreign-observable": (
+            lambda: core.Model.build(space, [], [foreign_obs]),
+            "observable 'A' is over a different state space",
+        ),
+        "validate-observable-space": (
+            lambda: core.validate_observable(z, other),
+            "observable 'Z' is not defined over the given state space",
+        ),
+        "compatible-spaces": (
+            lambda: core.is_compatible_propositions(z0, foreign),
+            "propositions are over different state spaces",
+        ),
+        "realize-space": (
+            lambda: core.realize(qzx, core.DerivedProposition("yes", foreign.yes, "F")),
+            "derived proposition is over a different state space",
+        ),
+        "common-eigenstates-spaces": (
+            lambda: core.common_eigenstates(z, foreign_obs),
+            "observables are over different state spaces",
+        ),
+        "classify-pair-spaces": (lambda: core.classify_pair(z, foreign_obs), "observables are over different state spaces"),
+        "act-projector-dimension": (
+            lambda: quantum.act_projector(qubit, quantum.Projector(np.eye(3))),
+            "projector dimension does not match the state",
+        ),
+        "close-orbit-seeds": (
+            lambda: quantum.close_orbit([qubit, qutrit], [("P", quantum.Projector(np.eye(2)))]),
+            "seed states have mixed dimensions",
+        ),
+    }
+
+
+STRUCTURAL_ERROR_CASES = _structural_error_cases()
+
+
+@pytest.mark.parametrize("case", list(STRUCTURAL_ERROR_CASES))
+def test_structural_errors_name_their_cause(case):
+    call, message = STRUCTURAL_ERROR_CASES[case]
+    with pytest.raises(StructuralError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

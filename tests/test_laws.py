@@ -4,10 +4,10 @@
 predicates, so their agreeing with each other proves nothing.  The
 reference below is written straight from the README's law statements,
 without the library's law code, and both reports must match it on every
-single-entry mutation of the fixtures and of a few fuzzed models.  Each
-law predicate tests a whole table in C through `PropMap.code` and scans
-state by state only when it finds a witness, or when a map has no code
-(past 255 states); both paths are held to the reference.
+single-entry mutation of the fixtures and of a few fuzzed models.  A
+map's table is bytes up to 255 states and a tuple beyond; the tests force
+tuples at small sizes too, and mix the two, and hold every form to the
+reference.
 """
 
 import hypothesis.strategies as st
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 from gqt import checker, core
 from gqt.checker import GeneratorParams
-from gqt.core import ZERO, Observable, PropMap, Proposition, StateSpace
+from gqt.core import ZERO, Observable, PropMap, Proposition, StateSpace, Violation
 
 from conftest import make_bell, make_bistable, make_qzx, mutate_entry
 
@@ -105,16 +105,25 @@ def single_entry_mutants(model):
                         yield (name, side, z, t), mutate_entry(model, name, side, z, t)
 
 
-def checked_mutant_reports(coded):
-    """Both reports of every single-entry mutant, each held to the reference."""
-    bases = [make_qzx(), make_bell(), make_bistable()] + [checker.generate_model(p) for p in FUZZ_PARAMS]
+def mutant_bases():
+    return [make_qzx(), make_bell(), make_bistable()] + [checker.generate_model(p) for p in FUZZ_PARAMS]
+
+
+def checked_mutant_reports(table_type, builtins=None):
+    """Both reports of every single-entry mutant, each held to the reference.
+
+    `builtins`, when given, maps each base's space to the ONE and ZERO that
+    replace the mutant's own."""
     n_mutants = 0
     seen_laws = set()
     reports = []
-    for base in bases:
-        assert all((p.yes.code is not None) == coded for p in base.propositions.values())
+    for base in mutant_bases():
+        assert all(type(m.table) is table_type for p in base.propositions.values() for m in (p.yes, p.no))
         assert reference_laws(base) == set()
         for edit, mutant in single_entry_mutants(base):
+            if builtins is not None:
+                props = {**mutant.propositions, **builtins[mutant.space]}
+                mutant = core.Model(mutant.space, props, mutant.observables, mutant.partition)
             n_mutants += 1
             want = reference_laws(mutant)
             seen_laws.update(law for law, _, _ in want)
@@ -128,22 +137,38 @@ def checked_mutant_reports(coded):
 
 
 def test_reports_match_reference_on_every_single_entry_mutant():
-    checked_mutant_reports(coded=True)
+    checked_mutant_reports(bytes)
 
 
 def test_reports_match_reference_on_every_single_entry_mutant_scan_only(monkeypatch):
-    coded = checked_mutant_reports(coded=True)
-    # Every map built from here on has no code, so each law scans; the
-    # reports keep their order and wording.
-    monkeypatch.setattr(core, "_code", lambda table: None)
-    assert checked_mutant_reports(coded=False) == coded
+    coded = checked_mutant_reports(bytes)
+    # Every map built from here on has a tuple table; the reports keep
+    # their order and wording.
+    monkeypatch.setattr(core, "_table", tuple)
+    assert checked_mutant_reports(tuple) == coded
+
+
+def test_reports_match_reference_with_byte_builtins_among_tuple_maps(monkeypatch):
+    coded = checked_mutant_reports(bytes)
+    builtins = {b.space: {name: b.propositions[name] for name in ("ONE", "ZERO")} for b in mutant_bases()}
+    monkeypatch.setattr(core, "_table", tuple)
+    # A composite of a byte map with a tuple map is a tuple, so a fast
+    # return can meet a table of the other type; the witnesses are listed
+    # from the same composites.
+    mixed = checked_mutant_reports(tuple, builtins)
+    # validate_model also compares ONE and ZERO with fresh builtins, whose
+    # tables are tuples here, and maps with tables of two types never compare equal.
+    malformed = [
+        Violation("builtin-structure", (name,), (), f"builtin proposition {name} is malformed") for name in ("ONE", "ZERO")
+    ]
+    assert mixed == [(malformed + validated, checked) for validated, checked in coded]
 
 
 # ---------------------------------------------------------------------------
-# The law predicates, on both paths, against plain per-state definitions.
+# The law predicates, on both table types, against plain per-state definitions.
 #
-# `code` exists up to 255 states (a 256-byte table); from 256 states on
-# every predicate takes the scan alone.
+# Tables are bytes up to 255 states (256 entries) and tuples from 256
+# states on; "scan-only" forces tuples at every size.
 
 
 def edge_map(space, base, changes):
@@ -186,9 +211,9 @@ def edge_witnesses(n):
 @pytest.mark.parametrize("n", [255, 256, 300])
 def test_predicates_find_witnesses_at_both_ends(n, coded, monkeypatch):
     if not coded:
-        monkeypatch.setattr(core, "_code", lambda table: None)
+        monkeypatch.setattr(core, "_table", tuple)
     maps, witnesses = edge_witnesses(n)
-    assert all((m.code is not None) == (coded and n <= 255) for m in maps)
+    assert all(type(m.table) is (bytes if coded and n <= 255 else tuple) for m in maps)
     ends = ["s0", f"s{n - 1}"]
     for name, got in witnesses.items():
         assert got == (ends[:1] if name == "one_and_is_identity" else ends), name

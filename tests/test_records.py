@@ -70,7 +70,6 @@ HASHABLE = {
 
 DERIVED = {
     core.StateSpace: {"index": {}, "by_name": ()},
-    core.PropMap: {"code": None},
     core.Observable: {"eigenvalues": ()},
 }
 
@@ -146,16 +145,16 @@ def test_derived_fields_are_not_compared_or_shown(cls):
         assert hash(a) == hash(b)
 
 
-def test_map_code_is_rebuilt_not_pickled():
-    # `code` is the table as a 256-byte translate table, up to 255 states.
-    assert YES.code == bytes((0, 2, 2)) + bytes(253)
-    assert YES.__reduce__() == (core.PropMap, (SPACE, (0, 2, 2)))
+def test_map_table_type_follows_size():
+    # Bytes while every index fits in a byte (up to 255 states), a tuple beyond.
+    assert YES.table == bytes((0, 2, 2))
+    assert YES.__reduce__() == (core.PropMap, (SPACE, YES.table))
     space = core.StateSpace(tuple(f"s{i}" for i in range(256)))
     big = core.identity_map(space)
-    assert big.code is None and core.PropMap(space, big.table).code is None
+    assert big.table == tuple(range(257)) and core.PropMap(space, big.table) == big
     for m in (YES, big):
         for clone in (copy.copy(m), pickle.loads(pickle.dumps(m))):
-            assert clone == m and clone.code == m.code
+            assert clone == m and type(clone.table) is type(m.table)
 
 
 def test_defaults():
