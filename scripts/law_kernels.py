@@ -11,9 +11,7 @@ median milliseconds of drawing that model (`generate`), of
 `--repeats` calls each, and the violations found (0 on a valid model).
 The `path` column says whether each `PropMap.table` is bytes
 ("byte-coded", up to 255 states) or a tuple ("scan-only", past 255
-states).  It also reads a checkout from before tables were bytes, where
-the byte table was `PropMap.code`, so that both sides of a change can be
-timed.  The header line gives the Python version.
+states).  The header line gives the Python version.
 
 Only the generator and the law kernels are called, so the same script
 times any checkout that has `checker._draw_model` put on PYTHONPATH.  It
@@ -63,8 +61,7 @@ def main(argv=None):
         observables = [model.observables[name] for name in sorted(model.observables)]
         pairs = [(a, b) for i, a in enumerate(observables) for b in observables[i:]]
         one = model.propositions["ONE"].yes
-        coded = type(one.table) is bytes or getattr(one, "code", None) is not None
-        path = "byte-coded" if coded else "scan-only"
+        path = "byte-coded" if type(one.table) is bytes else "scan-only"
         check_ms = median_ms(lambda: checker.check_laws(model), args.repeats)
         validate_ms = median_ms(lambda: core.validate_model(model), args.repeats)
         pair_ms = median_ms(lambda: [core.classify_pair(a, b) for a, b in pairs], args.repeats) / len(pairs)

@@ -182,9 +182,8 @@ def check_laws(model: core.Model) -> list[Violation]:
     ONE and ZERO, the conjunction identity with ONE, observable exclusion
     and completeness, and three theorems about observable pairs.  The
     conjunction of a proposition with its own negation is the annihilation
-    composite, so it is reported under "P·negP=0".  Raises StructuralError on a dangling observable member.
+    composite, so it is reported under "P·negP=0".
     """
-    core._check_members(model)
     one = model.propositions.get("ONE")
     zero = model.propositions.get("ZERO")
     prop_laws = (core.idempotent_maps, core.negation_annihilates, core.consistency)
@@ -194,8 +193,7 @@ def check_laws(model: core.Model) -> list[Violation]:
         prop_laws += (partial(core.one_is_identity, one), partial(core.one_and_is_identity, one))
     out = [v for name in sorted(model.propositions) for law in prop_laws for v in law(model.propositions[name])]
     observables = [model.observables[name] for name in sorted(model.observables)]
-    for a in observables:
-        out.extend(core.validate_observable(a, model.space))
+    out += [v for a in observables for law in core.OBSERVABLE_LAWS for v in law(a)]
     for i, a in enumerate(observables):
         for b in observables[i:]:
             cls_, ev = core.classify_pair(a, b)

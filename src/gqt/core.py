@@ -414,9 +414,12 @@ class Partition(_Record):
 class Model(_Record):
     """A state space with named propositions and observables.
 
-    `propositions` always contains the builtins ONE and ZERO; use
-    `Model.build` rather than the raw constructor so they are injected
-    and cross-references are checked.
+    Every model, however made (raw, built, rebuilt or unpickled), holds
+    each proposition and observable under its own name, only parts over
+    its `space`, and observables whose family members are its own
+    propositions; the constructor refuses any other.  Use `Model.build`
+    to have the builtins ONE and ZERO added; a raw model may lack them or
+    hold them malformed, and `validate_model` reports that.
     """
 
     __slots__ = _fields = ("space", "propositions", "observables", "partition")
@@ -428,7 +431,21 @@ class Model(_Record):
         observables: Mapping[str, Observable],
         partition: Optional[Partition] = None,
     ):
-        self._assign(space, dict(propositions), dict(observables), partition)
+        propositions, observables = dict(propositions), dict(observables)
+        for kind, parts in (("proposition", propositions), ("observable", observables)):
+            for key, part in parts.items():
+                if part.name != key:
+                    raise StructuralError(f"{kind} {part.name!r} is stored under {key!r}")
+                if part.space != space:
+                    raise StructuralError(f"{kind} {part.name!r} is over a different state space")
+        for o in observables.values():
+            for v in o.spectrum:
+                member = o.family[v]
+                if propositions.get(member.name) != member:
+                    raise StructuralError(
+                        f"observable {o.name!r}: family member {member.name!r} is not a proposition of the model"
+                    )
+        self._assign(space, propositions, observables, partition)
 
     @classmethod
     def build(
@@ -438,10 +455,10 @@ class Model(_Record):
         observables: Iterable[Observable] = (),
         partition: Optional[Partition] = None,
     ) -> "Model":
+        """The model of these parts with the builtins ONE and ZERO added.  A
+        part named ONE or ZERO must equal the builtin; names must not repeat."""
         props: dict[str, Proposition] = {"ONE": make_one(space), "ZERO": make_zero(space)}
         for p in propositions:
-            if p.space != space:
-                raise StructuralError(f"proposition {p.name!r} is over a different state space")
             if p.name in RESERVED_PROPOSITION_NAMES:
                 if p != props[p.name]:
                     raise StructuralError(f"proposition name {p.name!r} is reserved")
@@ -453,12 +470,8 @@ class Model(_Record):
         for a in observables:
             if a.name in obs:
                 raise StructuralError(f"duplicate observable name {a.name!r}")
-            if a.space != space:
-                raise StructuralError(f"observable {a.name!r} is over a different state space")
             obs[a.name] = a
-        model = cls(space, props, obs, partition)
-        _check_members(model)
-        return model
+        return cls(space, props, obs, partition)
 
     def proposition(self, name: str) -> Proposition:
         try:
@@ -957,35 +970,19 @@ def _partition_violations(model: Model) -> list[Violation]:
     return out
 
 
-def _check_members(model: Model) -> None:
-    """Raise StructuralError where an observable's family member is not the
-    model's proposition of that name: missing, or with other maps."""
-    for o in model.observables.values():
-        for v in o.spectrum:
-            member = o.family[v]
-            if model.propositions.get(member.name) != member:
-                raise StructuralError(
-                    f"observable {o.name!r}: family member {member.name!r} is not a proposition of the model"
-                )
-
-
 def validate_model(model: Model) -> list[Violation]:
-    """Aggregate report: builtins, every proposition, every observable, partition; raises on a dangling member."""
-    _check_members(model)
+    """Aggregate report: builtins, every proposition, every observable, partition."""
+    props, observables = model.propositions, model.observables
     out = _builtin_violations(model)
-    for name in sorted(model.propositions):
-        out.extend(validate_proposition(model.propositions[name], model.space))
-    for name in sorted(model.observables):
-        out.extend(validate_observable(model.observables[name], model.space))
-    out.extend(_partition_violations(model))
-    return out
+    out += [v for name in sorted(props) for law in PROPOSITION_LAWS for v in law(props[name])]
+    out += [v for name in sorted(observables) for law in OBSERVABLE_LAWS for v in law(observables[name])]
+    return out + _partition_violations(model)
 
 
 def _rebuild(model: Model, space: StateSpace, convert) -> Model:
     """Rebuild a model over a new space, mapping every PropMap through `convert`.
 
     ONE and ZERO are converted as they are, so `validate_model` reports the same."""
-    _check_members(model)
     props = {name: Proposition(p.name, convert(p.yes), convert(p.no)) for name, p in model.propositions.items()}
     observables = {
         name: Observable(o.name, o.spectrum, {v: props[o.family[v].name] for v in o.spectrum})

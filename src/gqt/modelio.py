@@ -417,17 +417,18 @@ def parse_quantum(text: str) -> QuantumDocument:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         _fail("dimension", "must be a positive integer")
 
-    seeds_raw = _require_object(data["seeds"], "seeds")
-    if not seeds_raw:
-        _fail("seeds", "at least one seed state is required")
-    seeds = tuple((name, _parse_state_entry(value, dim, f"seeds.{name}")) for name, value in seeds_raw.items())
-
+    # Projectors first: each spells out its d x d entries, so no ket seed
+    # expands into a density matrix larger than the document itself.
     props_raw = _require_object(data["propositions"], "propositions")
     if not props_raw:
         _fail("propositions", "at least one projector is required")
     propositions = tuple(
         (name, _parse_matrix(value, dim, f"propositions.{name}")) for name, value in props_raw.items()
     )
+    seeds_raw = _require_object(data["seeds"], "seeds")
+    if not seeds_raw:
+        _fail("seeds", "at least one seed state is required")
+    seeds = tuple((name, _parse_state_entry(value, dim, f"seeds.{name}")) for name, value in seeds_raw.items())
     observables = _parse_observables(data, {name: name for name, _ in propositions}, "projector", ObservableSpec)
 
     cap = data.get("cap")

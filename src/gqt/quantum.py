@@ -381,11 +381,11 @@ def document_orbit(doc, cap: Optional[int] = None, tol: Optional[float] = None) 
     seeds = [DensityState(m, tol) for _, m in doc.seeds]
     orbit = close_orbit(seeds, projectors, cap=cap, tol=tol)
     props = orbit.model.propositions
-    observables = [
-        core.Observable(spec.name, spec.spectrum, {v: props[spec.family[v]] for v in spec.spectrum})
+    observables = {
+        spec.name: core.Observable(spec.name, spec.spectrum, {v: props[spec.family[v]] for v in spec.spectrum})
         for spec in doc.observables
-    ]
-    model = core.Model.build(orbit.model.space, props.values(), observables, doc.partition)
+    }
+    model = core.Model(orbit.model.space, props, observables, doc.partition)
     return Orbit(model, orbit.matrices, orbit.max_merge_distance, orbit.min_split_distance, orbit.cap, orbit.tol)
 
 

@@ -392,6 +392,18 @@ def test_quantum_build_of_overflowing_entries_exits_2_without_warning(tmp_path, 
     assert not (tmp_path / "out.json").exists()
 
 
+def test_quantum_build_refuses_a_large_ket_before_expanding_it(tmp_path, capsys):
+    # The ket's density matrix would take 149 GiB; the 1x1 projector is
+    # refused first, so nothing of that size is ever asked for.
+    dim = 100_000
+    doc = {"dimension": dim, "seeds": {"a": [[1, 0]] + [[0, 0]] * (dim - 1)}, "propositions": {"P": [[[1, 0]]]}}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["quantum", "build", str(path), "-o", str(tmp_path / "out.json")], capsys)
+    assert (code, out, err) == (2, "", f"error: propositions.P: matrix must have {dim} rows\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_quantum_build_help_shows_the_defaults(capsys):
     # The CLI does not import numpy for its help, so it spells the
     # defaults out; they must stay those of `quantum`.
@@ -486,6 +498,19 @@ def test_fuzz_json_embeds_each_counterexample_model(capsys, monkeypatch):
         text = json.dumps(entry["model"], indent=2, ensure_ascii=False) + "\n"
         assert text == modelio.serialize_model(summary.first_by_law[law].model)
         assert len(entry["model"]["states"]) < len(broken.space)
+
+
+def test_fuzz_json_keeps_the_whole_model_for_a_violation_without_witnesses(capsys, monkeypatch):
+    # A compatible pair without a common eigenstate is a violation of the
+    # pair, at no state, so there is nothing to shrink the model to.
+    classify = core.classify_pair
+    monkeypatch.setattr(core, "classify_pair", lambda a, b: (core.PairClass.COMPATIBLE, classify(a, b)[1]))
+    monkeypatch.setattr(checker, "generate_model", lambda params: make_qzx())
+    code, out, _ = run_cli(["fuzz", "--count", "1", "--format", "json"], capsys)
+    assert code == 1
+    entry = json.loads(out)["first_by_law"]["strongcomp-implies-comp"]
+    assert entry["violation"]["witness"] == []
+    assert entry["model"] == json.loads((FIXTURES / "qzx.json").read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------

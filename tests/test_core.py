@@ -146,24 +146,78 @@ def test_model_build_rejects_foreign_family_member(qzx):
         core.Model.build(qzx.space, [], [obs])
 
 
-def test_a_member_with_other_maps_than_the_models_proposition_is_refused(qzx):
-    # Observable Z's "0" member is named Z0 but is not the model's Z0.
-    z0 = mutate_entry(qzx, "Z0", "yes", "zp", "zp").propositions["Z0"]
-    z = qzx.observables["Z"]
-    observables = {**qzx.observables, "Z": core.Observable("Z", z.spectrum, {**z.family, "0": z0})}
-    model = core.Model(qzx.space, qzx.propositions, observables, qzx.partition)
-    states = qzx.space.states
-    calls = [
-        lambda: core.Model.build(model.space, model.propositions.values(), model.observables.values()),
-        lambda: core.validate_model(model),
-        lambda: checker.check_laws(model),
-        lambda: core.rename_states(model, {s: s for s in states}),
-        lambda: core.reachable_submodel(model, states),
-    ]
+def _unchecked_model(space, propositions, observables):
+    """A Model made without its constructor, so without its checks."""
+    model = object.__new__(core.Model)
+    model._assign(space, dict(propositions), dict(observables), None)
+    return model
+
+
+def _model_fault_cases():
+    """Per fault a model refuses: the raw constructor's arguments, the
+    message, and `Model.build`'s arguments where build can make the fault."""
+    qzx = make_qzx()
+    space, props, observables = qzx.space, qzx.propositions, qzx.observables
+    abc, wide = core.StateSpace(("a", "b", "c")), core.StateSpace(("x", "y", "z", "u", "v"))
+    builtins = {"ONE": core.make_one(abc), "ZERO": core.make_zero(abc)}
+    # Over another space: before the constructor refused this model,
+    # validate_model raised on it, check_laws reported laws broken at x, y,
+    # z, u and v, and reachable_submodel raised IndexError.
+    p_wide = core.Proposition("P", core.identity_map(wide), core.constant_zero_map(wide))
+    foreign_obs = core.observable_from_proposition(core.Proposition("F", p_wide.yes, p_wide.no), "A")
+    # Under another name: validate_model reported nothing, and
+    # serialize_model wrote P as Q.
+    p_abc = core.Proposition("P", core.identity_map(abc), core.constant_zero_map(abc))
+    # Observable Z's "0" member: missing, or named Z0 but not the model's Z0.
+    without_z0 = {name: p for name, p in props.items() if name != "Z0"}
+    z, other_z0 = observables["Z"], mutate_entry(qzx, "Z0", "yes", "zp", "zp").propositions["Z0"]
+    other_member = {**observables, "Z": core.Observable("Z", z.spectrum, {**z.family, "0": other_z0})}
+    member_message = "observable 'Z': family member 'Z0' is not a proposition of the model"
+    return {
+        "proposition-over-another-space": (
+            (abc, {**builtins, "P": p_wide}, {}),
+            "proposition 'P' is over a different state space",
+            (abc, [p_wide]),
+        ),
+        "observable-over-another-space": (
+            (space, props, {"A": foreign_obs}),
+            "observable 'A' is over a different state space",
+            (space, props.values(), [foreign_obs]),
+        ),
+        "proposition-under-another-name": (
+            (abc, {**builtins, "Q": p_abc}, {}),
+            "proposition 'P' is stored under 'Q'",
+            None,
+        ),
+        "observable-under-another-name": ((space, props, {"Y": z}), "observable 'Z' is stored under 'Y'", None),
+        "dangling-member": (
+            (space, without_z0, observables),
+            member_message,
+            (space, without_z0.values(), observables.values()),
+        ),
+        "member-with-other-maps": (
+            (space, props, other_member),
+            member_message,
+            (space, props.values(), other_member.values()),
+        ),
+    }
+
+
+MODEL_FAULT_CASES = _model_fault_cases()
+
+
+@pytest.mark.parametrize("case", list(MODEL_FAULT_CASES))
+def test_a_model_holds_only_its_own_parts(case):
+    # Every way to make a model refuses the fault, so no report or rebuild
+    # ever meets one.
+    args, message, build_args = MODEL_FAULT_CASES[case]
+    calls = [lambda: core.Model(*args), lambda: pickle.loads(pickle.dumps(_unchecked_model(*args)))]
+    if build_args is not None:
+        calls.append(lambda: core.Model.build(*build_args))
     for call in calls:
         with pytest.raises(StructuralError) as info:
             call()
-        assert str(info.value) == "observable 'Z': family member 'Z0' is not a proposition of the model"
+        assert str(info.value) == message
 
 
 def _structural_error_cases():
@@ -686,30 +740,6 @@ def test_rename_states_roundtrip(qzx):
         core.rename_states(qzx, {"z0": "a"})
     with pytest.raises(StructuralError):
         core.rename_states(qzx, {"z0": "a", "zp": "a", "zm": "c", "z1": "d"})
-
-
-def test_rebuild_over_a_dangling_observable_member_is_structural(qzx):
-    # A raw model whose observable Z names a member, Z0, that is not one
-    # of its propositions.
-    props = {name: p for name, p in qzx.propositions.items() if name != "Z0"}
-    model = core.Model(qzx.space, props, qzx.observables)
-    identity = {z: z for z in qzx.space.states}
-    message = "observable 'Z': family member 'Z0' is not a proposition of the model"
-    with pytest.raises(StructuralError, match=message):
-        core.rename_states(model, identity)
-    with pytest.raises(StructuralError, match=message):
-        core.reachable_submodel(model, ["z0"])
-
-
-@pytest.mark.parametrize("report", [core.validate_model, checker.check_laws], ids=["validate_model", "check_laws"])
-def test_reports_over_a_dangling_observable_member_are_structural(qzx, report):
-    # The same raw model as above: no report can name the laws of a
-    # branch that is not there, so both raise as the rebuild does.
-    props = {name: p for name, p in qzx.propositions.items() if name != "Z0"}
-    model = core.Model(qzx.space, props, qzx.observables)
-    message = "observable 'Z': family member 'Z0' is not a proposition of the model"
-    with pytest.raises(StructuralError, match=message):
-        report(model)
 
 
 def test_reachable_submodel(bell):

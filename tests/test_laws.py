@@ -136,20 +136,25 @@ def checked_mutant_reports(table_type, builtins=None):
     return reports
 
 
-def test_reports_match_reference_on_every_single_entry_mutant():
-    checked_mutant_reports(bytes)
+@pytest.fixture(scope="module")
+def coded():
+    """The byte-table sweep, run once for the module: a module fixture is
+    set up before any test's monkeypatch."""
+    return checked_mutant_reports(bytes)
 
 
-def test_reports_match_reference_on_every_single_entry_mutant_scan_only(monkeypatch):
-    coded = checked_mutant_reports(bytes)
+def test_reports_match_reference_on_every_single_entry_mutant(coded):
+    assert len(coded) == 2292
+
+
+def test_reports_match_reference_on_every_single_entry_mutant_scan_only(coded, monkeypatch):
     # Every map built from here on has a tuple table; the reports keep
     # their order and wording.
     monkeypatch.setattr(core, "_table", tuple)
     assert checked_mutant_reports(tuple) == coded
 
 
-def test_reports_match_reference_with_byte_builtins_among_tuple_maps(monkeypatch):
-    coded = checked_mutant_reports(bytes)
+def test_reports_match_reference_with_byte_builtins_among_tuple_maps(coded, monkeypatch):
     builtins = {b.space: {name: b.propositions[name] for name in ("ONE", "ZERO")} for b in mutant_bases()}
     monkeypatch.setattr(core, "_table", tuple)
     # A composite of a byte map with a tuple map is a tuple, so a fast

@@ -27,8 +27,20 @@ SPEC = modelio.ObservableSpec("O", ("0", "1"), {"0": "Z0", "1": "Z1"})
 # Records compare arrays by value, so equal copies of a 2x2 matrix are equal.
 MATRIX = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
 
+MODEL_ARGS = (SPACE, MODEL.propositions, MODEL.observables, None)
+# A model holds only parts over its own space and only its own members, so
+# no one model takes every one-field change: per field, two valid models'
+# arguments that differ in that field alone.
+MODEL_VARIANTS = [
+    ((SPACE, {}, {}, None), (OTHER_SPACE, {}, {}, None)),
+    (MODEL_ARGS, (SPACE, {**MODEL.propositions, "Q": Q}, MODEL.observables, None)),
+    (MODEL_ARGS, (SPACE, MODEL.propositions, {}, None)),
+    (MODEL_ARGS, (SPACE, MODEL.propositions, MODEL.observables, PARTITION)),
+]
+
 # Per record type: its constructor arguments, in field order, and for
-# each field a value that makes an unequal record.
+# each field a value that makes an unequal record (for Model, a pair of
+# argument tuples).
 CASES = {
     core.StateSpace: ((("a", "b"),), [("a", "c")]),
     core.PropMap: ((SPACE, (0, 2, 2)), [OTHER_SPACE, (0, 1, 2)]),
@@ -45,7 +57,7 @@ CASES = {
         ["B", ("no", "yes"), {"yes": Q, "no": core.negate(Q)}],
     ),
     core.Partition: ((("L", "R"), {"A": "L"}, ("B",)), [("L",), {"A": "R"}, ()]),
-    core.Model: ((SPACE, MODEL.propositions, MODEL.observables, None), [OTHER_SPACE, {}, {}, PARTITION]),
+    core.Model: (MODEL_ARGS, MODEL_VARIANTS),
     modelio.ObservableSpec: (("O", ("0", "1"), {"0": "Z0", "1": "Z1"}), ["X", ("1", "0"), {"0": "Z1", "1": "Z0"}]),
     modelio.QuantumDocument: (
         (2, (("s", MATRIX),), (("Z0", MATRIX),), (SPEC,), 8, 1e-9, PARTITION),
@@ -104,10 +116,12 @@ def test_equal_fields_give_equal_records(cls):
 def test_each_field_is_compared(cls):
     args, variants = CASES[cls]
     assert len(args) == len(variants) == len(cls._fields)
-    base = cls(*args)
-    for i, value in enumerate(variants):
-        other = cls(*args[:i], value, *args[i + 1 :])
-        assert other != base and not other == base, cls._fields[i]
+    if cls is not core.Model:
+        variants = [(args, (*args[:i], value, *args[i + 1 :])) for i, value in enumerate(variants)]
+    for field, (base_args, other_args) in zip(cls._fields, variants):
+        assert [f for f, a, b in zip(cls._fields, base_args, other_args) if a is not b and a != b] == [field]
+        base, other = cls(*base_args), cls(*other_args)
+        assert other != base and not other == base, field
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
