@@ -153,6 +153,9 @@ def _unchecked_model(space, propositions, observables):
     return model
 
 
+DANGLING_MESSAGE = "observable 'Z': family member 'Z0' is not a proposition of the model"
+
+
 def _model_fault_cases():
     """Per fault a model refuses: the raw constructor's arguments, the
     message, and `Model.build`'s arguments where build can make the fault."""
@@ -168,11 +171,10 @@ def _model_fault_cases():
     # Under another name: validate_model reported nothing, and
     # serialize_model wrote P as Q.
     p_abc = core.Proposition("P", core.identity_map(abc), core.constant_zero_map(abc))
-    # Observable Z's "0" member: missing, or named Z0 but not the model's Z0.
-    without_z0 = {name: p for name, p in props.items() if name != "Z0"}
+    # Observable Z's "0" member named Z0 but not the model's Z0 (a missing
+    # member has tests of its own below).
     z, other_z0 = observables["Z"], mutate_entry(qzx, "Z0", "yes", "zp", "zp").propositions["Z0"]
     other_member = {**observables, "Z": core.Observable("Z", z.spectrum, {**z.family, "0": other_z0})}
-    member_message = "observable 'Z': family member 'Z0' is not a proposition of the model"
     return {
         "proposition-over-another-space": (
             (abc, {**builtins, "P": p_wide}, {}),
@@ -190,14 +192,9 @@ def _model_fault_cases():
             None,
         ),
         "observable-under-another-name": ((space, props, {"Y": z}), "observable 'Z' is stored under 'Y'", None),
-        "dangling-member": (
-            (space, without_z0, observables),
-            member_message,
-            (space, without_z0.values(), observables.values()),
-        ),
         "member-with-other-maps": (
             (space, props, other_member),
-            member_message,
+            DANGLING_MESSAGE,
             (space, props.values(), other_member.values()),
         ),
     }
@@ -740,6 +737,45 @@ def test_rename_states_roundtrip(qzx):
         core.rename_states(qzx, {"z0": "a"})
     with pytest.raises(StructuralError):
         core.rename_states(qzx, {"z0": "a", "zp": "a", "zm": "c", "z1": "d"})
+
+
+def _dangling_model_makers(qzx):
+    """Every way to make the model whose observable Z names a member, Z0,
+    that is not one of its propositions."""
+    props = {name: p for name, p in qzx.propositions.items() if name != "Z0"}
+    args = (qzx.space, props, qzx.observables)
+    return [
+        lambda: core.Model(*args),
+        lambda: pickle.loads(pickle.dumps(_unchecked_model(*args))),
+        lambda: core.Model.build(qzx.space, props.values(), qzx.observables.values()),
+    ]
+
+
+def test_rebuild_over_a_dangling_observable_member_is_structural(qzx):
+    # The rebuilds never meet the dangling model: every way to make it
+    # raises.  Their own output goes through the constructor, and each
+    # member of a rebuilt observable is the rebuilt model's proposition.
+    identity = {z: z for z in qzx.space.states}
+    for rebuild in (lambda m: core.rename_states(m, identity), lambda m: core.reachable_submodel(m, ["z0"])):
+        for make in _dangling_model_makers(qzx):
+            with pytest.raises(StructuralError) as info:
+                rebuild(make())
+            assert str(info.value) == DANGLING_MESSAGE
+        rebuilt = rebuild(qzx)
+        for o in rebuilt.observables.values():
+            assert all(rebuilt.propositions[m.name] is m for m in o.family.values())
+
+
+@pytest.mark.parametrize("report", [core.validate_model, checker.check_laws], ids=["validate_model", "check_laws"])
+def test_reports_over_a_dangling_observable_member_are_structural(qzx, report):
+    # No report can name the laws of a branch that is not there: the model
+    # is refused wherever it could be made, so the report raises as the
+    # rebuilds do, and over the whole model it finds nothing.
+    for make in _dangling_model_makers(qzx):
+        with pytest.raises(StructuralError) as info:
+            report(make())
+        assert str(info.value) == DANGLING_MESSAGE
+    assert report(qzx) == []
 
 
 def test_reachable_submodel(bell):
