@@ -7,8 +7,10 @@ does, with 16 propositions, 8 observables and spectra of up to 4 values.
 body, `checker._draw_model`, over a space of any size.  It prints the
 median milliseconds of drawing that model (`generate`), of
 `checker.check_laws`, of `core.validate_model` and of one
-`core.classify_pair` (averaged over every observable pair) over
-`--repeats` calls each, and the violations found (0 on a valid model).
+`core.classify_pair` and of one `core.pair_class` (each averaged over
+every observable pair) over `--repeats` calls each, and the violations
+found (0 on a valid model).  The `class` column reads `-` where `core`
+has no `pair_class`, so the script also times checkouts from before it.
 The `path` column says whether each `PropMap.table` is bytes
 ("byte-coded", up to 255 states) or a tuple ("scan-only", past 255
 states).  The header line gives the Python version.
@@ -54,7 +56,10 @@ def main(argv=None):
         f"Python {platform.python_version()}; {N_PROPS} propositions, {N_OBS} observables,"
         f" median ms of {args.repeats} calls"
     )
-    print(f"{'states':>6} {'path':>10} {'generate':>9} {'check_laws':>11} {'validate':>9} {'pair':>7} {'violations':>10}")
+    print(
+        f"{'states':>6} {'path':>10} {'generate':>9} {'check_laws':>11} {'validate':>9} {'pair':>7} {'class':>7}"
+        f" {'violations':>10}"
+    )
     for n in args.sizes:
         generate_ms = median_ms(lambda: generated_model(n, args.seed), args.repeats)
         model = generated_model(n, args.seed)
@@ -65,9 +70,13 @@ def main(argv=None):
         check_ms = median_ms(lambda: checker.check_laws(model), args.repeats)
         validate_ms = median_ms(lambda: core.validate_model(model), args.repeats)
         pair_ms = median_ms(lambda: [core.classify_pair(a, b) for a, b in pairs], args.repeats) / len(pairs)
+        class_ms = "-"
+        if hasattr(core, "pair_class"):
+            class_ms = f"{median_ms(lambda: [core.pair_class(a, b) for a, b in pairs], args.repeats) / len(pairs):.3f}"
         violations = len(checker.check_laws(model)) + len(core.validate_model(model))
         print(
-            f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.3f} {violations:>10}"
+            f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.3f} {class_ms:>7}"
+            f" {violations:>10}"
         )
 
 

@@ -194,10 +194,14 @@ def check_laws(model: core.Model) -> list[Violation]:
     out = [v for name in sorted(model.propositions) for law in prop_laws for v in law(model.propositions[name])]
     observables = [model.observables[name] for name in sorted(model.observables)]
     out += [v for a in observables for law in core.OBSERVABLE_LAWS for v in law(a)]
+    # Every pair law reports nothing unless the pair is compatible, so only
+    # a compatible pair gets its common eigenstates listed.
     for i, a in enumerate(observables):
         for b in observables[i:]:
-            cls_, ev = core.classify_pair(a, b)
-            out.extend(v for law in _PAIR_LAWS for v in law(a, b, cls_, ev))
+            cls_, witness = core.pair_class(a, b)
+            if cls_ is core.PairClass.COMPATIBLE:
+                ev = core.PairEvidence(witness, tuple(core.common_eigenstates(a, b)))
+                out.extend(v for law in _PAIR_LAWS for v in law(a, b, cls_, ev))
     return out
 
 

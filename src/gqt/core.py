@@ -710,24 +710,6 @@ PROPOSITION_LAWS = (idempotence, annihilation, consistency)
 OBSERVABLE_LAWS = (exclusion, completeness)
 
 
-def validate_proposition(p: Proposition, space: StateSpace) -> list[Violation]:
-    """Check idempotence, mutual annihilation, and consistency pointwise.
-
-    Returns one violation per law per witnessing state; empty means the
-    proposition satisfies all three laws on the given space.
-    """
-    if p.space != space:
-        raise StructuralError(f"proposition {p.name!r} is not defined over the given state space")
-    return [v for law in PROPOSITION_LAWS for v in law(p)]
-
-
-def validate_observable(a: Observable, space: StateSpace) -> list[Violation]:
-    """Check mutual exclusion and joint completeness of the family."""
-    if a.space != space:
-        raise StructuralError(f"observable {a.name!r} is not defined over the given state space")
-    return [v for law in OBSERVABLE_LAWS for v in law(a)]
-
-
 # ---------------------------------------------------------------------------
 # Proposition-level operations
 
@@ -773,10 +755,16 @@ def is_compatible_propositions(p: Proposition, q: Proposition) -> tuple[bool, Op
     """
     if p.space != q.space:
         raise StructuralError("propositions are over different state spaces")
+    witness = _commutation_witness(p, q)
+    return witness is None, witness
+
+
+def _commutation_witness(p: Proposition, q: Proposition) -> Optional[CommutationWitness]:
+    """`is_compatible_propositions`'s witness, for two propositions known to share a space."""
     for sp, sq in _SIDE_PAIRS:
         for z, pq, qp in noncommuting(p.side(sp), q.side(sq)):
-            return False, CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
-    return True, None
+            return CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
+    return None
 
 
 def conjunction(p: Proposition, q: Proposition) -> DerivedProposition:
@@ -829,30 +817,35 @@ def common_eigenstates(a: Observable, b: Observable) -> list[tuple[str, str, str
     return [(states[i], va, vb) for i in a.space.by_name if ae[i] and be[i] for va in ae[i] for vb in be[i]]
 
 
-def classify_pair(a: Observable, b: Observable) -> tuple[PairClass, PairEvidence]:
-    """Compatible, complementary, or strongly complementary.
+def pair_class(a: Observable, b: Observable) -> tuple[PairClass, Optional[CommutationWitness]]:
+    """Compatible, complementary, or strongly complementary, with the witness.
 
     Compatible means every branch of `a` commutes with every branch of
-    `b` on all four outcome sides; strongly complementary additionally
-    means the pair has no common eigenstate.
+    `b` on all four outcome sides, and the witness is None; otherwise the
+    witness is the first failure, scanning `a`'s spectrum, then `b`'s,
+    then the sides.  Strongly complementary additionally means the pair
+    has no common eigenstate.
     """
     if a.space != b.space:
         raise StructuralError("observables are over different state spaces")
-    witness = None
+    # Every family member is over its observable's space.
     for va in a.spectrum:
+        p = a.family[va]
         for vb in b.spectrum:
-            ok, w = is_compatible_propositions(a.family[va], b.family[vb])
-            if not ok:
-                witness = w
-                break
-        if witness is not None:
-            break
-    common = tuple(common_eigenstates(a, b))
-    if witness is None:
-        return PairClass.COMPATIBLE, PairEvidence(None, common)
-    if not common:
-        return PairClass.STRONGLY_COMPLEMENTARY, PairEvidence(witness, common)
-    return PairClass.COMPLEMENTARY, PairEvidence(witness, common)
+            witness = _commutation_witness(p, b.family[vb])
+            if witness is not None:
+                # A state is a common eigenstate when both of its slots are
+                # non-empty; the zero slot is ((), ()), so it never is.
+                if any(map(all, zip(a.eigenvalues, b.eigenvalues))):
+                    return PairClass.COMPLEMENTARY, witness
+                return PairClass.STRONGLY_COMPLEMENTARY, witness
+    return PairClass.COMPATIBLE, None
+
+
+def classify_pair(a: Observable, b: Observable) -> tuple[PairClass, PairEvidence]:
+    """`pair_class`, with the pair's common eigenstates as evidence."""
+    cls_, witness = pair_class(a, b)
+    return cls_, PairEvidence(witness, tuple(common_eigenstates(a, b)))
 
 
 def measure_sequence(model: Model, z: StateRef, steps: Sequence[tuple[str, str]]) -> StateRef:
@@ -897,19 +890,19 @@ def check_entanglement_preconditions(model: Model, global_name: str, local_names
         for l2 in local_names[i + 1 :]:
             if part.local_tags[l1] == part.local_tags[l2]:
                 continue
-            cls_, ev = classify_pair(model.observable(l1), model.observable(l2))
+            cls_, witness = pair_class(model.observable(l1), model.observable(l2))
             if cls_ is not PairClass.COMPATIBLE:
                 # Every class but compatible comes with a witness.
                 out.append(
                     Violation(
                         "entangle-locals-compatible",
                         (l1, l2),
-                        (ev.witness.state,),
+                        (witness.state,),
                         f"local observables {l1} and {l2} on different subsystems are {cls_.value}",
                     )
                 )
     for name in local_names:
-        cls_, _ = classify_pair(g, model.observable(name))
+        cls_, _ = pair_class(g, model.observable(name))
         if cls_ is PairClass.COMPATIBLE:
             out.append(
                 Violation(

@@ -252,10 +252,10 @@ def test_compatible_pair_without_common_eigenstate_is_reported():
 
 
 def call_every_pair_compatible(monkeypatch):
-    # The order law and classify_pair share core.noncommuting, so the law
+    # The order law and pair_class share core.noncommuting, so the law
     # fires only when the classification is wrong.
-    classify = core.classify_pair
-    monkeypatch.setattr(core, "classify_pair", lambda a, b: (core.PairClass.COMPATIBLE, classify(a, b)[1]))
+    pair_class = core.pair_class
+    monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
 
 
 def test_noncommuting_pair_called_compatible_breaks_order_independence(monkeypatch):

@@ -224,8 +224,8 @@ def test_entangle_checks_preconditions_once(capsys, monkeypatch):
     # One classification for the locals on different subsystems, one for
     # the global against each local.
     calls = []
-    classify_pair = core.classify_pair
-    monkeypatch.setattr(core, "classify_pair", lambda a, b: calls.append((a.name, b.name)) or classify_pair(a, b))
+    pair_class = core.pair_class
+    monkeypatch.setattr(core, "pair_class", lambda a, b: calls.append((a.name, b.name)) or pair_class(a, b))
     code, out, _ = run_cli(["entangle", BELL, "--global", "BELL", "--locals", "ZA,ZB"], capsys)
     assert (code, out) == (0, "preconditions: ok\nentangled states: phiM phiP\n")
     assert calls == [("ZA", "ZB"), ("BELL", "ZA"), ("BELL", "ZB")]
@@ -503,8 +503,8 @@ def test_fuzz_json_embeds_each_counterexample_model(capsys, monkeypatch):
 def test_fuzz_json_keeps_the_whole_model_for_a_violation_without_witnesses(capsys, monkeypatch):
     # A compatible pair without a common eigenstate is a violation of the
     # pair, at no state, so there is nothing to shrink the model to.
-    classify = core.classify_pair
-    monkeypatch.setattr(core, "classify_pair", lambda a, b: (core.PairClass.COMPATIBLE, classify(a, b)[1]))
+    pair_class = core.pair_class
+    monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
     monkeypatch.setattr(checker, "generate_model", lambda params: make_qzx())
     code, out, _ = run_cli(["fuzz", "--count", "1", "--format", "json"], capsys)
     assert code == 1

@@ -247,10 +247,6 @@ def _structural_error_cases():
             lambda: core.Model.build(space, [], [foreign_obs]),
             "observable 'A' is over a different state space",
         ),
-        "validate-observable-space": (
-            lambda: core.validate_observable(z, other),
-            "observable 'Z' is not defined over the given state space",
-        ),
         "compatible-spaces": (
             lambda: core.is_compatible_propositions(z0, foreign),
             "propositions are over different state spaces",
@@ -264,6 +260,7 @@ def _structural_error_cases():
             "observables are over different state spaces",
         ),
         "classify-pair-spaces": (lambda: core.classify_pair(z, foreign_obs), "observables are over different state spaces"),
+        "pair-class-spaces": (lambda: core.pair_class(z, foreign_obs), "observables are over different state spaces"),
         "act-projector-dimension": (
             lambda: quantum.act_projector(qubit, quantum.Projector(np.eye(3))),
             "projector dimension does not match the state",
@@ -287,24 +284,32 @@ def test_structural_errors_name_their_cause(case):
 
 
 # ---------------------------------------------------------------------------
-# validate_proposition
+# The per-part laws
+
+
+def proposition_report(p):
+    return [v for law in core.PROPOSITION_LAWS for v in law(p)]
+
+
+def observable_report(a):
+    return [v for law in core.OBSERVABLE_LAWS for v in law(a)]
 
 
 def test_builtins_validate_clean(qzx):
-    assert core.validate_proposition(qzx.propositions["ONE"], qzx.space) == []
-    assert core.validate_proposition(qzx.propositions["ZERO"], qzx.space) == []
+    assert proposition_report(qzx.propositions["ONE"]) == []
+    assert proposition_report(qzx.propositions["ZERO"]) == []
 
 
 def test_qzx_propositions_validate_clean(qzx):
     for name in ("Z0", "Z1", "X0", "X1"):
-        assert core.validate_proposition(qzx.propositions[name], qzx.space) == []
+        assert proposition_report(qzx.propositions[name]) == []
 
 
 def test_redirected_entry_breaks_annihilation(qzx):
     # send Z0.yes(zp) to zp itself: zp is not a yes-eigenstate, so the
     # no-map no longer annihilates the yes-image
     broken = mutate_entry(qzx, "Z0", "yes", "zp", "zp")
-    report = core.validate_proposition(broken.propositions["Z0"], qzx.space)
+    report = proposition_report(broken.propositions["Z0"])
     laws = {(v.law, v.witness) for v in report}
     assert ("annihilation", ("zp",)) in laws
 
@@ -316,21 +321,16 @@ def test_idempotence_violation_witness():
     # yes(a) = b but yes(b) = ZERO: not idempotent at a; also b claims
     # both outcomes in a tangled way, caught separately
     p = core.Proposition("P", yes, no)
-    report = core.validate_proposition(p, space)
+    report = proposition_report(p)
     assert any(v.law == "idempotence-yes" and v.witness == ("a",) for v in report)
 
 
 def test_consistency_violation():
     space = core.StateSpace(("a",))
     p = core.Proposition("P", core.constant_zero_map(space), core.constant_zero_map(space))
-    report = core.validate_proposition(p, space)
+    report = proposition_report(p)
     assert [v.law for v in report] == ["consistency"]
     assert report[0].witness == ("a",)
-
-
-def test_validate_proposition_space_mismatch(qzx):
-    with pytest.raises(StructuralError):
-        core.validate_proposition(qzx.propositions["Z0"], core.StateSpace(("x",)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +490,19 @@ def test_derived_proposition_must_be_idempotent(qzx):
 def test_validate_observable_clean(qzx, bell, bistable):
     for model in (qzx, bell, bistable):
         for obs in model.observables.values():
-            assert core.validate_observable(obs, model.space) == []
+            assert observable_report(obs) == []
 
 
 def test_observable_from_proposition_validates(qzx):
     obs = core.observable_from_proposition(qzx.propositions["Z0"])
-    assert core.validate_observable(obs, qzx.space) == []
+    assert observable_report(obs) == []
     assert obs.spectrum == ("yes", "no")
 
 
 def test_mutual_exclusion_violation(qzx):
     z0 = qzx.propositions["Z0"]
     obs = core.Observable("BAD", ("0", "1"), {"0": z0, "1": z0})
-    report = core.validate_observable(obs, qzx.space)
+    report = observable_report(obs)
     assert any(v.law == "mutual-exclusion" for v in report)
     v = next(v for v in report if v.law == "mutual-exclusion")
     assert v.subjects[0] == "BAD"
@@ -518,7 +518,7 @@ def test_completeness_violation():
     )
     never = core.Proposition("NV", core.constant_zero_map(space), core.identity_map(space))
     obs = core.Observable("A", ("hit", "miss"), {"hit": only_a, "miss": never})
-    report = core.validate_observable(obs, space)
+    report = observable_report(obs)
     assert [(v.law, v.witness) for v in report] == [("completeness", ("b",))]
 
 
@@ -567,8 +567,8 @@ def test_complementary_with_common_eigenstate():
     )
     a = core.observable_from_proposition(pa, "A")
     b = core.observable_from_proposition(pb, "B")
-    assert core.validate_observable(a, space) == []
-    assert core.validate_observable(b, space) == []
+    assert observable_report(a) == []
+    assert observable_report(b) == []
     cls_, ev = core.classify_pair(a, b)
     assert cls_ is PairClass.COMPLEMENTARY
     assert ("e", "yes", "yes") in ev.common
@@ -602,6 +602,28 @@ def test_zero_slot_is_nobodys_eigenstate():
     assert again == a
     assert repr(a) == f"Observable(name='A', spectrum=('yes', 'no'), family={a.family!r})"
     assert repr(space) == "StateSpace(states=('f', 'e'))"
+
+
+@pytest.mark.parametrize("n", [3, 255, 256])
+@pytest.mark.parametrize("shared", [False, True], ids=["no-common", "common-at-last"])
+def test_one_shared_eigenstate_splits_the_complementary_classes(n, shared):
+    # P's yes-branch sends every state to s0 and Q's to s1, so the two
+    # never commute.  With `shared`, both no-branches fix the last state
+    # and nothing else, so that state, just before the zero slot, is the
+    # pair's one common eigenstate; otherwise they fix nothing.
+    space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
+    last = n - 1
+    no = [n] * (n + 1)
+    if shared:
+        no[last] = last
+    pp = core.Proposition("P", core.PropMap(space, [0] * n + [n]), core.PropMap(space, no))
+    pq = core.Proposition("Q", core.PropMap(space, [1] * n + [n]), core.PropMap(space, no))
+    a, b = core.observable_from_proposition(pp, "A"), core.observable_from_proposition(pq, "B")
+    witness = core.CommutationWitness("P", "Q", "yes", "yes", "s0", "s0", "s1")
+    cls_ = PairClass.COMPLEMENTARY if shared else PairClass.STRONGLY_COMPLEMENTARY
+    common = ((f"s{last}", "no", "no"),) if shared else ()
+    assert core.pair_class(a, b) == (cls_, witness)
+    assert core.classify_pair(a, b) == (cls_, core.PairEvidence(witness, common))
 
 
 def test_bistable_is_strongly_complementary(bistable):

@@ -10,6 +10,9 @@ tuples at small sizes too, and mix the two, and hold every form to the
 reference.
 """
 
+import json
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -320,6 +323,18 @@ def reference_unreached_joint_eigenstates(a, b, common):
     ]
 
 
+def reference_pair_class(a, b, common):
+    """The class and witness as found by scanning every branch pair of the
+    two observables for a commutation witness, then reading `common`, the
+    pair's whole list of common eigenstates."""
+    for va in a.spectrum:
+        for vb in b.spectrum:
+            ok, witness = core.is_compatible_propositions(a.family[va], b.family[vb])
+            if not ok:
+                return (core.PairClass.COMPLEMENTARY if common else core.PairClass.STRONGLY_COMPLEMENTARY), witness
+    return core.PairClass.COMPATIBLE, None
+
+
 def assert_eigen_queries_match_reference(model):
     for p in model.propositions.values():
         assert core.eigenstates_of_proposition(p) == reference_eigenstates_of_proposition(p), p.name
@@ -330,8 +345,10 @@ def assert_eigen_queries_match_reference(model):
         for b in observables:
             common = reference_common_eigenstates(a, b)
             assert core.common_eigenstates(a, b) == common, (a.name, b.name)
-            _, ev = core.classify_pair(a, b)
-            assert list(ev.common) == common, (a.name, b.name)
+            cls_, witness = reference_pair_class(a, b, common)
+            assert core.pair_class(a, b) == (cls_, witness), (a.name, b.name)
+            ev = core.PairEvidence(witness, tuple(common))
+            assert core.classify_pair(a, b) == (cls_, ev), (a.name, b.name)
             # Applied to every pair, not just the compatible ones, so that
             # incomplete and non-idempotent families reach the law too.
             got = core.compatible_reaches_joint_eigenstate(a, b, core.PairClass.COMPATIBLE, ev)
@@ -345,3 +362,61 @@ def test_eigen_queries_match_reference_on_every_single_entry_mutant():
         assert_eigen_queries_match_reference(base)
         for _, mutant in single_entry_mutants(base):
             assert_eigen_queries_match_reference(mutant)
+
+
+# ---------------------------------------------------------------------------
+# check_laws lists a pair's common eigenstates only when the pair is
+# compatible, the one class any pair law reads.
+
+PAIR_LAW_IDS = {"compat-implies-joint-eigenstate", "strongcomp-implies-comp", "compat-order-independence"}
+GENERATOR_GOLDEN = Path(__file__).resolve().parent / "golden" / "generate_model.json"
+
+
+def generator_golden_models():
+    keys = json.loads(GENERATOR_GOLDEN.read_text(encoding="utf-8"))["sha256"]
+    return [checker.generate_model(GeneratorParams(*map(int, key.split()))) for key in keys]
+
+
+def assert_pair_laws_read_full_evidence(model):
+    """`check_laws` reports what every pair law says on the full
+    `classify_pair` evidence of every pair, after the other laws."""
+    checked = checker.check_laws(model)
+    observables = [model.observables[name] for name in sorted(model.observables)]
+    pair_reports = [
+        v
+        for i, a in enumerate(observables)
+        for b in observables[i:]
+        for law in checker._PAIR_LAWS
+        for v in law(a, b, *core.classify_pair(a, b))
+    ]
+    assert checked == [v for v in checked if v.law not in PAIR_LAW_IDS] + pair_reports
+
+
+def test_pair_class_matches_reference_on_the_generator_goldens():
+    models = generator_golden_models()
+    assert len(models) == 378
+    classes = set()
+    for model in models:
+        observables = list(model.observables.values())
+        for a in observables:
+            for b in observables:
+                common = reference_common_eigenstates(a, b)
+                cls_, witness = reference_pair_class(a, b, common)
+                assert core.pair_class(a, b) == (cls_, witness), (a.name, b.name)
+                assert core.classify_pair(a, b) == (cls_, core.PairEvidence(witness, tuple(common)))
+                classes.add(cls_)
+    assert classes == set(core.PairClass)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["classified", "every-pair-compatible"])
+def test_check_laws_matches_the_pair_laws_on_full_evidence(monkeypatch, forced):
+    if forced:
+        # Every pair law then fires wherever its statement fails, on pairs
+        # of every class.
+        pair_class = core.pair_class
+        monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
+    for model in generator_golden_models():
+        assert_pair_laws_read_full_evidence(model)
+    for base in mutant_bases():
+        for _, mutant in single_entry_mutants(base):
+            assert_pair_laws_read_full_evidence(mutant)
