@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import compress
 
 from . import core
 from .core import Violation
@@ -70,7 +71,20 @@ def _pick(bits, seq: list[int]) -> int:
     return seq[r]
 
 
-def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -> core.Proposition:
+# Bit strings' digits "0" and "1" as the bytes 0 and 1, for `compress`.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _states(mask: int, n: int) -> list[int]:
+    """The states whose bits are set in `mask`, a mask below `1 << n`, in
+    increasing order: C calls only, with no big-int shift per state."""
+    return list(compress(range(n), format(mask, f"0{n}b").encode()[::-1].translate(_BIT_FLAGS)))
+
+
+def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -> tuple[core.Proposition, int, int]:
+    """A proposition with two bitmasks of its yes map: `image`, its
+    yes-eigenstates, which are also its fixed points, and `support`, the
+    proper states it does not send to zero."""
     # Partition states: yes-eigen (draw below 0.4), no-eigen (below 0.8)
     # and contingent.  Contingent states map into the eigen groups, so both
     # outcome maps are idempotent and mutually annihilating by construction.
@@ -90,34 +104,50 @@ def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -
             no_eigen.append(i)
         else:
             contingent.append(i)
+    # Each pick is `_pick` inline: the draws of `rng.choice`, with no
+    # Python call per pick.
+    n_yes, n_no = len(yes_eigen), len(no_eigen)
+    k_yes, k_no = n_yes.bit_length(), n_no.bit_length()
     for i in contingent:
-        if yes_eigen:
-            yes[i] = _pick(bits, yes_eigen)
-        if no_eigen:
-            no[i] = _pick(bits, no_eigen)
-    return core.Proposition(name, core._checked_map(space, yes), core._checked_map(space, no))
+        if n_yes:
+            r = bits(k_yes)
+            while r >= n_yes:
+                r = bits(k_yes)
+            yes[i] = yes_eigen[r]
+        if n_no:
+            r = bits(k_no)
+            while r >= n_no:
+                r = bits(k_no)
+            no[i] = no_eigen[r]
+    image = sum(map((1).__lshift__, yes_eigen))
+    # Yes sends the no-eigen states to zero, and the contingent ones too
+    # when it has no eigenstate to send them to.
+    support = ((1 << n) - 1) ^ sum(map((1).__lshift__, no_eigen)) if n_yes else 0
+    return core.Proposition(name, core._checked_map(space, yes), core._checked_map(space, no)), image, support
 
 
 def _remainder_proposition(
     rng: random.Random,
     space: core.StateSpace,
     name: str,
-    uncovered: list[int],
-    kill: set[int],
+    covered: int,
+    kill: int,
 ) -> core.Proposition:
-    # Yes fixes every uncovered state and is impossible on the yes-eigen
-    # states of the selected branches; covered non-eigen states are
-    # contingent.  Keeps the family exclusive and makes it complete.
+    # Yes fixes every state outside `covered`, the states some selected
+    # branch's yes does not send to zero, and is impossible on `kill`, the
+    # yes-eigen states of those branches (a subset of `covered`); the other
+    # covered states are contingent.  Keeps the family exclusive and makes
+    # it complete.
     n = len(space)
-    kill_list = sorted(kill)
+    uncovered = _states(((1 << n) - 1) ^ covered, n)
+    kill_list = _states(kill, n)
     yes, no = [n] * (n + 1), [n] * (n + 1)
     for i in uncovered:
         yes[i] = i
     for i in kill_list:
         no[i] = i
     draw, bits = rng.random, rng.getrandbits
-    # `uncovered` and `kill` are disjoint, so a state in neither still has n on both sides.
-    for i in [i for i in range(n) if yes[i] == no[i]]:
+    for i in _states(covered ^ kill, n):
         if draw() < 0.5:
             yes[i] = _pick(bits, uncovered)
         no[i] = _pick(bits, kill_list)
@@ -128,23 +158,26 @@ def _random_observable(
     rng: random.Random,
     space: core.StateSpace,
     name: str,
-    pool: list[core.Proposition],
+    pool: list[tuple[core.Proposition, int, int]],
     max_spectrum: int,
 ) -> core.Observable:
+    """An observable over branches from `pool`, the `_random_proposition`
+    triples, padded with a remainder branch where they leave states uncovered."""
     target = rng.randint(2, max_spectrum)
     chosen: list[core.Proposition] = []
+    kill = covered = 0  # the ORs of the chosen branches' images and supports
     if pool:
-        for p in rng.sample(pool, len(pool)):
+        for p, image, support in rng.sample(pool, len(pool)):
             if len(chosen) >= target - 1:
                 break
-            if all(next(core.unannihilated(p.yes, q.yes), None) is None for q in chosen):
+            # Two yes maps annihilate exactly when neither one's image
+            # meets the other's support.
+            if not (image & covered or support & kill):
                 chosen.append(p)
-    n = len(space)
-    zeroed = core._zeroed_by_all([p.yes for p in chosen], n)
-    uncovered = [i for i in range(n) if zeroed[i]]
-    kill = {i for p in chosen for i, w in zip(range(n), p.yes.table) if i == w}
-    if uncovered:
-        chosen.append(_remainder_proposition(rng, space, f"{name}rest", uncovered, kill))
+                kill |= image
+                covered |= support
+    if covered != (1 << len(space)) - 1:
+        chosen.append(_remainder_proposition(rng, space, f"{name}rest", covered, kill))
     spectrum = tuple(f"v{i}" for i in range(len(chosen)))
     return core.Observable(name, spectrum, {f"v{i}": p for i, p in enumerate(chosen)})
 
@@ -152,9 +185,9 @@ def _random_observable(
 def _draw_model(rng: random.Random, space: core.StateSpace, n_props: int, n_obs: int, max_spectrum: int) -> core.Model:
     """The generator's model over any space.  It draws the propositions, then the observables, and holds
     those propositions followed by the observables' remainder branches."""
-    props = [_random_proposition(rng, space, f"P{k}") for k in range(n_props)]
-    observables = [_random_observable(rng, space, f"A{j}", props, max_spectrum) for j in range(n_obs)]
-    members = {p.name: p for p in props} | {p.name: p for a in observables for p in a.family.values()}
+    pool = [_random_proposition(rng, space, f"P{k}") for k in range(n_props)]
+    observables = [_random_observable(rng, space, f"A{j}", pool, max_spectrum) for j in range(n_obs)]
+    members = {p.name: p for p, _, _ in pool} | {p.name: p for a in observables for p in a.family.values()}
     return core.Model.build(space, members.values(), observables)
 
 

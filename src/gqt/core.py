@@ -155,6 +155,12 @@ class StateSpace(_Record):
         return self.states[i] if i < len(self.states) else ZERO
 
 
+def _same_space(a: StateSpace, b: StateSpace) -> bool:
+    """`a == b`, identity first: `==` and `!=` on two records run
+    `_Record.__eq__` in Python even when both are the same object."""
+    return a is b or a == b
+
+
 def _table(entries: Sequence[int]) -> Union[bytes, tuple[int, ...]]:
     """A map's table: bytes while every index fits in a byte (up to 255
     states), so that the laws compose maps with `bytes.translate`, and a
@@ -229,7 +235,7 @@ class Proposition(_Record):
     def __init__(self, name: str, yes: PropMap, no: PropMap):
         if not name or not isinstance(name, str):
             raise StructuralError("proposition name must be a non-empty string")
-        if yes.space != no.space:
+        if not _same_space(yes.space, no.space):
             raise StructuralError(f"proposition {name!r}: yes/no maps use different state spaces")
         self._assign(name, yes, no)
 
@@ -367,7 +373,7 @@ class Observable(_Record):
         check_spectrum(name, spectrum, family)
         space = family[spectrum[0]].space
         for value in spectrum:
-            if family[value].space != space:
+            if not _same_space(family[value].space, space):
                 raise StructuralError(f"observable {name!r}: family members use different state spaces")
         n = len(space)
         eigen = [()] * (n + 1)
@@ -436,12 +442,13 @@ class Model(_Record):
             for key, part in parts.items():
                 if part.name != key:
                     raise StructuralError(f"{kind} {part.name!r} is stored under {key!r}")
-                if part.space != space:
+                if not _same_space(part.space, space):
                     raise StructuralError(f"{kind} {part.name!r} is over a different state space")
         for o in observables.values():
             for v in o.spectrum:
                 member = o.family[v]
-                if propositions.get(member.name) != member:
+                held = propositions.get(member.name)
+                if held is not member and held != member:
                     raise StructuralError(
                         f"observable {o.name!r}: family member {member.name!r} is not a proposition of the model"
                     )
@@ -721,7 +728,7 @@ def apply(p: Proposition, outcome: str, z: StateRef) -> StateRef:
 
 def compose(f: PropMap, g: PropMap) -> PropMap:
     """The map `f after g`; zero is absorbing throughout."""
-    if f.space != g.space:
+    if not _same_space(f.space, g.space):
         raise StructuralError("cannot compose maps over different state spaces")
     return PropMap(f.space, _after(f, g))
 
@@ -753,7 +760,7 @@ def is_compatible_propositions(p: Proposition, q: Proposition) -> tuple[bool, Op
     fixed order, states in declaration order) where the two application
     orders disagree.
     """
-    if p.space != q.space:
+    if not _same_space(p.space, q.space):
         raise StructuralError("propositions are over different state spaces")
     witness = _commutation_witness(p, q)
     return witness is None, witness
@@ -785,7 +792,7 @@ def adjunction(p: Proposition, q: Proposition) -> DerivedProposition:
 
 def realize(model: Model, d: DerivedProposition) -> Optional[Proposition]:
     """Find the unique model proposition matching a derived one, if any."""
-    if d.known_map.space != model.space:
+    if not _same_space(d.known_map.space, model.space):
         raise StructuralError("derived proposition is over a different state space")
     table = d.known_map.table
     matches = [p for _, p in sorted(model.propositions.items()) if p.side(d.known_side).table == table]
@@ -811,7 +818,7 @@ def eigenstates_of_observable(a: Observable) -> list[tuple[str, str]]:
 
 def common_eigenstates(a: Observable, b: Observable) -> list[tuple[str, str, str]]:
     """States that are simultaneously eigenstates of both observables."""
-    if a.space != b.space:
+    if not _same_space(a.space, b.space):
         raise StructuralError("observables are over different state spaces")
     states, ae, be = a.space.states, a.eigenvalues, b.eigenvalues
     return [(states[i], va, vb) for i in a.space.by_name if ae[i] and be[i] for va in ae[i] for vb in be[i]]
@@ -826,7 +833,7 @@ def pair_class(a: Observable, b: Observable) -> tuple[PairClass, Optional[Commut
     then the sides.  Strongly complementary additionally means the pair
     has no common eigenstate.
     """
-    if a.space != b.space:
+    if not _same_space(a.space, b.space):
         raise StructuralError("observables are over different state spaces")
     # Every family member is over its observable's space.
     for va in a.spectrum:

@@ -283,6 +283,24 @@ def test_structural_errors_name_their_cause(case):
     assert str(info.value) == message
 
 
+def test_an_equal_space_passes_every_space_check(qzx):
+    # The space checks look at identity first; parts over an equal space
+    # that is another object still pass them, with the same results.
+    twin = pickle.loads(pickle.dumps(qzx))
+    assert twin.space == qzx.space and twin.space is not qzx.space
+    z0, z1, x0 = qzx.propositions["Z0"], twin.propositions["Z1"], twin.propositions["X0"]
+    z, x = qzx.observables["Z"], twin.observables["X"]
+    same_x0, same_x = qzx.propositions["X0"], qzx.observables["X"]
+    assert core.Proposition("Z0", z0.yes, twin.propositions["Z0"].no) == z0
+    assert core.Observable("Z", z.spectrum, {"0": z0, "1": z1}) == z
+    assert core.Model(qzx.space, twin.propositions, twin.observables) == twin
+    assert core.compose(z0.yes, x0.yes) == core.compose(z0.yes, same_x0.yes)
+    assert core.is_compatible_propositions(z0, x0) == core.is_compatible_propositions(z0, same_x0)
+    assert core.realize(twin, core.DerivedProposition("yes", z0.yes, "Z0")) == z0
+    assert core.common_eigenstates(z, x) == core.common_eigenstates(z, same_x)
+    assert core.pair_class(z, x) == core.pair_class(z, same_x)
+
+
 # ---------------------------------------------------------------------------
 # The per-part laws
 

@@ -3,9 +3,10 @@
 `golden/generate_model.json` holds the sha256 of
 `serialize_model(generate_model(p))` for every parameter set of a grid,
 so any change to the random draws or to how they become tables fails
-here, not only in the benchmark's goldens.  The generator's two
+here, not only in the benchmark's goldens.  The generator's
 shortcuts are checked against what they stand for: its picks against
-`random.Random.choice`, and its unchecked maps against `core.PropMap`.
+`random.Random.choice`, its unchecked maps against `core.PropMap`, and
+its branch bitmasks against the law predicate and tables they replace.
 
 To regenerate after an intended change of the generator's output, from
 the repository root:
@@ -82,6 +83,63 @@ def test_generated_maps_pass_the_checks_they_skip(params):
         for m in (p.yes, p.no):
             assert m == core.PropMap(model.space, m.table)
             assert type(m.table) is bytes
+
+
+def _greedy_branches(rng: random.Random, pool, max_spectrum: int) -> list[core.Proposition]:
+    """The branches `_random_observable` should choose, by the law predicate."""
+    target = rng.randint(2, max_spectrum)
+    chosen = []
+    for p, _, _ in rng.sample(pool, len(pool)):
+        if len(chosen) >= target - 1:
+            break
+        if all(next(core.unannihilated(p.yes, q.yes), None) is None for q in chosen):
+            chosen.append(p)
+    return chosen
+
+
+def _fixed_points(m: core.PropMap) -> list[int]:
+    return [i for i, w in zip(range(len(m.space)), m.table) if i == w]
+
+
+# 256 and 300 states have tuple tables.
+@pytest.mark.parametrize("n", [1, 8, 64, 255, 256, 300])
+def test_branch_masks_agree_with_the_laws(n):
+    space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
+    full = (1 << n) - 1
+    for seed in range(3):
+        rng = random.Random(seed)
+        pool = [checker._random_proposition(rng, space, f"P{k}") for k in range(16)]
+        for p, image, support in pool:
+            assert checker._states(image, n) == _fixed_points(p.yes)
+            assert checker._states(support, n) == [i for i in range(n) if p.yes.table[i] != n]
+        for (p, ip, sp), (q, iq, sq) in itertools.combinations(pool, 2):
+            assert (not (ip & sq or sp & iq)) == (next(core.unannihilated(p.yes, q.yes), None) is None)
+        for k in range(len(pool) + 1):
+            covered = kill = 0
+            for _, image, support in pool[:k]:
+                covered |= support
+                kill |= image
+            zeroed = core._zeroed_by_all([p.yes for p, _, _ in pool[:k]], n)
+            assert checker._states(full ^ covered, n) == [i for i in range(n) if zeroed[i]]
+            assert checker._states(kill, n) == sorted({i for p, _, _ in pool[:k] for i in _fixed_points(p.yes)})
+        # Each observable chooses the branches the law predicate does, and
+        # its remainder fixes the states they all send to zero and rules
+        # out their yes-eigenstates.
+        for j in range(8):
+            state = rng.getstate()
+            a = checker._random_observable(rng, space, "A", pool, 8)
+            rng_ref = random.Random()
+            rng_ref.setstate(state)
+            expected = _greedy_branches(rng_ref, pool, 8)
+            assert [a.family[v] for v in a.spectrum[: len(expected)]] == expected
+            zeroed = core._zeroed_by_all([p.yes for p in expected], n)
+            uncovered = [i for i in range(n) if zeroed[i]]
+            assert len(a.spectrum) == len(expected) + bool(uncovered)
+            if uncovered:
+                rest = a.family[a.spectrum[-1]]
+                assert rest.name == "Arest"
+                assert _fixed_points(rest.yes) == uncovered
+                assert _fixed_points(rest.no) == sorted({i for p in expected for i in _fixed_points(p.yes)})
 
 
 def _write_golden() -> None:
