@@ -12,8 +12,9 @@ under fuzzing any reported violation is an implementation bug.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import compress
+from typing import Sequence
 
 from . import core
 from .core import Violation
@@ -60,7 +61,7 @@ class GeneratorParams(core._Record):
 
 # The generator builds index tables, n = len(space) being the zero state,
 # valid by construction, so `core._checked_map` wraps them unchecked.
-def _pick(bits, seq: list[int]) -> int:
+def _pick(bits, seq: Sequence):
     """`rng.choice(seq)` with `bits = rng.getrandbits`: the same draws on Python
     3.10 to 3.13 (tests/test_generator.py), in one Python call where it makes two."""
     m = len(seq)
@@ -69,6 +70,23 @@ def _pick(bits, seq: list[int]) -> int:
     while r >= m:
         r = bits(k)
     return seq[r]
+
+
+def _shuffled(bits, seq: Sequence) -> list:
+    """`rng.sample(seq, len(seq))` with `bits = rng.getrandbits`: the same
+    draws on Python 3.10 to 3.13 (tests/test_generator.py).  This is
+    `sample`'s pool loop, a Fisher-Yates shuffle: each step picks a member
+    as `_pick` does and moves the last unpicked one into its place."""
+    pool = list(seq)
+    out = []
+    for top in range(len(pool) - 1, -1, -1):
+        k = (top + 1).bit_length()
+        r = bits(k)
+        while r > top:
+            r = bits(k)
+        out.append(pool[r])
+        pool[r] = pool[top]
+    return out
 
 
 # Bit strings' digits "0" and "1" as the bytes 0 and 1, for `compress`.
@@ -92,7 +110,7 @@ def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -
     draw, bits = rng.random, rng.getrandbits
     draws = [draw() for _ in range(n)]
     if min(draws) >= 0.8:
-        draws[rng.choice(range(n))] = {"Y": 0.0, "N": 0.4}[rng.choice("YN")]
+        draws[_pick(bits, range(n))] = _pick(bits, (0.0, 0.4))
     yes, no = [n] * (n + 1), [n] * (n + 1)
     yes_eigen, no_eigen, contingent = [], [], []
     for i, r in enumerate(draws):
@@ -146,11 +164,22 @@ def _remainder_proposition(
         yes[i] = i
     for i in kill_list:
         no[i] = i
+    # Each pick is `_pick` inline, as in `_random_proposition`.  Neither
+    # list is empty here: some state is uncovered, and a covered state is
+    # in the support of a branch with yes-eigenstates.
     draw, bits = rng.random, rng.getrandbits
+    n_up, n_kill = len(uncovered), len(kill_list)
+    k_up, k_kill = n_up.bit_length(), n_kill.bit_length()
     for i in _states(covered ^ kill, n):
         if draw() < 0.5:
-            yes[i] = _pick(bits, uncovered)
-        no[i] = _pick(bits, kill_list)
+            r = bits(k_up)
+            while r >= n_up:
+                r = bits(k_up)
+            yes[i] = uncovered[r]
+        r = bits(k_kill)
+        while r >= n_kill:
+            r = bits(k_kill)
+        no[i] = kill_list[r]
     return core.Proposition(name, core._checked_map(space, yes), core._checked_map(space, no))
 
 
@@ -166,16 +195,17 @@ def _random_observable(
     target = rng.randint(2, max_spectrum)
     chosen: list[core.Proposition] = []
     kill = covered = 0  # the ORs of the chosen branches' images and supports
-    if pool:
-        for p, image, support in rng.sample(pool, len(pool)):
-            if len(chosen) >= target - 1:
-                break
-            # Two yes maps annihilate exactly when neither one's image
-            # meets the other's support.
-            if not (image & covered or support & kill):
-                chosen.append(p)
-                kill |= image
-                covered |= support
+    # The whole permutation is drawn, as `rng.sample` drew it, though the
+    # loop may stop early: later draws follow from the generator's state.
+    for p, image, support in _shuffled(rng.getrandbits, pool):
+        if len(chosen) >= target - 1:
+            break
+        # Two yes maps annihilate exactly when neither one's image
+        # meets the other's support.
+        if not (image & covered or support & kill):
+            chosen.append(p)
+            kill |= image
+            covered |= support
     if covered != (1 << len(space)) - 1:
         chosen.append(_remainder_proposition(rng, space, f"{name}rest", covered, kill))
     spectrum = tuple(f"v{i}" for i in range(len(chosen)))
@@ -191,9 +221,16 @@ def _draw_model(rng: random.Random, space: core.StateSpace, n_props: int, n_obs:
     return core.Model.build(space, members.values(), observables)
 
 
+@cache
+def _space(n_states: int) -> core.StateSpace:
+    """The generator's space of `n_states` states, one shared object per
+    size (`GeneratorParams` allows 64 sizes)."""
+    return core.StateSpace(tuple(f"s{i}" for i in range(n_states)))
+
+
 def generate_model(params: GeneratorParams) -> core.Model:
     """Deterministic pseudo-random valid model for the given parameters."""
-    space = core.StateSpace(tuple(f"s{i}" for i in range(params.n_states)))
+    space = _space(params.n_states)
     return _draw_model(random.Random(params.seed), space, params.n_props, params.n_obs, params.max_spectrum)
 
 

@@ -378,7 +378,8 @@ class Observable(_Record):
         n = len(space)
         eigen = [()] * (n + 1)
         for v in spectrum:
-            for i in [i for i, w in zip(range(n), family[v].yes.table) if i == w]:
+            # The fixed points of the branch's yes map, by C calls only.
+            for i in itertools.compress(range(n), map(operator.eq, range(n), family[v].yes.table)):
                 eigen[i] += (v,)
         self._assign(name, spectrum, family, tuple(eigen))
 
@@ -543,8 +544,8 @@ def unfixed_points(m: PropMap) -> list[str]:
 
 def unannihilated(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
     """Yield `(z, f(g(z)), g(f(z)))` where either image is not the zero index."""
-    n = len(g.space)
     fg, gf = _after(f, g), _after(g, f)
+    n = len(fg) - 1  # the zero index
     if fg.count(n) == len(fg) == gf.count(n):
         return
     for z, u, w in zip(g.space.states, fg, gf):
@@ -603,7 +604,7 @@ def negation_annihilates(p: Proposition) -> list[Violation]:
 
 
 def consistency(p: Proposition) -> list[Violation]:
-    n = len(p.space)
+    n = len(p.yes.table) - 1  # the zero index
     zeroed = _zeroed_by_all((p.yes, p.no), n)
     if zeroed.count(0) == n:
         return []

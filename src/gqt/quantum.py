@@ -302,11 +302,9 @@ def close_orbit(
         # matmul loop, which can round differently.
         imgs = actions @ store[:, i].reshape(dim, dim).copy() @ actions
         traces = imgs.trace(axis1=1, axis2=2).real
-        live = (traces > tol).tolist()
-        if not all(live):
-            imgs, traces = imgs[live], traces[live]
-        index = iter(absorb(imgs / traces[:, None, None], i))
-        rows.append([next(index) if ok else -1 for ok in live])
+        live = traces > tol
+        index = iter(absorb(imgs.compress(live, axis=0) / traces.compress(live)[:, None, None], i))
+        rows.append([next(index) if ok else -1 for ok in live.tolist()])
         i += 1
 
     space = core.StateSpace(tuple(f"s{k}" for k in range(n)))

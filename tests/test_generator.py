@@ -5,8 +5,11 @@
 so any change to the random draws or to how they become tables fails
 here, not only in the benchmark's goldens.  The generator's
 shortcuts are checked against what they stand for: its picks against
-`random.Random.choice`, its unchecked maps against `core.PropMap`, and
-its branch bitmasks against the law predicate and tables they replace.
+`random.Random.choice`, its pool order against `random.Random.sample`,
+its unchecked maps against `core.PropMap`, its shared state spaces
+against fresh ones, and its branch bitmasks against the law predicate
+and tables they replace.  `Observable`'s eigenvalue table, which every
+generated observable builds, is checked against its definition.
 
 To regenerate after an intended change of the generator's output, from
 the repository root:
@@ -64,6 +67,24 @@ def test_pick_makes_the_draws_of_choice(seed):
         for _ in range(3):
             assert checker._pick(ours.getrandbits, seq) == theirs.choice(seq), m
     assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+def test_shuffled_makes_the_draws_of_sample(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for m in range(17):
+        pool = [f"P{k}" for k in range(m)]
+        for _ in range(20):
+            assert checker._shuffled(ours.getrandbits, pool) == theirs.sample(pool, len(pool)), m
+            assert ours.getstate() == theirs.getstate(), m
+
+
+def test_models_of_one_size_share_one_space():
+    for n in (1, 8, 64):
+        a, b = (checker.generate_model(GeneratorParams(n, 4, 2, seed=seed)) for seed in (0, 1))
+        assert a.space is b.space
+        assert a.space == core.StateSpace(tuple(f"s{i}" for i in range(n)))
+        assert all(p.space is a.space for p in b.propositions.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,6 +161,33 @@ def test_branch_masks_agree_with_the_laws(n):
                 assert rest.name == "Arest"
                 assert _fixed_points(rest.yes) == uncovered
                 assert _fixed_points(rest.no) == sorted({i for p in expected for i in _fixed_points(p.yes)})
+
+
+# 256 and 300 states have tuple tables.
+@pytest.mark.parametrize("n", [1, 8, 255, 256, 300])
+def test_eigenvalues_are_the_fixed_points_of_each_branch(n):
+    space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
+    rng = random.Random(n)
+    generated = checker._draw_model(rng, space, 16, 8, 8).observables.values()
+    # Branches whose yes maps are arbitrary tables, fixed points anywhere.
+    arbitrary = [
+        core.Observable(
+            f"B{j}",
+            ("a", "b", "c"),
+            {
+                v: core.Proposition(
+                    f"B{j}{v}",
+                    core.PropMap(space, [rng.choice((i, rng.randrange(n + 1))) for i in range(n)] + [n]),
+                    core.constant_zero_map(space),
+                )
+                for v in "abc"
+            },
+        )
+        for j in range(4)
+    ]
+    for a in [*generated, *arbitrary]:
+        expected = [tuple(v for v in a.spectrum if a.family[v].yes.table[i] == i) for i in range(n)]
+        assert a.eigenvalues == (*expected, ())
 
 
 def _write_golden() -> None:
