@@ -4,13 +4,14 @@
 For each size the script draws one valid model as `checker.generate_model`
 does, with 16 propositions, 8 observables and spectra of up to 4 values.
 `GeneratorParams` stops at 64 states, so the script calls the generator's
-body, `checker._draw_model`, over a space of any size.  It prints the
-median milliseconds of drawing that model (`generate`), of
-`checker.check_laws`, of `core.validate_model` and of one
-`core.classify_pair` and of one `core.pair_class` (each averaged over
-every observable pair) over `--repeats` calls each, and the violations
-found (0 on a valid model).  The `class` column reads `-` where `core`
-has no `pair_class`, so the script also times checkouts from before it.
+body, `checker._draw_model`, over a space of any size, built once per
+size as `generate_model` keeps one.  It prints the median milliseconds of
+drawing that model (`generate`), of `checker.check_laws`, of
+`core.validate_model` and of one `core.classify_pair` and of one
+`core.pair_class` (each averaged over every observable pair) over
+`--repeats` calls each, and the violations found (0 on a valid model).
+The `class` column reads `-` where `core` has no `pair_class`, so the
+script also times checkouts from before it.
 The `path` column says whether each `PropMap.table` is bytes
 ("byte-coded", up to 255 states) or a tuple ("scan-only", past 255
 states).  The header line gives the Python version.
@@ -31,8 +32,7 @@ from gqt import checker, core
 N_PROPS, N_OBS, MAX_SPECTRUM = 16, 8, 4
 
 
-def generated_model(n: int, seed: int) -> core.Model:
-    space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
+def generated_model(space: core.StateSpace, seed: int) -> core.Model:
     return checker._draw_model(random.Random(seed), space, N_PROPS, N_OBS, MAX_SPECTRUM)
 
 
@@ -61,8 +61,9 @@ def main(argv=None):
         f" {'violations':>10}"
     )
     for n in args.sizes:
-        generate_ms = median_ms(lambda: generated_model(n, args.seed), args.repeats)
-        model = generated_model(n, args.seed)
+        space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
+        generate_ms = median_ms(lambda: generated_model(space, args.seed), args.repeats)
+        model = generated_model(space, args.seed)
         observables = [model.observables[name] for name in sorted(model.observables)]
         pairs = [(a, b) for i, a in enumerate(observables) for b in observables[i:]]
         one = model.propositions["ONE"].yes

@@ -378,9 +378,11 @@ class Observable(_Record):
         n = len(space)
         eigen = [()] * (n + 1)
         for v in spectrum:
-            # The fixed points of the branch's yes map, by C calls only.
+            # The fixed points of the branch's yes map, by C calls only; an
+            # empty slot takes the one tuple `one` itself.
+            one = (v,)
             for i in itertools.compress(range(n), map(operator.eq, range(n), family[v].yes.table)):
-                eigen[i] += (v,)
+                eigen[i] += one
         self._assign(name, spectrum, family, tuple(eigen))
 
     @property
@@ -564,13 +566,14 @@ def noncommuting(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
 
 
 def idempotence(p: Proposition) -> list[Violation]:
-    shown = (*p.space.states, ZERO_TOKEN)
+    space = p.space
     out = []
     for side, m in (("yes", p.yes), ("no", p.no)):
         t = m.table
         for z in unfixed_points(m):
-            w = t[p.space.index[z]]
-            detail = f"{side}({side}({z})) = {shown[t[w]]} but {side}({z}) = {shown[w]}"
+            # w is a proper state: the zero index is fixed.
+            w = t[space.index[z]]
+            detail = f"{side}({side}({z})) = {show_state(space.ref(t[w]))} but {side}({z}) = {space.states[w]}"
             out.append(Violation(f"idempotence-{side}", (p.name,), (z,), detail))
     return out
 
@@ -585,12 +588,11 @@ def idempotent_maps(p: Proposition) -> list[Violation]:
 
 
 def annihilation(p: Proposition) -> list[Violation]:
-    shown = (*p.space.states, ZERO_TOKEN)
     out = []
     for z, no_yes, yes_no in unannihilated(p.no, p.yes):
         for image, composite in ((no_yes, f"no(yes({z}))"), (yes_no, f"yes(no({z}))")):
             if image != len(p.space):
-                detail = f"{composite} = {shown[image]}, expected {ZERO_TOKEN}"
+                detail = f"{composite} = {p.space.states[image]}, expected {ZERO_TOKEN}"
                 out.append(Violation("annihilation", (p.name,), (z,), detail))
     return out
 

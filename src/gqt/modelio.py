@@ -11,6 +11,10 @@ C quoting function behind ``json.dumps(..., ensure_ascii=False)``; the
 tests hold it to ``json.dumps(model_document(m), indent=2,
 ensure_ascii=False) + "\n"`` byte for byte.  A string with an unpaired
 surrogate escape is a parse error, since no file or terminal can take it.
+So is an object that repeats a key, whose meaning JSON leaves open.  A
+document is decoded without a check per object and kept when its parsed
+entries number as many as the colons in its text; any other document is
+decoded with the check (see `_parse_document`).
 
 Quantum documents carry complex matrices as nested arrays of ``[re, im]``
 pairs; a depth-2 array is a ket ``v`` standing for the density matrix
@@ -89,6 +93,47 @@ def _load_json(text: str):
     return data
 
 
+def _parse_document(text: str, build, entries):
+    """`build(_load_json(text))`, decoding without the duplicate-key hook
+    wherever a count proves that the hook would refuse nothing.
+
+    In JSON text every key is followed by exactly one structural colon, so
+    `text.count(":")` bounds the key tokens from above; a colon inside a
+    string only adds to the count.  A decoded object holds as many entries
+    as it has key tokens, or fewer exactly when it repeats a key.  Once
+    `build` has accepted the data, `entries(data)` gives the entries of all
+    its objects in closed form.  Entries <= key tokens <= colons, so
+    equality proves that no object repeated a key, and the hook would have
+    decoded the same data.  Text with a `\\u` escape (the surrogate walk may
+    apply), text that fails to decode or to build, and a count that does
+    not match all go through `_load_json`, which stays the one place that
+    names a repeated key or a decode error; so every message, and which
+    error wins, is the hook's.  A colon inside a name costs a second decode.
+    """
+    # A search for one character is a memchr; for two, a slower scan.
+    if "\\" not in text or "\\u" not in text:
+        try:
+            data = json.loads(text)
+            result = build(data)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if entries(data) == text.count(":"):
+                return result
+    return build(_load_json(text))
+
+
+def _section_entries(data: dict) -> int:
+    """The entries under the `observables` and `partition` keys of a
+    document `build` has accepted: per observable its key, `spectrum`,
+    `family` and one family entry per spectrum value; for a partition its
+    three keys and its `local` entries."""
+    total = sum(3 + len(body["family"]) for body in data.get("observables", {}).values())
+    if "partition" in data:
+        total += 3 + len(data["partition"]["local"])
+    return total
+
+
 def _require_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         _fail(path, "must be a JSON object")
@@ -102,9 +147,9 @@ def _require_string_list(value, path: str) -> list[str]:
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], path: str):
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = obj.keys() - set(allowed)
     if unknown:
-        _fail(path, f"unknown key(s) {unknown}")
+        _fail(path, f"unknown key(s) {sorted(unknown)}")
     missing = [k for k in required if k not in obj]
     if missing:
         _fail(path, f"missing required key(s) {missing}")
@@ -186,7 +231,16 @@ def parse_model(text: str) -> core.Model:
     Only structure is checked here.  A parseable model can still break
     the laws; run `core.validate_model` for that.
     """
-    data = _load_json(text)
+    return _parse_document(text, _build_model, _model_entries)
+
+
+def _model_entries(data: dict) -> int:
+    # Per proposition: its key, `yes`, `no` and one entry per state in each map.
+    n = len(data["states"])
+    return len(data) + (3 + 2 * n) * len(data.get("propositions", {})) + _section_entries(data)
+
+
+def _build_model(data) -> core.Model:
     _require_object(data, "$")
     _check_keys(data, ("states", "propositions", "observables", "partition"), ("states",), "$")
     try:
@@ -405,7 +459,15 @@ def _parse_state_entry(value, dim: int, path: str) -> np.ndarray:
 
 def parse_quantum(text: str) -> QuantumDocument:
     """Parse a quantum document; numeric validity is checked downstream."""
-    data = _load_json(text)
+    return _parse_document(text, _build_quantum, _quantum_entries)
+
+
+def _quantum_entries(data: dict) -> int:
+    # Seeds and projectors are arrays of numbers, so one entry each.
+    return len(data) + len(data["seeds"]) + len(data["propositions"]) + _section_entries(data)
+
+
+def _build_quantum(data) -> QuantumDocument:
     _require_object(data, "$")
     _check_keys(
         data,

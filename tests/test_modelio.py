@@ -171,6 +171,97 @@ def test_duplicate_key_named_is_the_first_repeat_of_the_innermost_object():
         modelio.parse_model(text)
 
 
+class Pairs(list):
+    """A JSON object as its list of (key, value) pairs, so a key may repeat."""
+
+
+def load_pairs(text):
+    return json.loads(text, object_pairs_hook=Pairs)
+
+
+def dump_pairs(value, ensure_ascii=False) -> str:
+    """JSON text for `value`, each `Pairs` written as an object pair by pair."""
+    if isinstance(value, Pairs):
+        entries = (f"{json.dumps(k, ensure_ascii=ensure_ascii)}: {dump_pairs(v, ensure_ascii)}" for k, v in value)
+        return "{" + ", ".join(entries) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(dump_pairs(v, ensure_ascii) for v in value) + "]"
+    return json.dumps(value, ensure_ascii=ensure_ascii)
+
+
+def outcome(parse, text):
+    """What `parse` gives for `text`: the parsed value or the error message."""
+    try:
+        return parse(text)
+    except StructuralError as e:
+        return str(e)
+
+
+def hook_outcome(parse, text):
+    """`outcome` with every text decoded through the duplicate-key hook, as
+    before the parsers counted colons: the oracle for the count's fast path."""
+
+    def through_hook(text, build, entries):
+        return build(modelio._load_json(text))
+
+    with mock.patch.object(modelio, "_parse_document", through_hook):
+        return outcome(parse, text)
+
+
+# Every object position of each document kind: the keys down to the
+# object, and the key written twice there, with the same value, so that
+# the document decodes as the valid one and only the count refuses it.
+REPEATED_KEYS = {
+    "model-top-level": ("bell.json", (), "states"),
+    "model-propositions": ("bell.json", ("propositions",), "PhiP"),
+    "model-proposition-body": ("bell.json", ("propositions", "PhiP"), "yes"),
+    "model-yes": ("bell.json", ("propositions", "PhiP", "yes"), "s00"),
+    "model-no": ("bell.json", ("propositions", "PhiP", "no"), "s11"),
+    "model-observables": ("bell.json", ("observables",), "ZA"),
+    "model-observable-body": ("bell.json", ("observables", "BELL"), "spectrum"),
+    "model-family": ("bell.json", ("observables", "BELL", "family"), "psi-"),
+    "model-partition": ("bell.json", ("partition",), "global"),
+    "model-local": ("bell.json", ("partition", "local"), "ZB"),
+    "quantum-top-level": ("bell_quantum.json", (), "cap"),
+    "quantum-seeds": ("bell_quantum.json", ("seeds",), "phiP"),
+    "quantum-propositions": ("bell_quantum.json", ("propositions",), "ZA1"),
+    "quantum-observables": ("bell_quantum.json", ("observables",), "ZB"),
+    "quantum-observable-body": ("bell_quantum.json", ("observables", "BELL"), "family"),
+    "quantum-family": ("bell_quantum.json", ("observables", "BELL", "family"), "phi+"),
+    "quantum-partition": ("bell_quantum.json", ("partition",), "subsystems"),
+    "quantum-local": ("bell_quantum.json", ("partition", "local"), "ZA"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys())
+def test_repeated_key_is_named_in_every_object_position(case):
+    fixture, path, key = case
+    parse = modelio.parse_quantum if "quantum" in fixture else modelio.parse_model
+    doc = load_pairs(read_fixture(fixture))
+    obj = doc
+    for step in path:
+        obj = dict(obj)[step]
+    obj.append((key, dict(obj)[key]))
+    text = dump_pairs(doc)
+    assert json.loads(text) == json.loads(read_fixture(fixture))
+    assert outcome(parse, text) == hook_outcome(parse, text) == f"duplicate key {key!r}"
+
+
+def test_documents_without_repeats_colons_or_escapes_skip_the_hook():
+    # Each text here decodes once, without the hook: `_load_json` is never
+    # called.  The bench documents include mutated ones (index 3).
+    texts = [read_fixture(name) for name in ("qzx.json", "bell.json", "bistable.json")]
+    texts += [gen.model_document(n, index) for n in (8, 24, 64) for index in range(4)]
+    quantum = [read_fixture(name) for name in ("qzx_quantum.json", "bell_quantum.json")]
+    quantum += [gen.quantum_document(index) for index in range(4)]
+    expected = [hook_outcome(modelio.parse_model, t) for t in texts] + [
+        hook_outcome(modelio.parse_quantum, t) for t in quantum
+    ]
+    with mock.patch.object(modelio, "_load_json", side_effect=AssertionError("the hook path ran")):
+        got = [modelio.parse_model(t) for t in texts] + [modelio.parse_quantum(t) for t in quantum]
+    assert got == expected
+
+
 def test_parse_rejects_unpaired_surrogates():
     cases = {
         '{"states": ["a\\ud800"]}': r"^states\[0\]: unpaired surrogate in string$",
@@ -259,10 +350,7 @@ def scan_parse_map(obj, space, path):
 
 def parse_outcome(text):
     """The model `parse_model` gives for `text`, or its error message."""
-    try:
-        return modelio.parse_model(text)
-    except StructuralError as e:
-        return str(e)
+    return outcome(modelio.parse_model, text)
 
 
 def scan_outcome(text):

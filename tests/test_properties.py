@@ -6,6 +6,7 @@ is evidence rather than tautology.  Law statements are re-derived inline
 from the map tables instead of calling the validators under test.
 """
 
+import json
 import random
 import re
 
@@ -33,7 +34,7 @@ from gqt.core import (
 )
 
 from test_laws import assert_eigen_queries_match_reference
-from test_modelio import dumps_oracle
+from test_modelio import Pairs, dump_pairs, dumps_oracle, hook_outcome, load_pairs, outcome
 
 
 @st.composite
@@ -92,9 +93,11 @@ def generated_models(draw):
 
 
 # Names for the writer's oracle test: every character JSON escapes or a
-# hand-written writer could get wrong, plus plain letters.
+# hand-written writer could get wrong, plus plain letters, and the colon,
+# which sends the parser's decode to the duplicate-key hook.
 NAME_CHARS = st.sampled_from(
-    ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\u00ac", " ", "\U0001F600", "\U00010000", "a", "\u00e9"]
+    ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\u00ac", " ", "\U0001F600", "\U00010000"]
+    + ["a", "\u00e9", ":"]
 )
 names = st.text(NAME_CHARS, min_size=1, max_size=4)
 
@@ -397,3 +400,71 @@ def test_writer_matches_json_dumps(model):
     text = modelio.serialize_model(model)
     assert text == dumps_oracle(model)
     assert modelio.serialize_model(modelio.parse_model(text)) == text
+
+
+@st.composite
+def quantum_texts(draw):
+    """A quantum document with hostile names, or with plain ones that need
+    no escape; it need not parse."""
+    labels = draw(st.sampled_from([names, st.text("ab\u00e9", min_size=1, max_size=3)]))
+    dim = draw(st.integers(1, 2))
+    ket = [[1, 0]] + [[0, 0]] * (dim - 1)
+    identity = [[[int(i == j), 0] for j in range(dim)] for i in range(dim)]
+    projectors = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    observables = {}
+    for name in draw(st.lists(labels, max_size=2, unique=True)):
+        spectrum = draw(st.lists(labels, min_size=1, max_size=2, unique=True))
+        observables[name] = {"spectrum": spectrum, "family": {v: draw(st.sampled_from(projectors)) for v in spectrum}}
+    doc = {
+        "dimension": dim,
+        "seeds": {name: ket for name in draw(st.lists(labels, min_size=1, max_size=2, unique=True))},
+        "propositions": {name: identity for name in projectors},
+        "observables": observables,
+    }
+    if draw(st.booleans()):
+        doc["partition"] = {
+            "subsystems": draw(st.lists(labels, min_size=1, max_size=2, unique=True)),
+            "local": draw(st.dictionaries(labels, labels, max_size=2)),
+            "global": draw(st.lists(labels, max_size=2)),
+        }
+    return json.dumps(doc, ensure_ascii=False)
+
+
+@st.composite
+def perturbed(draw, text):
+    """`text` with up to three edits: an entry of some object written again
+    (with its own value or a sibling's), or a key given an unpaired
+    surrogate; then written with or without `\\u` escapes."""
+    doc = load_pairs(text)
+    objects, stack = [], [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, Pairs):
+            if value:
+                objects.append(value)
+            stack.extend(v for _, v in value)
+        elif isinstance(value, list):
+            stack.extend(value)
+    for _ in range(draw(st.integers(0, 3)) if objects else 0):
+        obj = draw(st.sampled_from(objects))
+        i = draw(st.integers(0, len(obj) - 1))
+        key, value = obj[i]
+        if draw(st.booleans()):
+            obj.insert(draw(st.integers(0, len(obj))), (key, draw(st.sampled_from(obj))[1]))
+        else:
+            obj[i] = (key + "\udc00", value)
+    return dump_pairs(doc, ensure_ascii=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parsers_match_the_hook_path(data):
+    # Repeated keys, colons in names and escapes, in model and quantum
+    # documents: the same model or document, or the same message.
+    if data.draw(st.booleans()):
+        model = data.draw(st.one_of(generated_models(), hostile_models()))
+        parse, text = modelio.parse_model, modelio.serialize_model(model)
+    else:
+        parse, text = modelio.parse_quantum, data.draw(quantum_texts())
+    text = data.draw(perturbed(text))
+    assert outcome(parse, text) == hook_outcome(parse, text)
