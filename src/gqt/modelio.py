@@ -88,9 +88,14 @@ def _load_json(text: str):
         raise StructuralError("not valid JSON: an integer has too many digits") from None
     # Text decoded from UTF-8 holds a surrogate only through a \u escape,
     # so text without one skips the walk.
-    if "\\u" in text:
+    if _has_u_escape(text):
         _reject_lone_surrogates(data)
     return data
+
+
+def _has_u_escape(text: str) -> bool:
+    # A search for one character is a memchr; for two, a slower scan.
+    return "\\" in text and "\\u" in text
 
 
 def _parse_document(text: str, build, entries):
@@ -104,22 +109,36 @@ def _parse_document(text: str, build, entries):
     `build` has accepted the data, `entries(data)` gives the entries of all
     its objects in closed form.  Entries <= key tokens <= colons, so
     equality proves that no object repeated a key, and the hook would have
-    decoded the same data.  Text with a `\\u` escape (the surrogate walk may
-    apply), text that fails to decode or to build, and a count that does
-    not match all go through `_load_json`, which stays the one place that
-    names a repeated key or a decode error; so every message, and which
-    error wins, is the hook's.  A colon inside a name costs a second decode.
+    decoded the same data.
+
+    Any other document is decoded again by `_load_json`, which stays the
+    one place that names a repeated key, a decode error or a lone
+    surrogate; so every message, and which error wins, is the hook's.  When
+    it returns, no key repeated and its data equals the plain decode, so the
+    first build stands: its result is returned, or its error raised.  A
+    document with a `\\u` escape is decoded with the hook only.  So a colon
+    inside a name costs one plain decode and a colon count more than the
+    hook alone, and a document that fails to build one plain decode more.
     """
-    # A search for one character is a memchr; for two, a slower scan.
-    if "\\" not in text or "\\u" not in text:
+    if not _has_u_escape(text):
         try:
             data = json.loads(text)
-            result = build(data)
         except (ValueError, RecursionError):
-            pass
+            pass  # `_load_json` fails too, with the message to give
         else:
-            if entries(data) == text.count(":"):
-                return result
+            try:
+                result = build(data)
+            except Exception as e:
+                error = e
+            else:
+                if entries(data) == text.count(":"):
+                    return result
+                error = None
+            # Raised here, not in the handler, so no error chains to another.
+            _load_json(text)
+            if error is not None:
+                raise error
+            return result
     return build(_load_json(text))
 
 

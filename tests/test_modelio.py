@@ -208,6 +208,28 @@ def hook_outcome(parse, text):
         return outcome(parse, text)
 
 
+def object_entries(value) -> int:
+    """The entries of every object in decoded JSON, found by walking it:
+    the oracle for the closed forms `_model_entries` and `_quantum_entries`."""
+    if isinstance(value, dict):
+        return len(value) + sum(map(object_entries, value.values()))
+    if isinstance(value, list):
+        return sum(map(object_entries, value))
+    return 0
+
+
+def assert_entries_follow_the_schema(parse, text):
+    """If `text` parses, the closed-form entry count of its decoded data is
+    the walked one, so the count cannot drift from what the builders accept."""
+    try:
+        parse(text)
+    except StructuralError:
+        return
+    entries = modelio._quantum_entries if parse is modelio.parse_quantum else modelio._model_entries
+    data = json.loads(text)
+    assert entries(data) == object_entries(data)
+
+
 # Every object position of each document kind: the keys down to the
 # object, and the key written twice there, with the same value, so that
 # the document decodes as the valid one and only the count refuses it.
@@ -260,6 +282,10 @@ def test_documents_without_repeats_colons_or_escapes_skip_the_hook():
     with mock.patch.object(modelio, "_load_json", side_effect=AssertionError("the hook path ran")):
         got = [modelio.parse_model(t) for t in texts] + [modelio.parse_quantum(t) for t in quantum]
     assert got == expected
+    for t in texts:
+        assert_entries_follow_the_schema(modelio.parse_model, t)
+    for t in quantum:
+        assert_entries_follow_the_schema(modelio.parse_quantum, t)
 
 
 def test_parse_rejects_unpaired_surrogates():

@@ -34,7 +34,15 @@ from gqt.core import (
 )
 
 from test_laws import assert_eigen_queries_match_reference
-from test_modelio import Pairs, dump_pairs, dumps_oracle, hook_outcome, load_pairs, outcome
+from test_modelio import (
+    Pairs,
+    assert_entries_follow_the_schema,
+    dump_pairs,
+    dumps_oracle,
+    hook_outcome,
+    load_pairs,
+    outcome,
+)
 
 
 @st.composite
@@ -468,3 +476,4 @@ def test_parsers_match_the_hook_path(data):
         parse, text = modelio.parse_quantum, data.draw(quantum_texts())
     text = data.draw(perturbed(text))
     assert outcome(parse, text) == hook_outcome(parse, text)
+    assert_entries_follow_the_schema(parse, text)
