@@ -238,13 +238,6 @@ def generate_model(params: GeneratorParams) -> core.Model:
 # Law checking
 
 
-_PAIR_LAWS = (
-    core.compatible_has_common_eigenstate,
-    core.compatible_reaches_joint_eigenstate,
-    core.compatible_order_independent,
-)
-
-
 def check_laws(model: core.Model) -> list[Violation]:
     """Re-verify every supported law against the model, from scratch.
 
@@ -264,14 +257,10 @@ def check_laws(model: core.Model) -> list[Violation]:
     out = [v for name in sorted(model.propositions) for law in prop_laws for v in law(model.propositions[name])]
     observables = [model.observables[name] for name in sorted(model.observables)]
     out += [v for a in observables for law in core.OBSERVABLE_LAWS for v in law(a)]
-    # Every pair law reports nothing unless the pair is compatible, so only
-    # a compatible pair gets its common eigenstates listed.
     for i, a in enumerate(observables):
         for b in observables[i:]:
-            cls_, witness = core.pair_class(a, b)
-            if cls_ is core.PairClass.COMPATIBLE:
-                ev = core.PairEvidence(witness, tuple(core.common_eigenstates(a, b)))
-                out.extend(v for law in _PAIR_LAWS for v in law(a, b, cls_, ev))
+            if core.pair_class(a, b)[0] is core.PairClass.COMPATIBLE:
+                out.extend(v for law in core.PAIR_LAWS for v in law(a, b))
     return out
 
 

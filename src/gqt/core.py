@@ -672,9 +672,9 @@ def completeness(a: Observable) -> list[Violation]:
     ]
 
 
-def compatible_has_common_eigenstate(a: Observable, b: Observable, cls_: PairClass, ev: PairEvidence) -> list[Violation]:
-    """strongcomp-implies-comp: a compatible pair shares an eigenstate."""
-    if cls_ is not PairClass.COMPATIBLE or ev.common:
+def compatible_has_common_eigenstate(a: Observable, b: Observable) -> list[Violation]:
+    """strongcomp-implies-comp: a compatible pair shares an eigenstate; `check_laws` passes no other pair."""
+    if _share_an_eigenstate(a, b):
         return []
     detail = "pair has no common eigenstate yet classifies as compatible"
     return [Violation("strongcomp-implies-comp", (a.name, b.name), (), detail)]
@@ -690,10 +690,9 @@ def _joint_eigenstate_reachable(a: Observable, b: Observable, i: int) -> bool:
     return False
 
 
-def compatible_reaches_joint_eigenstate(a: Observable, b: Observable, cls_: PairClass, ev: PairEvidence) -> list[Violation]:
-    """compat-implies-joint-eigenstate: one measurement of each reaches a common eigenstate."""
-    if cls_ is not PairClass.COMPATIBLE:
-        return []
+def compatible_reaches_joint_eigenstate(a: Observable, b: Observable) -> list[Violation]:
+    """compat-implies-joint-eigenstate: from every state, one measurement of each of a compatible pair
+    reaches a common eigenstate; `check_laws` passes no other pair."""
     detail = "no common eigenstate reachable by one measurement of each"
     return [
         Violation("compat-implies-joint-eigenstate", (a.name, b.name), (z,), detail)
@@ -702,10 +701,8 @@ def compatible_reaches_joint_eigenstate(a: Observable, b: Observable, cls_: Pair
     ]
 
 
-def compatible_order_independent(a: Observable, b: Observable, cls_: PairClass, ev: PairEvidence) -> list[Violation]:
-    """compat-order-independence: the branches of a compatible pair commute."""
-    if cls_ is not PairClass.COMPATIBLE:
-        return []
+def compatible_order_independent(a: Observable, b: Observable) -> list[Violation]:
+    """compat-order-independence: the branches of a compatible pair commute; `check_laws` passes no other pair."""
     return [
         Violation(
             "compat-order-independence", (a.name, va, b.name, vb), (z,), f"measurement order changes the outcome at {z}"
@@ -718,6 +715,7 @@ def compatible_order_independent(a: Observable, b: Observable, cls_: PairClass, 
 
 PROPOSITION_LAWS = (idempotence, annihilation, consistency)
 OBSERVABLE_LAWS = (exclusion, completeness)
+PAIR_LAWS = (compatible_has_common_eigenstate, compatible_reaches_joint_eigenstate, compatible_order_independent)
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +825,12 @@ def common_eigenstates(a: Observable, b: Observable) -> list[tuple[str, str, str
     return [(states[i], va, vb) for i in a.space.by_name if ae[i] and be[i] for va in ae[i] for vb in be[i]]
 
 
+def _share_an_eigenstate(a: Observable, b: Observable) -> bool:
+    # A state is a common eigenstate when both of its slots are non-empty;
+    # the zero slot is ((), ()), so it never is.
+    return any(map(all, zip(a.eigenvalues, b.eigenvalues)))
+
+
 def pair_class(a: Observable, b: Observable) -> tuple[PairClass, Optional[CommutationWitness]]:
     """Compatible, complementary, or strongly complementary, with the witness.
 
@@ -844,9 +848,7 @@ def pair_class(a: Observable, b: Observable) -> tuple[PairClass, Optional[Commut
         for vb in b.spectrum:
             witness = _commutation_witness(p, b.family[vb])
             if witness is not None:
-                # A state is a common eigenstate when both of its slots are
-                # non-empty; the zero slot is ((), ()), so it never is.
-                if any(map(all, zip(a.eigenvalues, b.eigenvalues))):
+                if _share_an_eigenstate(a, b):
                     return PairClass.COMPLEMENTARY, witness
                 return PairClass.STRONGLY_COMPLEMENTARY, witness
     return PairClass.COMPATIBLE, None

@@ -50,6 +50,14 @@ def _idempotence_residue(m: np.ndarray) -> float:
     return float(np.abs(m @ m - m).max())
 
 
+def _check_tol(tol: float) -> None:
+    # A NaN tolerance fails every residue check and blames the matrix, an
+    # infinite one passes every check and sends every branch to zero, and a
+    # negative one takes a zero trace for a live branch.
+    if not (math.isfinite(tol) and tol >= 0):
+        raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
+
+
 def _shown(residue: float) -> str:
     """A residue as reports print it: nine places below 1e9, an exponent from there on."""
     return f"{residue:.9f}" if abs(residue) < 1e9 else f"{residue:.9e}"
@@ -74,6 +82,7 @@ class DensityState:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
+        _check_tol(tol)
         m = _as_matrix(matrix, "density matrix")
         if not _hermiticity_residue(m) <= tol:
             raise StructuralError("density matrix is not hermitian within tolerance")
@@ -108,6 +117,7 @@ class Projector:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
+        _check_tol(tol)
         m = _as_matrix(matrix, "projector")
         if not _hermiticity_residue(m) <= tol:
             raise StructuralError("projector is not hermitian within tolerance")
@@ -132,6 +142,7 @@ class Projector:
 
 def states_equal(z1: DensityState, z2: DensityState, tol: float = DEFAULT_TOL) -> bool:
     """Equality up to scalar factors: compare trace-normalized matrices entrywise."""
+    _check_tol(tol)
     if z1.dimension != z2.dimension:
         raise StructuralError("density matrices have different dimensions")
     return bool(np.abs(z1.normalized() - z2.normalized()).max() <= tol)
@@ -141,6 +152,7 @@ def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Un
     """Projective measurement branch `P z P`, trace-normalized; the zero
     state unless its trace exceeds `tol`.  A branch inherits the checks of
     `z` and `p`, as an image in `close_orbit` does."""
+    _check_tol(tol)
     if p.dimension != z.dimension:
         raise StructuralError("projector dimension does not match the state")
     m = p.matrix @ z.matrix @ p.matrix
@@ -210,6 +222,7 @@ def close_orbit(
     """
     if cap < 1:
         raise StructuralError("orbit cap must be at least 1")
+    _check_tol(tol)
     if not seeds:
         raise StructuralError("at least one seed state is required")
     if not propositions:
@@ -327,10 +340,8 @@ def settings(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> tup
     parser has checked the document's."""
     if tol is None:
         tol = DEFAULT_TOL if doc.tolerance is None else doc.tolerance
-    elif not (math.isfinite(tol) and tol >= 0):
-        # A NaN or negative tolerance fails every residue comparison, which
-        # would blame exact projectors instead of the setting.
-        raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
+    else:
+        _check_tol(tol)
     if cap is None:
         cap = DEFAULT_CAP if doc.cap is None else doc.cap
     elif cap < 1:

@@ -609,7 +609,7 @@ def test_zero_slot_is_nobodys_eigenstate():
     cls_, ev = core.classify_pair(a, b)
     assert cls_ is PairClass.COMPATIBLE
     assert ev.common == (("e", "yes", "yes"),)
-    report = core.compatible_reaches_joint_eigenstate(a, b, cls_, ev)
+    report = core.compatible_reaches_joint_eigenstate(a, b)
     assert [(v.law, v.witness) for v in report] == [("compat-implies-joint-eigenstate", ("f",))]
     model = core.Model.build(space, [*a.family.values(), *b.family.values()], (a, b))
     assert ("compat-implies-joint-eigenstate", ("A", "B"), ("f",)) in {

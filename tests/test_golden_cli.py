@@ -11,8 +11,6 @@ To regenerate after an intended output change, from the repository root:
     PYTHONPATH=src python3 tests/test_golden_cli.py
 """
 
-import contextlib
-import io
 import json
 import sys
 import tempfile
@@ -20,72 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gqt import cli
-
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "golden"
-PATHS = {
-    "qzx": ROOT / "fixtures" / "qzx.json",
-    "bell": ROOT / "fixtures" / "bell.json",
-    "bistable": ROOT / "fixtures" / "bistable.json",
-    "qzx_quantum": ROOT / "fixtures" / "qzx_quantum.json",
-    "bell_quantum": ROOT / "fixtures" / "bell_quantum.json",
-    "mutated": GOLDEN / "bell_mutated.json",
-}
-OBSERVABLES = {"qzx": ("Z", "X"), "bell": ("BELL", "ZA", "ZB"), "bistable": ("PERCEPT", "ATTENTION")}
-JSON = ("--format", "json")
-
-
-def _cases() -> dict[str, list[str]]:
-    cases = {}
-    for model in ("qzx", "bell", "bistable", "mutated"):
-        for command in ("validate", "check", "report"):
-            cases[f"{command}-{model}"] = [command, f"{{{model}}}"]
-            cases[f"{command}-{model}-json"] = [command, f"{{{model}}}", *JSON]
-    for model, names in OBSERVABLES.items():
-        for name in names:
-            cases[f"eigen-{model}-{name}"] = ["eigen", f"{{{model}}}", "--observable", name]
-            cases[f"eigen-{model}-{name}-json"] = ["eigen", f"{{{model}}}", "--observable", name, *JSON]
-    measures = {
-        "bell": ("phiP", "ZA=0,BELL=phi+"),
-        "bell-zero": ("phiP", "ZA=0,ZA=1,BELL=phi+"),
-        "qzx": ("z0", "X=+,Z=1,X=-"),
-        "bistable": ("u", "PERCEPT=A,ATTENTION=on,PERCEPT=B"),
-    }
-    for key, (state, steps) in measures.items():
-        model = key.split("-")[0]
-        cases[f"measure-{key}"] = ["measure", f"{{{model}}}", "--state", state, "--steps", steps]
-        cases[f"measure-{key}-json"] = ["measure", f"{{{model}}}", "--state", state, "--steps", steps, *JSON]
-    for model, locals_ in (("bell", "ZA,ZB"), ("mutated", "ZA,BELL")):
-        cases[f"entangle-{model}"] = ["entangle", f"{{{model}}}", "--global", "BELL", "--locals", locals_]
-        cases[f"entangle-{model}-json"] = ["entangle", f"{{{model}}}", "--global", "BELL", "--locals", locals_, *JSON]
-    for doc in ("qzx_quantum", "bell_quantum"):
-        cases[f"quantum-build-{doc}"] = ["quantum", "build", f"{{{doc}}}", "-o", "{out}"]
-    cases["quantum-build-cap"] = ["quantum", "build", "{bell_quantum}", "--cap", "3", "-o", "{out}"]
-    fuzz = ["fuzz", "--states", "12", "--props", "5", "--obs", "3", "--seed", "11", "--count", "40"]
-    cases["fuzz"] = fuzz
-    cases["fuzz-json"] = [*fuzz, *JSON]
-    return cases
-
-
-CASES = _cases()
-
-
-def run_case(argv: list[str], workdir: Path) -> tuple[int, dict[str, bytes]]:
-    """Exit code and output files (`stdout`, plus `model.json` when one is written)."""
-    out = workdir / "model.json"
-    filled = [a.format(out=out, **PATHS) for a in argv]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(filled)
-    files = {"stdout": buf.getvalue().replace(str(out), "OUT").encode("utf-8")}
-    if out.exists():
-        files["model.json"] = out.read_bytes()
-    return code, files
-
-
-def _golden_files(name: str) -> dict[str, bytes]:
-    return {p.name[len(name) + 1 :]: p.read_bytes() for p in GOLDEN.glob(f"{name}.*")}
+from golden_cases import CASES, GOLDEN, golden_files, run_case
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -93,7 +26,7 @@ def test_cli_output_matches_golden(name, tmp_path):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     code, files = run_case(CASES[name], tmp_path)
     assert code == codes[name]
-    assert files == _golden_files(name)
+    assert files == golden_files(name)
 
 
 def test_every_golden_has_a_case():

@@ -323,14 +323,28 @@ def reference_unreached_joint_eigenstates(a, b, common):
     ]
 
 
+def reference_commutation_witness(p, q):
+    """The first state where `p` and `q` fail to commute, scanning the sides
+    yes/yes, yes/no, no/yes and no/no, then the states in declaration
+    order; None when they commute."""
+    for sp in ("yes", "no"):
+        for sq in ("yes", "no"):
+            fp, fq = p.side(sp).table, q.side(sq).table
+            for i, z in enumerate(p.space.states):
+                pq, qp = fp[fq[i]], fq[fp[i]]
+                if pq != qp:
+                    return core.CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
+    return None
+
+
 def reference_pair_class(a, b, common):
     """The class and witness as found by scanning every branch pair of the
     two observables for a commutation witness, then reading `common`, the
     pair's whole list of common eigenstates."""
     for va in a.spectrum:
         for vb in b.spectrum:
-            ok, witness = core.is_compatible_propositions(a.family[va], b.family[vb])
-            if not ok:
+            witness = reference_commutation_witness(a.family[va], b.family[vb])
+            if witness is not None:
                 return (core.PairClass.COMPLEMENTARY if common else core.PairClass.STRONGLY_COMPLEMENTARY), witness
     return core.PairClass.COMPATIBLE, None
 
@@ -345,13 +359,13 @@ def assert_eigen_queries_match_reference(model):
         for b in observables:
             common = reference_common_eigenstates(a, b)
             assert core.common_eigenstates(a, b) == common, (a.name, b.name)
+            assert core._share_an_eigenstate(a, b) == bool(common), (a.name, b.name)
             cls_, witness = reference_pair_class(a, b, common)
             assert core.pair_class(a, b) == (cls_, witness), (a.name, b.name)
-            ev = core.PairEvidence(witness, tuple(common))
-            assert core.classify_pair(a, b) == (cls_, ev), (a.name, b.name)
+            assert core.classify_pair(a, b) == (cls_, core.PairEvidence(witness, tuple(common))), (a.name, b.name)
             # Applied to every pair, not just the compatible ones, so that
             # incomplete and non-idempotent families reach the law too.
-            got = core.compatible_reaches_joint_eigenstate(a, b, core.PairClass.COMPATIBLE, ev)
+            got = core.compatible_reaches_joint_eigenstate(a, b)
             want = [(z,) for z in reference_unreached_joint_eigenstates(a, b, common)]
             assert [v.witness for v in got] == want, (a.name, b.name)
 
@@ -365,8 +379,8 @@ def test_eigen_queries_match_reference_on_every_single_entry_mutant():
 
 
 # ---------------------------------------------------------------------------
-# check_laws lists a pair's common eigenstates only when the pair is
-# compatible, the one class any pair law reads.
+# check_laws applies the pair laws, theorems about compatible pairs, to the
+# pairs that pair_class calls compatible, and to no other pair.
 
 PAIR_LAW_IDS = {"compat-implies-joint-eigenstate", "strongcomp-implies-comp", "compat-order-independence"}
 GENERATOR_GOLDEN = Path(__file__).resolve().parent / "golden" / "generate_model.json"
@@ -377,17 +391,18 @@ def generator_golden_models():
     return [checker.generate_model(GeneratorParams(*map(int, key.split()))) for key in keys]
 
 
-def assert_pair_laws_read_full_evidence(model):
-    """`check_laws` reports what every pair law says on the full
-    `classify_pair` evidence of every pair, after the other laws."""
+def assert_check_laws_matches_the_pair_laws(model):
+    """`check_laws` reports what every pair law says on every pair that
+    `core.pair_class` calls compatible, after the other laws."""
     checked = checker.check_laws(model)
     observables = [model.observables[name] for name in sorted(model.observables)]
     pair_reports = [
         v
         for i, a in enumerate(observables)
         for b in observables[i:]
-        for law in checker._PAIR_LAWS
-        for v in law(a, b, *core.classify_pair(a, b))
+        if core.pair_class(a, b)[0] is core.PairClass.COMPATIBLE
+        for law in core.PAIR_LAWS
+        for v in law(a, b)
     ]
     assert checked == [v for v in checked if v.law not in PAIR_LAW_IDS] + pair_reports
 
@@ -401,6 +416,7 @@ def test_pair_class_matches_reference_on_the_generator_goldens():
         for a in observables:
             for b in observables:
                 common = reference_common_eigenstates(a, b)
+                assert core._share_an_eigenstate(a, b) == bool(common), (a.name, b.name)
                 cls_, witness = reference_pair_class(a, b, common)
                 assert core.pair_class(a, b) == (cls_, witness), (a.name, b.name)
                 assert core.classify_pair(a, b) == (cls_, core.PairEvidence(witness, tuple(common)))
@@ -416,7 +432,7 @@ def test_check_laws_matches_the_pair_laws_on_full_evidence(monkeypatch, forced):
         pair_class = core.pair_class
         monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
     for model in generator_golden_models():
-        assert_pair_laws_read_full_evidence(model)
+        assert_check_laws_matches_the_pair_laws(model)
     for base in mutant_bases():
         for _, mutant in single_entry_mutants(base):
-            assert_pair_laws_read_full_evidence(mutant)
+            assert_check_laws_matches_the_pair_laws(mutant)

@@ -1,6 +1,7 @@
 """Density-matrix backend: actions, tolerances, orbit closure."""
 
 import json
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -340,6 +341,29 @@ def test_settings_reject_bad_flags(flags, message):
     if "tol" in flags:
         with pytest.raises(StructuralError, match=message):
             quantum.family_violations(doc, tol=flags["tol"])
+
+
+# Each entry point of `quantum` that takes a tolerance, with valid arguments
+# apart from it.  The projector is not hermitian, which an infinite
+# tolerance would let through.
+TOL_ENTRY_POINTS = {
+    "settings": lambda tol: quantum.settings(modelio.QuantumDocument(2, (), (), ()), tol=tol),
+    "close_orbit": lambda tol: quantum.close_orbit([DensityState(dm(KET0))], [("P", Projector(dm(PLUS)))], cap=50, tol=tol),
+    "DensityState": lambda tol: DensityState(dm(KET0), tol),
+    "Projector": lambda tol: Projector([[1, 2], [3, 4]], tol),
+    "states_equal": lambda tol: quantum.states_equal(DensityState(dm(KET0)), DensityState(dm(PLUS)), tol),
+    "act_projector": lambda tol: quantum.act_projector(DensityState(dm(KET0)), Projector(dm(PLUS)), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bad_tolerance(entry, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError) as exc:
+            TOL_ENTRY_POINTS[entry](tol)
+    assert str(exc.value) == f"tol must be a finite non-negative number, got {tol!r}"
 
 
 def test_settings_take_flag_then_document_then_default():

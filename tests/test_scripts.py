@@ -1,4 +1,4 @@
-"""The survey scripts run to completion against the current library."""
+"""The scripts run to completion against the current library; the harnesses pass."""
 
 import os
 import subprocess
@@ -18,8 +18,11 @@ ROOT = FIXTURES.parent
         ["scripts/orbit_scale.py", "--angles", "0.9", "--tol", "1e-6", "--mub-caps", "40", "--repeats", "1"],
         ["scripts/json_payloads.py", "--sizes", "8", "--repeats", "1"],
         ["scripts/law_kernels.py", "--sizes", "8", "256", "--repeats", "1"],
+        ["scripts/crossversion.py"],
+        ["scripts/mutants.py", "--check"],
+        ["scripts/mutants.py", "--only", "common-eigenstate-law-inverted"],
     ],
-    ids=["commutation_survey", "orbit_scale", "json_payloads", "law_kernels"],
+    ids=["commutation_survey", "orbit_scale", "json_payloads", "law_kernels", "crossversion", "mutants_check", "mutant"],
 )
 def test_script_exits_cleanly(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
