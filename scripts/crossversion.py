@@ -9,8 +9,8 @@ It puts this checkout's `src/` and `tests/` first on the import path and
 checks
 - the sha256 of `serialize_model(generate_model(p))` for every parameter
   set of `tests/golden/generate_model.json`;
-- `checker._pick` and `checker._shuffled` against `random.Random.choice`
-  and `sample`, draw for draw and in the generator's final state;
+- `checker._shuffled` against `random.Random.sample`, draw for draw and
+  in the generator's final state;
 - the exit code and output bytes of every CLI golden case of
   `tests/golden_cases.py` but the `quantum` ones, which need numpy.
 It prints one line per check and exits 1 if anything differs.
@@ -46,21 +46,6 @@ def generator_hashes() -> list[str]:
     return bad
 
 
-def pick_draws() -> list[str]:
-    """The seeds on which `_pick` and `Random.choice` part ways."""
-    bad = []
-    for seed in SEEDS:
-        ours, theirs = random.Random(seed), random.Random(seed)
-        same = all(
-            checker._pick(ours.getrandbits, seq) == theirs.choice(seq)
-            for seq in (list(range(m)) for m in range(1, 301))
-            for _ in range(3)
-        )
-        if not (same and ours.getstate() == theirs.getstate()):
-            bad.append(f"seed {seed}")
-    return bad
-
-
 def shuffled_draws() -> list[str]:
     """The seeds on which `_shuffled` and `Random.sample` part ways."""
     bad = []
@@ -92,7 +77,6 @@ def cli_goldens() -> list[str]:
 
 CHECKS = {
     "generator hashes": generator_hashes,
-    "_pick draws": pick_draws,
     "_shuffled draws": shuffled_draws,
     "non-quantum CLI goldens": cli_goldens,
 }

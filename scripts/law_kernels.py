@@ -10,8 +10,6 @@ drawing that model (`generate`), of `checker.check_laws`, of
 `core.validate_model` and of one `core.classify_pair` and of one
 `core.pair_class` (each averaged over every observable pair) over
 `--repeats` calls each, and the violations found (0 on a valid model).
-The `class` column reads `-` where `core` has no `pair_class`, so the
-script also times checkouts from before it.
 The `path` column says whether each `PropMap.table` is bytes
 ("byte-coded", up to 255 states) or a tuple ("scan-only", past 255
 states).  The header line gives the Python version.
@@ -71,12 +69,10 @@ def main(argv=None):
         check_ms = median_ms(lambda: checker.check_laws(model), args.repeats)
         validate_ms = median_ms(lambda: core.validate_model(model), args.repeats)
         pair_ms = median_ms(lambda: [core.classify_pair(a, b) for a, b in pairs], args.repeats) / len(pairs)
-        class_ms = "-"
-        if hasattr(core, "pair_class"):
-            class_ms = f"{median_ms(lambda: [core.pair_class(a, b) for a, b in pairs], args.repeats) / len(pairs):.3f}"
+        class_ms = median_ms(lambda: [core.pair_class(a, b) for a, b in pairs], args.repeats) / len(pairs)
         violations = len(checker.check_laws(model)) + len(core.validate_model(model))
         print(
-            f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.3f} {class_ms:>7}"
+            f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.3f} {class_ms:>7.3f}"
             f" {violations:>10}"
         )
 

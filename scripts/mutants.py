@@ -95,6 +95,183 @@ MUTANTS = (
         "The scan stops before the last proper state; a pair whose one shared eigenstate is that "
         "state then reads strongly complementary.",
     ),
+    Mutant(
+        "mask-test-drops-support",
+        "src/gqt/checker.py",
+        "if not (image & covered or support & kill):",
+        "if not (image & covered):",
+        ("tests/test_generator.py::test_branch_masks_agree_with_the_laws[8]",),
+        "Two yes maps annihilate only when neither one's image meets the other's support; with one half "
+        "of the test a branch whose support meets a chosen image passes, and the greedy reference differs.",
+    ),
+    Mutant(
+        "support-is-image",
+        "src/gqt/checker.py",
+        "support = ((1 << n) - 1) ^ sum(map((1).__lshift__, no_eigen)) if n_yes else 0",
+        "support = image",
+        ("tests/test_generator.py::test_branch_masks_agree_with_the_laws[8]",),
+        "The support also holds the contingent states the yes map keeps; the test lists it against the "
+        "states each yes map does not send to zero.",
+    ),
+    Mutant(
+        "same-space-identity-only",
+        "src/gqt/core.py",
+        "return a is b or a == b",
+        "return a is b",
+        ("tests/test_core.py::test_an_equal_space_passes_every_space_check",),
+        "An equal but distinct state space then fails every space check; the test builds each part over "
+        "a copy of the space.",
+    ),
+    Mutant(
+        "shuffled-one-bit-short",
+        "src/gqt/checker.py",
+        "k = (top + 1).bit_length()",
+        "k = top.bit_length()",
+        ("tests/test_generator.py::test_shuffled_makes_the_draws_of_sample[0]",),
+        "`sample` draws `(top + 1).bit_length()` bits per step; one bit fewer gives other draws, which "
+        "the test compares draw for draw and in the final `getstate()`.",
+    ),
+    Mutant(
+        "space-uncached",
+        "src/gqt/checker.py",
+        "@cache\ndef _space(",
+        "def _space(",
+        ("tests/test_generator.py::test_models_of_one_size_share_one_space",),
+        "Every generated model then gets a fresh, equal space; only object identity shows it.",
+    ),
+    Mutant(
+        "fixed-point-scan-one-short",
+        "src/gqt/core.py",
+        "itertools.compress(range(n), map(operator.eq, range(n), family[v].yes.table))",
+        "itertools.compress(range(n - 1), map(operator.eq, range(n - 1), family[v].yes.table))",
+        ("tests/test_generator.py::test_eigenvalues_are_the_fixed_points_of_each_branch[8]",),
+        "The last proper state is never an eigenstate; the test holds the table to the comprehension "
+        "definition.",
+    ),
+    Mutant(
+        "remainder-pick-one-bit-wide",
+        "src/gqt/checker.py",
+        "k_up, k_kill = n_up.bit_length(), n_kill.bit_length()",
+        "k_up, k_kill = n_up.bit_length() + 1, n_kill.bit_length()",
+        ("tests/test_generator.py::test_generator_output_matches_golden",),
+        "The remainder branch's picks then draw one bit more than `choice` and reject more often; the "
+        "maps stay valid, so only the 378 golden hashes see the other draws.",
+    ),
+    Mutant(
+        "orbit-live-traces-reversed",
+        "src/gqt/quantum.py",
+        "traces.compress(live)[:, None, None]",
+        "traces.compress(live)[::-1, None, None]",
+        ("tests/test_quantum.py::test_qzx_orbit_matches_frozen_model",),
+        "Each live image is then divided by another image's trace; the qzx orbit no longer matches its "
+        "frozen model.",
+    ),
+    Mutant(
+        "colon-count-at-most",
+        "src/gqt/modelio.py",
+        'if entries(data) == text.count(":"):',
+        'if entries(data) <= text.count(":"):',
+        ("tests/test_modelio.py::test_parse_rejects_duplicate_keys",),
+        "Fewer entries than colons is what a repeated key gives; with `<=` the plain decode, which keeps "
+        "the last value, is accepted.",
+    ),
+    Mutant(
+        "model-entries-top-level-plus-one",
+        "src/gqt/modelio.py",
+        "return len(data) + (3 + 2 * n)",
+        "return len(data) + 1 + (3 + 2 * n)",
+        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
+        "No model document then matches its colon count, so each one falls back to `_load_json`, which "
+        "the test makes fail.",
+    ),
+    Mutant(
+        "model-entries-proposition-plus-one",
+        "src/gqt/modelio.py",
+        "(3 + 2 * n) * len(",
+        "(4 + 2 * n) * len(",
+        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
+        "Every model document with a proposition falls back to `_load_json`, which the test makes fail.",
+    ),
+    Mutant(
+        "quantum-entries-top-level-plus-one",
+        "src/gqt/modelio.py",
+        'return len(data) + len(data["seeds"])',
+        'return len(data) + 1 + len(data["seeds"])',
+        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
+        "No quantum document then matches its colon count, so each one falls back to `_load_json`, "
+        "which the test makes fail.",
+    ),
+    Mutant(
+        "quantum-entries-seed-plus-one",
+        "src/gqt/modelio.py",
+        'len(data["seeds"]) + len(data["propositions"])',
+        'len(data["seeds"]) + 1 + len(data["propositions"])',
+        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
+        "Every quantum document has a seed, so each one falls back to `_load_json`, which the test makes "
+        "fail.",
+    ),
+    Mutant(
+        "quantum-entries-projector-plus-one",
+        "src/gqt/modelio.py",
+        'len(data["propositions"]) + _section_entries(data)',
+        'len(data["propositions"]) + 1 + _section_entries(data)',
+        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
+        "Every quantum document falls back to `_load_json`, which the test makes fail.",
+    ),
+    Mutant(
+        "section-entries-observable-plus-one",
+        "src/gqt/modelio.py",
+        'sum(3 + len(body["family"])',
+        'sum(4 + len(body["family"])',
+        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
+        "Every document with an observable falls back to `_load_json`, which the test makes fail.",
+    ),
+    Mutant(
+        "section-entries-partition-plus-one",
+        "src/gqt/modelio.py",
+        'total += 3 + len(data["partition"]["local"])',
+        'total += 4 + len(data["partition"]["local"])',
+        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
+        "Every document with a partition (the Bell fixtures) falls back to `_load_json`, which the test "
+        "makes fail.",
+    ),
+    Mutant(
+        "build-error-before-hook-decode",
+        "src/gqt/modelio.py",
+        "except Exception as e:\n                error = e",
+        "except Exception:\n                raise",
+        ("tests/test_modelio.py::test_repeated_key_outranks_the_error_of_its_last_value",),
+        "A repeated key whose last value fails to build then raises the build error; the hook, which "
+        "must still run, names the repeat.",
+    ),
+    Mutant(
+        "u-escape-never-seen",
+        "src/gqt/modelio.py",
+        r'return "\\" in text and "\\u" in text',
+        "return False",
+        ("tests/test_modelio.py::test_parse_rejects_unpaired_surrogates",),
+        "Escaped documents then take the plain decode, which keeps an unpaired surrogate that the hook "
+        "path refuses.",
+    ),
+    Mutant(
+        "cap-type-test-dropped",
+        "src/gqt/quantum.py",
+        '    if not isinstance(cap, int) or isinstance(cap, bool):\n'
+        '        raise StructuralError(f"orbit cap must be an integer, got {cap!r}")\n',
+        "",
+        ("tests/test_quantum.py::test_every_entry_point_refuses_a_cap_that_is_not_an_integer",),
+        "A NaN or infinite cap then passes `cap < 1` and bounds nothing; the table test sends nan, inf, "
+        "2.5, True and \"3\" through `settings`, `document_orbit` and `close_orbit`.",
+    ),
+    Mutant(
+        "parser-builtins-remade",
+        "src/gqt/modelio.py",
+        "return core.Model(space, props, observables, partition)",
+        "return core.Model.build(space, props.values(), observables.values(), partition)",
+        ("tests/test_modelio.py::test_family_members_are_the_models_own_propositions",),
+        "`Model.build` makes a second, equal ONE and ZERO for the model to keep, so a family that names "
+        "a builtin no longer holds the model's own object.",
+    ),
 )
 
 

@@ -61,22 +61,11 @@ class GeneratorParams(core._Record):
 
 # The generator builds index tables, n = len(space) being the zero state,
 # valid by construction, so `core._checked_map` wraps them unchecked.
-def _pick(bits, seq: Sequence):
-    """`rng.choice(seq)` with `bits = rng.getrandbits`: the same draws on Python
-    3.10 to 3.13 (tests/test_generator.py), in one Python call where it makes two."""
-    m = len(seq)
-    k = m.bit_length()
-    r = bits(k)
-    while r >= m:
-        r = bits(k)
-    return seq[r]
-
-
 def _shuffled(bits, seq: Sequence) -> list:
     """`rng.sample(seq, len(seq))` with `bits = rng.getrandbits`: the same
     draws on Python 3.10 to 3.13 (tests/test_generator.py).  This is
     `sample`'s pool loop, a Fisher-Yates shuffle: each step picks a member
-    as `_pick` does and moves the last unpicked one into its place."""
+    with `choice`'s draws and moves the last unpicked one into its place."""
     pool = list(seq)
     out = []
     for top in range(len(pool) - 1, -1, -1):
@@ -110,7 +99,7 @@ def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -
     draw, bits = rng.random, rng.getrandbits
     draws = [draw() for _ in range(n)]
     if min(draws) >= 0.8:
-        draws[_pick(bits, range(n))] = _pick(bits, (0.0, 0.4))
+        draws[rng.choice(range(n))] = rng.choice((0.0, 0.4))
     yes, no = [n] * (n + 1), [n] * (n + 1)
     yes_eigen, no_eigen, contingent = [], [], []
     for i, r in enumerate(draws):
@@ -122,8 +111,8 @@ def _random_proposition(rng: random.Random, space: core.StateSpace, name: str) -
             no_eigen.append(i)
         else:
             contingent.append(i)
-    # Each pick is `_pick` inline: the draws of `rng.choice`, with no
-    # Python call per pick.
+    # Each pick is `rng.choice` inline, the same draws with no Python call
+    # per pick.
     n_yes, n_no = len(yes_eigen), len(no_eigen)
     k_yes, k_no = n_yes.bit_length(), n_no.bit_length()
     for i in contingent:
@@ -164,7 +153,7 @@ def _remainder_proposition(
         yes[i] = i
     for i in kill_list:
         no[i] = i
-    # Each pick is `_pick` inline, as in `_random_proposition`.  Neither
+    # Each pick is `rng.choice` inline, as in `_random_proposition`.  Neither
     # list is empty here: some state is uncovered, and a covered state is
     # in the support of a branch with yes-eigenstates.
     draw, bits = rng.random, rng.getrandbits

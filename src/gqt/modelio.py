@@ -267,7 +267,8 @@ def _build_model(data) -> core.Model:
     except StructuralError as e:
         _fail("states", str(e))
 
-    propositions = []
+    # One ONE and one ZERO, which observables name too; no key repeats or is a builtin.
+    props = {"ONE": core.make_one(space), "ZERO": core.make_zero(space)}
     props_raw = _require_object(data.get("propositions", {}), "propositions")
     for name, body in props_raw.items():
         path = f"propositions.{name}"
@@ -277,19 +278,15 @@ def _build_model(data) -> core.Model:
         _check_keys(body, ("yes", "no"), ("yes", "no"), path)
         yes = _parse_map(body["yes"], space, f"{path}.yes")
         no = _parse_map(body["no"], space, f"{path}.no")
-        propositions.append(core.Proposition(name, yes, no))
+        props[name] = core.Proposition(name, yes, no)
 
-    prop_by_name = {p.name: p for p in propositions}
-    prop_by_name["ONE"] = core.make_one(space)
-    prop_by_name["ZERO"] = core.make_zero(space)
-
-    observables = _parse_observables(data, prop_by_name, "proposition", core.Observable)
+    observables = {o.name: o for o in _parse_observables(data, props, "proposition", core.Observable)}
 
     partition = None
     if "partition" in data:
         partition = _parse_partition(data["partition"], "partition")
 
-    return core.Model.build(space, propositions, observables, partition)
+    return core.Model(space, props, observables, partition)
 
 
 def model_document(model: core.Model) -> dict:

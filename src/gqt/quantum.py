@@ -58,6 +58,13 @@ def _check_tol(tol: float) -> None:
         raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
 
 
+def _check_cap(cap: int) -> None:
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise StructuralError(f"orbit cap must be an integer, got {cap!r}")
+    if cap < 1:
+        raise StructuralError("orbit cap must be at least 1")
+
+
 def _shown(residue: float) -> str:
     """A residue as reports print it: nine places below 1e9, an exponent from there on."""
     return f"{residue:.9f}" if abs(residue) < 1e9 else f"{residue:.9e}"
@@ -220,8 +227,7 @@ def close_orbit(
     else a new state.  Raises OrbitCapExceeded when more than `cap`
     distinct states appear.
     """
-    if cap < 1:
-        raise StructuralError("orbit cap must be at least 1")
+    _check_cap(cap)
     _check_tol(tol)
     if not seeds:
         raise StructuralError("at least one seed state is required")
@@ -344,8 +350,8 @@ def settings(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> tup
         _check_tol(tol)
     if cap is None:
         cap = DEFAULT_CAP if doc.cap is None else doc.cap
-    elif cap < 1:
-        raise StructuralError("orbit cap must be at least 1")
+    else:
+        _check_cap(cap)
     return cap, tol
 
 

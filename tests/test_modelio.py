@@ -171,6 +171,21 @@ def test_duplicate_key_named_is_the_first_repeat_of_the_innermost_object():
         modelio.parse_model(text)
 
 
+@pytest.mark.parametrize(
+    ("parse", "key", "text"),
+    [
+        (modelio.parse_model, "states", '{"states": ["a"], "states": 3}'),
+        (modelio.parse_quantum, "dimension", '{"dimension": 2, "dimension": "two"}'),
+    ],
+    ids=["model", "quantum"],
+)
+def test_repeated_key_outranks_the_error_of_its_last_value(parse, key, text):
+    # The plain decode keeps the last value, which fails to build; the
+    # parser still names the repeat, as the hook alone would.
+    with pytest.raises(StructuralError, match=f"^duplicate key '{key}'$"):
+        parse(text)
+
+
 class Pairs(list):
     """A JSON object as its list of (key, value) pairs, so a key may repeat."""
 
@@ -464,6 +479,23 @@ def test_family_may_reference_builtins():
     model = modelio.parse_model(text)
     assert model.observables["A"].family["t"] == core.make_one(model.space)
     assert core.validate_model(model) == []
+
+
+def test_family_members_are_the_models_own_propositions():
+    # The parser makes one ONE and one ZERO; a family names those objects,
+    # not an equal second pair.
+    text = minimal_doc(
+        observables={
+            "A": {"spectrum": ["t", "f"], "family": {"t": "ONE", "f": "ZERO"}},
+            "B": {"spectrum": ["p", "z"], "family": {"p": "P", "z": "ZERO"}},
+        }
+    )
+    model = modelio.parse_model(text)
+    props = model.propositions
+    assert model.observables["A"].family["t"] is props["ONE"]
+    assert model.observables["A"].family["f"] is props["ZERO"]
+    assert model.observables["B"].family["p"] is props["P"]
+    assert model.observables["B"].family["z"] is props["ZERO"]
 
 
 def test_parse_rejects_spectrum_family_mismatch():

@@ -366,6 +366,29 @@ def test_every_entry_point_refuses_a_bad_tolerance(entry, tol):
     assert str(exc.value) == f"tol must be a finite non-negative number, got {tol!r}"
 
 
+def qzx_document():
+    return modelio.parse_quantum((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+
+
+# Each entry point of `quantum` that takes a cap, with valid arguments apart
+# from it.  Unrefused, a NaN or infinite cap would leave the closure unbounded.
+CAP_ENTRY_POINTS = {
+    "settings": lambda cap: quantum.settings(qzx_document(), cap=cap),
+    "document_orbit": lambda cap: quantum.document_orbit(qzx_document(), cap=cap),
+    "close_orbit": lambda cap: quantum.close_orbit([DensityState(dm(KET0))], [("P", Projector(dm(PLUS)))], cap=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), 2.5, True, "3"], ids=["nan", "inf", "float", "bool", "str"])
+@pytest.mark.parametrize("entry", sorted(CAP_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_cap_that_is_not_an_integer(entry, cap):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError) as exc:
+            CAP_ENTRY_POINTS[entry](cap)
+    assert str(exc.value) == f"orbit cap must be an integer, got {cap!r}"
+
+
 def test_settings_take_flag_then_document_then_default():
     doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
     doc["cap"], doc["tolerance"] = 7, 0
