@@ -272,6 +272,31 @@ MUTANTS = (
         "`Model.build` makes a second, equal ONE and ZERO for the model to keep, so a family that names "
         "a builtin no longer holds the model's own object.",
     ),
+    Mutant(
+        "zero-guard-never-applies",
+        "src/gqt/checker.py",
+        "if zero is not None and zero.yes != core.constant_zero_map(model.space):",
+        "if zero is not None and zero.yes != zero.yes:",
+        ("tests/test_checker.py::test_zero_that_keeps_a_state_breaks_zero_absorption",),
+        "`check_laws` then never composes with ZERO, so a ZERO whose yes map keeps a state goes unreported.",
+    ),
+    Mutant(
+        "one-guard-never-applies",
+        "src/gqt/checker.py",
+        "if one is not None and one.yes != core.identity_map(model.space):",
+        "if one is not None and one.yes != one.yes:",
+        ("tests/test_checker.py::test_check_laws_flags_broken_builtin",),
+        "`check_laws` then never composes with ONE, so a ONE whose yes map is not the identity goes unreported.",
+    ),
+    Mutant(
+        "zero-flags-one-state-short",
+        "src/gqt/core.py",
+        'return (bytes(n) + b"\\1").ljust(256, b"\\0")',
+        'return (bytes(n - 1) + b"\\1").ljust(256, b"\\0")',
+        ("tests/test_properties.py::test_zeroed_by_all_matches_a_per_state_scan",),
+        "The cached flag table then marks state n - 1 for the zero index n, so `_zeroed_by_all` flags the "
+        "states sent to the last proper state; the test scans each state at 1 to 300 states.",
+    ),
 )
 
 

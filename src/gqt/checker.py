@@ -235,13 +235,18 @@ def check_laws(model: core.Model) -> list[Violation]:
     and completeness, and three theorems about observable pairs.  The
     conjunction of a proposition with its own negation is the annihilation
     composite, so it is reported under "P·negP=0".
+
+    "0P=P0=0" is evaluated only when ZERO's yes map is not constant zero,
+    and "1P=P1=P" and "1ANDP=P" only when ONE's is not the identity: every
+    map fixes the zero index, so against those builtin maps the three laws
+    have no witness, and skipping them loses no report.
     """
     one = model.propositions.get("ONE")
     zero = model.propositions.get("ZERO")
     prop_laws = (core.idempotent_maps, core.negation_annihilates, core.consistency)
-    if zero is not None:
+    if zero is not None and zero.yes != core.constant_zero_map(model.space):
         prop_laws += (partial(core.zero_absorbs, zero),)
-    if one is not None:
+    if one is not None and one.yes != core.identity_map(model.space):
         prop_laws += (partial(core.one_is_identity, one), partial(core.one_and_is_identity, one))
     out = [v for name in sorted(model.propositions) for law in prop_laws for v in law(model.propositions[name])]
     observables = [model.observables[name] for name in sorted(model.observables)]

@@ -521,11 +521,17 @@ def _after(f: PropMap, g: PropMap) -> Union[bytes, tuple[int, ...]]:
         return operator.itemgetter(*g.table)(f.table)
 
 
+@functools.cache
+def _zero_flags(n: int) -> bytes:
+    """The `translate` table that marks the zero index `n` of a byte table: 256 bytes, byte n set."""
+    return (bytes(n) + b"\1").ljust(256, b"\0")
+
+
 def _zeroed_by_all(maps: Sequence[PropMap], n: int) -> bytes:
     """`n + 1` bytes, byte i nonzero exactly where every map in `maps` sends
     state i to the zero index `n` (so byte n always is)."""
-    # 256 bytes where a byte table can occur (n <= 255), unused beyond.
-    flags = (bytes(n) + b"\1").ljust(256, b"\0")
+    # A byte table has n <= 255; past that every table is a tuple and the flags go unused.
+    flags = _zero_flags(min(n, 255))
     common = (1 << 8 * (n + 1)) - 1
     for m in maps:
         try:
@@ -770,8 +776,12 @@ def is_compatible_propositions(p: Proposition, q: Proposition) -> tuple[bool, Op
 def _commutation_witness(p: Proposition, q: Proposition) -> Optional[CommutationWitness]:
     """`is_compatible_propositions`'s witness, for two propositions known to share a space."""
     for sp, sq in _SIDE_PAIRS:
-        for z, pq, qp in noncommuting(p.side(sp), q.side(sq)):
-            return CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
+        f, g = getattr(p, sp), getattr(q, sq)
+        fg, gf = _after(f, g), _after(g, f)
+        if fg != gf:
+            for z, pq, qp in zip(p.space.states, fg, gf):
+                if pq != qp:
+                    return CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
     return None
 
 

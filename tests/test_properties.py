@@ -3,7 +3,9 @@
 The proposition strategy here mirrors the generator's eigen/contingent
 construction but is written independently, so agreement between the two
 is evidence rather than tautology.  Law statements are re-derived inline
-from the map tables instead of calling the validators under test.
+from the map tables instead of calling the validators under test, except
+in `unguarded_check_laws`, which applies `core`'s proposition laws without
+`check_laws`'s builtin guard, the thing under test there.
 """
 
 import json
@@ -317,19 +319,21 @@ def test_rename_then_invert_is_identity(model, rnd):
 
 
 def _with_broken_builtin(model: Model, how: str) -> Model:
-    """A raw model whose ONE or ZERO sends every state to the first, or has no ONE."""
+    """A raw model whose ONE or ZERO sends every state to the first (on its
+    no side only, for "stuck-no"), or that has no ONE."""
     n = len(model.space)
     stuck = PropMap(model.space, [0] * n + [n])
     props = dict(model.propositions)
     if how == "missing ONE":
         del props["ONE"]
     else:
-        name = how.split()[1]
-        props[name] = Proposition(name, stuck, stuck)
+        kind, name = how.split()
+        yes = props[name].yes if kind == "stuck-no" else stuck
+        props[name] = Proposition(name, yes, stuck)
     return Model(model.space, props, model.observables, model.partition)
 
 
-BROKEN_BUILTINS = ("malformed ONE", "malformed ZERO", "missing ONE")
+BROKEN_BUILTINS = ("malformed ONE", "malformed ZERO", "stuck-no ONE", "stuck-no ZERO", "missing ONE")
 
 
 @st.composite
@@ -359,6 +363,45 @@ def assert_rebuilds_faithfully(model: Model, rnd) -> None:
 @given(st.one_of(generated_models(), raw_models()), st.randoms(use_true_random=False))
 def test_rebuilds_keep_the_model_and_its_report(model, rnd):
     assert_rebuilds_faithfully(model, rnd)
+
+
+def unguarded_check_laws(model: Model) -> list[core.Violation]:
+    """`check_laws` with all six proposition laws applied to every proposition."""
+    one, zero = model.propositions.get("ONE"), model.propositions.get("ZERO")
+    laws = [core.idempotent_maps, core.negation_annihilates, core.consistency]
+    if zero is not None:
+        laws.append(lambda p: core.zero_absorbs(zero, p))
+    if one is not None:
+        laws += [lambda p: core.one_is_identity(one, p), lambda p: core.one_and_is_identity(one, p)]
+    out = [v for name in sorted(model.propositions) for law in laws for v in law(model.propositions[name])]
+    observables = [model.observables[name] for name in sorted(model.observables)]
+    out += [v for a in observables for law in core.OBSERVABLE_LAWS for v in law(a)]
+    for i, a in enumerate(observables):
+        for b in observables[i:]:
+            if core.pair_class(a, b)[0] is core.PairClass.COMPATIBLE:
+                out += [v for law in core.PAIR_LAWS for v in law(a, b)]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(generated_models(), raw_models()))
+def test_check_laws_matches_the_unguarded_reference(model):
+    # check_laws skips the builtin-composition laws where the builtin yes
+    # map is the builtin one; that must lose no report.
+    assert checker.check_laws(model) == unguarded_check_laws(model)
+
+
+def test_zeroed_by_all_matches_a_per_state_scan():
+    # Byte tables up to 255 states, tuples beyond; zero to three maps.
+    rnd = random.Random(0)
+    for n in range(1, 301):
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        maps = [
+            PropMap(space, [n if rnd.random() < 0.6 else rnd.randrange(n) for _ in range(n)] + [n])
+            for _ in range(rnd.randint(0, 3))
+        ]
+        expected = [all(m.table[i] == n for m in maps) for i in range(n + 1)]
+        assert [b != 0 for b in core._zeroed_by_all(maps, n)] == expected, n
 
 
 @pytest.mark.parametrize("how", BROKEN_BUILTINS)

@@ -21,8 +21,18 @@ ROOT = FIXTURES.parent
         ["scripts/crossversion.py"],
         ["scripts/mutants.py", "--check"],
         ["scripts/mutants.py", "--only", "common-eigenstate-law-inverted"],
+        ["scripts/ab.py", ".", "--rounds", "2", "--inputs", "4"],
     ],
-    ids=["commutation_survey", "orbit_scale", "json_payloads", "law_kernels", "crossversion", "mutants_check", "mutant"],
+    ids=[
+        "commutation_survey",
+        "orbit_scale",
+        "json_payloads",
+        "law_kernels",
+        "crossversion",
+        "mutants_check",
+        "mutant",
+        "ab",
+    ],
 )
 def test_script_exits_cleanly(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
