@@ -7,9 +7,11 @@ does, with 16 propositions, 8 observables and spectra of up to 4 values.
 body, `checker._draw_model`, over a space of any size, built once per
 size as `generate_model` keeps one.  It prints the median milliseconds of
 drawing that model (`generate`), of `checker.check_laws`, of
-`core.validate_model` and of one `core.classify_pair` and of one
-`core.pair_class` (each averaged over every observable pair) over
-`--repeats` calls each, and the violations found (0 on a valid model).
+`core.validate_model`, of one `core.classify_pair` (`pair`), of one
+`core.pair_class` (`class`) and of one `core._compatible` (`compat`,
+the yes/no decision `check_laws` asks), the last three averaged over
+every observable pair, over `--repeats` calls each, and the violations
+found (0 on a valid model).
 The `path` column says whether each `PropMap.table` is bytes
 ("byte-coded", up to 255 states) or a tuple ("scan-only", past 255
 states).  The header line gives the Python version.
@@ -56,7 +58,7 @@ def main(argv=None):
     )
     print(
         f"{'states':>6} {'path':>10} {'generate':>9} {'check_laws':>11} {'validate':>9} {'pair':>7} {'class':>7}"
-        f" {'violations':>10}"
+        f" {'compat':>7} {'violations':>10}"
     )
     for n in args.sizes:
         space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
@@ -70,10 +72,11 @@ def main(argv=None):
         validate_ms = median_ms(lambda: core.validate_model(model), args.repeats)
         pair_ms = median_ms(lambda: [core.classify_pair(a, b) for a, b in pairs], args.repeats) / len(pairs)
         class_ms = median_ms(lambda: [core.pair_class(a, b) for a, b in pairs], args.repeats) / len(pairs)
+        compat_ms = median_ms(lambda: [core._compatible(a, b) for a, b in pairs], args.repeats) / len(pairs)
         violations = len(checker.check_laws(model)) + len(core.validate_model(model))
         print(
-            f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.3f} {class_ms:>7.3f}"
-            f" {violations:>10}"
+            f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.4f}"
+            f" {class_ms:>7.4f} {compat_ms:>7.4f} {violations:>10}"
         )
 
 

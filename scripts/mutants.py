@@ -42,11 +42,29 @@ MUTANTS = (
     Mutant(
         "check-laws-every-pair",
         "src/gqt/checker.py",
-        "if core.pair_class(a, b)[0] is core.PairClass.COMPATIBLE:",
-        "if core.pair_class(a, b)[0] is not None:",
+        "if core._compatible(a, b):",
+        "if core._compatible(a, b) is not None:",
         ("tests/test_checker.py::test_check_laws_clean_on_references",),
         "The pair laws are theorems about compatible pairs, and `check_laws` is the one place that holds "
         "them to those pairs; applied to every pair they fire on the valid fixtures' complementary pairs.",
+    ),
+    Mutant(
+        "compatible-skips-no-no",
+        "src/gqt/core.py",
+        "            if _noncommuting_sides(p, b.family[vb]) is not None:",
+        '            if (_noncommuting_sides(p, b.family[vb]) or ("no", "no"))[:2] != ("no", "no"):',
+        ("tests/test_laws.py::test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair[no-no-3]",),
+        "The decision then calls a branch pair that fails only on its no maps commuting; the hand-made "
+        "pair whose one failure is that side pair is held to the reference scan.",
+    ),
+    Mutant(
+        "compatible-first-branch-of-b-only",
+        "src/gqt/core.py",
+        "        p = a.family[va]\n        for vb in b.spectrum:\n            if _noncommuting_sides(",
+        "        p = a.family[va]\n        for vb in b.spectrum[:1]:\n            if _noncommuting_sides(",
+        ("tests/test_laws.py::test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair[last-branch-pair-3]",),
+        "The decision then never pairs a branch of `a` with a later branch of `b`; the hand-made pair "
+        "whose one failure is its last branch pair is held to the reference scan.",
     ),
     Mutant(
         "share-any-for-all",

@@ -236,6 +236,10 @@ def check_laws(model: core.Model) -> list[Violation]:
     conjunction of a proposition with its own negation is the annihilation
     composite, so it is reported under "P·negP=0".
 
+    The pair laws are theorems about compatible pairs, so each goes only
+    to the pairs that `core._compatible` accepts, the pairs `core.pair_class`
+    calls compatible; no witness is built for the others.
+
     "0P=P0=0" is evaluated only when ZERO's yes map is not constant zero,
     and "1P=P1=P" and "1ANDP=P" only when ONE's is not the identity: every
     map fixes the zero index, so against those builtin maps the three laws
@@ -253,7 +257,7 @@ def check_laws(model: core.Model) -> list[Violation]:
     out += [v for a in observables for law in core.OBSERVABLE_LAWS for v in law(a)]
     for i, a in enumerate(observables):
         for b in observables[i:]:
-            if core.pair_class(a, b)[0] is core.PairClass.COMPATIBLE:
+            if core._compatible(a, b):
                 out.extend(v for law in core.PAIR_LAWS for v in law(a, b))
     return out
 

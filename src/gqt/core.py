@@ -773,16 +773,27 @@ def is_compatible_propositions(p: Proposition, q: Proposition) -> tuple[bool, Op
     return witness is None, witness
 
 
-def _commutation_witness(p: Proposition, q: Proposition) -> Optional[CommutationWitness]:
-    """`is_compatible_propositions`'s witness, for two propositions known to share a space."""
+def _noncommuting_sides(p: Proposition, q: Proposition) -> Optional[tuple[str, str, Sequence[int], Sequence[int]]]:
+    """The first side pair `(sp, sq)`, in `_SIDE_PAIRS` order, on which `p`
+    and `q` fail to commute, with the two composites `p.sp after q.sq` and
+    `q.sq after p.sp`; None when all four side pairs commute."""
     for sp, sq in _SIDE_PAIRS:
         f, g = getattr(p, sp), getattr(q, sq)
         fg, gf = _after(f, g), _after(g, f)
         if fg != gf:
-            for z, pq, qp in zip(p.space.states, fg, gf):
-                if pq != qp:
-                    return CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
+            return sp, sq, fg, gf
     return None
+
+
+def _commutation_witness(p: Proposition, q: Proposition) -> Optional[CommutationWitness]:
+    """`is_compatible_propositions`'s witness, for two propositions known to share a space."""
+    found = _noncommuting_sides(p, q)
+    if found is None:
+        return None
+    sp, sq, fg, gf = found
+    for z, pq, qp in zip(p.space.states, fg, gf):
+        if pq != qp:
+            return CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
 
 
 def conjunction(p: Proposition, q: Proposition) -> DerivedProposition:
@@ -839,6 +850,18 @@ def _share_an_eigenstate(a: Observable, b: Observable) -> bool:
     # A state is a common eigenstate when both of its slots are non-empty;
     # the zero slot is ((), ()), so it never is.
     return any(map(all, zip(a.eigenvalues, b.eigenvalues)))
+
+
+def _compatible(a: Observable, b: Observable) -> bool:
+    """`pair_class(a, b)[0] is PairClass.COMPATIBLE`, for observables known
+    to share a space: the same scan, stopped at the first non-commuting
+    side pair, with no witness and no eigenstate test."""
+    for va in a.spectrum:
+        p = a.family[va]
+        for vb in b.spectrum:
+            if _noncommuting_sides(p, b.family[vb]) is not None:
+                return False
+    return True
 
 
 def pair_class(a: Observable, b: Observable) -> tuple[PairClass, Optional[CommutationWitness]]:

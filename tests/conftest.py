@@ -154,6 +154,17 @@ def mutate_entry(model, prop_name, side, state, target):
     return core.Model.build(model.space, props, observables, model.partition)
 
 
+def force_every_pair_compatible(monkeypatch):
+    """Make every observable pair read as compatible, so that `check_laws`
+    hands each one to the pair laws.  `core._compatible`, which
+    `check_laws` asks, accepts every pair, and `core.pair_class` calls
+    every pair compatible but keeps its witness, so that a test selecting
+    pairs by the class agrees."""
+    pair_class = core.pair_class
+    monkeypatch.setattr(core, "_compatible", lambda a, b: True)
+    monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
+
+
 # Laws that only core.validate_model reports, under its own ids.
 _VALIDATE_LAW_IDS = ("idempotence-yes", "idempotence-no", "annihilation")
 

@@ -7,7 +7,7 @@ from gqt.checker import GeneratorParams
 from gqt.core import ZERO
 from gqt.errors import StructuralError
 
-from conftest import make_bell, make_bistable, make_qzx, mutate_entry, violation_holds
+from conftest import force_every_pair_compatible, make_bell, make_bistable, make_qzx, mutate_entry, violation_holds
 
 
 def test_params_validation():
@@ -251,15 +251,10 @@ def test_compatible_pair_without_common_eigenstate_is_reported():
     ]
 
 
-def call_every_pair_compatible(monkeypatch):
-    # The order law and pair_class share core.noncommuting, so the law
-    # fires only when the classification is wrong.
-    pair_class = core.pair_class
-    monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
-
-
 def test_noncommuting_pair_called_compatible_breaks_order_independence(monkeypatch):
-    call_every_pair_compatible(monkeypatch)
+    # The order law fires only on a pair that does not commute, so only
+    # when the compatibility decision is wrong.
+    force_every_pair_compatible(monkeypatch)
     states = ("z0", "zp", "zm", "z1")
     # Z and X share no eigenstate, so all three pair laws fire, in report order.
     assert rows(checker.check_laws(make_qzx())) == [
@@ -296,7 +291,7 @@ LAW_MODELS = {
 @pytest.mark.parametrize("law", checker.LAW_IDS)
 def test_every_law_id_is_reported_on_some_model(monkeypatch, law):
     if law == "compat-order-independence":
-        call_every_pair_compatible(monkeypatch)
+        force_every_pair_compatible(monkeypatch)
     assert law in {v.law for v in checker.check_laws(LAW_MODELS[law]())}
 
 

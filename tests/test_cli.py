@@ -12,7 +12,7 @@ import pytest
 from gqt import checker, cli, core, modelio
 from gqt.core import ZERO
 
-from conftest import FIXTURES, make_qzx, mutate_entry
+from conftest import FIXTURES, force_every_pair_compatible, make_qzx, mutate_entry
 
 QZX = str(FIXTURES / "qzx.json")
 BELL = str(FIXTURES / "bell.json")
@@ -503,8 +503,7 @@ def test_fuzz_json_embeds_each_counterexample_model(capsys, monkeypatch):
 def test_fuzz_json_keeps_the_whole_model_for_a_violation_without_witnesses(capsys, monkeypatch):
     # A compatible pair without a common eigenstate is a violation of the
     # pair, at no state, so there is nothing to shrink the model to.
-    pair_class = core.pair_class
-    monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
+    force_every_pair_compatible(monkeypatch)
     monkeypatch.setattr(checker, "generate_model", lambda params: make_qzx())
     code, out, _ = run_cli(["fuzz", "--count", "1", "--format", "json"], capsys)
     assert code == 1

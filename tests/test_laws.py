@@ -21,7 +21,7 @@ from gqt import checker, core
 from gqt.checker import GeneratorParams
 from gqt.core import ZERO, Observable, PropMap, Proposition, StateSpace, Violation
 
-from conftest import make_bell, make_bistable, make_qzx, mutate_entry
+from conftest import force_every_pair_compatible, make_bell, make_bistable, make_qzx, mutate_entry
 
 FUZZ_PARAMS = [
     GeneratorParams(n_states=5, n_props=3, n_obs=2, seed=1),
@@ -424,13 +424,80 @@ def test_pair_class_matches_reference_on_the_generator_goldens():
     assert classes == set(core.PairClass)
 
 
+# core._compatible is check_laws's yes/no answer to "is this pair
+# compatible?", held to the reference scan on its own.
+
+
+def reference_compatible(a, b):
+    # The common eigenstates decide only between the two complementary classes.
+    return reference_pair_class(a, b, ())[0] is core.PairClass.COMPATIBLE
+
+
+def assert_compatible_matches_reference(model):
+    observables = list(model.observables.values())
+    for a in observables:
+        for b in observables:
+            assert core._compatible(a, b) == reference_compatible(a, b), (a.name, b.name)
+
+
+def test_compatible_matches_reference_on_the_generator_goldens():
+    models = generator_golden_models()
+    assert len(models) == 378
+    for model in models:
+        assert_compatible_matches_reference(model)
+
+
+def test_compatible_matches_reference_on_every_single_entry_mutant():
+    for base in mutant_bases():
+        assert_compatible_matches_reference(base)
+        for _, mutant in single_entry_mutants(base):
+            assert_compatible_matches_reference(mutant)
+
+
+def hand_made_pair(n, failing):
+    """Observables A and B over `n` states that commute everywhere but on
+    one branch pair and one side pair.  With `failing` "no-no", A and B
+    each have one branch, whose yes maps are the identity and whose no
+    maps do not commute.  With "last-branch-pair", each has a first branch
+    with the identity as yes map and last branches whose yes maps do not
+    commute; every other map sends each state to the zero state."""
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    identity, zero = list(range(n + 1)), [n] * (n + 1)
+    # f sends s0 to s1 and g sends s1 to s2, so f(g(s0)) = s1 but g(f(s0)) = s2.
+    f, g = identity.copy(), identity.copy()
+    f[0], g[1] = 1, 2
+
+    def prop(name, yes, no):
+        return Proposition(name, PropMap(space, yes), PropMap(space, no))
+
+    if failing == "no-no":
+        return Observable("A", ("u",), {"u": prop("P", identity, f)}), Observable("B", ("w",), {"w": prop("Q", identity, g)})
+    one_a, one_b = prop("I", identity, zero), prop("J", identity, zero)
+    a = Observable("A", ("u0", "u1"), {"u0": one_a, "u1": prop("P", f, zero)})
+    b = Observable("B", ("w0", "w1"), {"w0": one_b, "w1": prop("Q", g, zero)})
+    return a, b
+
+
+@pytest.mark.parametrize("n", [3, 256])
+@pytest.mark.parametrize("failing", ["no-no", "last-branch-pair"])
+def test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair(failing, n):
+    a, b = hand_made_pair(n, failing)
+    side = "no" if failing == "no-no" else "yes"
+    p, q = a.family[a.spectrum[-1]], b.family[b.spectrum[-1]]
+    witness = core.CommutationWitness(p.name, q.name, side, side, "s0", "s1", "s2")
+    # Every state is an eigenstate of both first branches.
+    assert core.pair_class(a, b) == (core.PairClass.COMPLEMENTARY, witness)
+    for x in (a, b):
+        for y in (a, b):
+            assert core._compatible(x, y) == reference_compatible(x, y) == (x is y), (x.name, y.name)
+
+
 @pytest.mark.parametrize("forced", [False, True], ids=["classified", "every-pair-compatible"])
 def test_check_laws_matches_the_pair_laws_on_full_evidence(monkeypatch, forced):
     if forced:
         # Every pair law then fires wherever its statement fails, on pairs
         # of every class.
-        pair_class = core.pair_class
-        monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
+        force_every_pair_compatible(monkeypatch)
     for model in generator_golden_models():
         assert_check_laws_matches_the_pair_laws(model)
     for base in mutant_bases():
