@@ -8,17 +8,21 @@ body, `checker._draw_model`, over a space of any size, built once per
 size as `generate_model` keeps one.  It prints the median milliseconds of
 drawing that model (`generate`), of `checker.check_laws`, of
 `core.validate_model`, of one `core.classify_pair` (`pair`), of one
-`core.pair_class` (`class`) and of one `core._compatible` (`compat`,
-the yes/no decision `check_laws` asks), the last three averaged over
-every observable pair, over `--repeats` calls each, and the violations
-found (0 on a valid model).
+`core.pair_class` (`class`) and of one `core._first_noncommuting`
+(`compat`, the commutation scan as `check_laws` calls it, on branch
+lists built before the timed calls), the last three averaged over every
+observable pair, over `--repeats` calls each, and the violations found
+(0 on a valid model).
 The `path` column says whether each `PropMap.table` is bytes
 ("byte-coded", up to 255 states) or a tuple ("scan-only", past 255
 states).  The header line gives the Python version.
 
 Only the generator and the law kernels are called, so the same script
-times any checkout that has `checker._draw_model` put on PYTHONPATH.  It
-makes no assertions.
+times any checkout that has `checker._draw_model` and
+`core._first_noncommuting` put on PYTHONPATH.  It makes no assertions.
+Its medians come from separate runs, one checkout at a time, and move
+by several percent from run to run; to resolve a change of 5-10%
+between two checkouts, time them together with `scripts/ab.py`.
 """
 
 import argparse
@@ -66,13 +70,15 @@ def main(argv=None):
         model = generated_model(space, args.seed)
         observables = [model.observables[name] for name in sorted(model.observables)]
         pairs = [(a, b) for i, a in enumerate(observables) for b in observables[i:]]
+        branches = [([a.family[v] for v in a.spectrum], [b.family[v] for v in b.spectrum]) for a, b in pairs]
         one = model.propositions["ONE"].yes
         path = "byte-coded" if type(one.table) is bytes else "scan-only"
         check_ms = median_ms(lambda: checker.check_laws(model), args.repeats)
         validate_ms = median_ms(lambda: core.validate_model(model), args.repeats)
         pair_ms = median_ms(lambda: [core.classify_pair(a, b) for a, b in pairs], args.repeats) / len(pairs)
         class_ms = median_ms(lambda: [core.pair_class(a, b) for a, b in pairs], args.repeats) / len(pairs)
-        compat_ms = median_ms(lambda: [core._compatible(a, b) for a, b in pairs], args.repeats) / len(pairs)
+        compat_ms = median_ms(lambda: [core._first_noncommuting(ps, qs) for ps, qs in branches], args.repeats)
+        compat_ms /= len(pairs)
         violations = len(checker.check_laws(model)) + len(core.validate_model(model))
         print(
             f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.4f}"

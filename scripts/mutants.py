@@ -42,8 +42,8 @@ MUTANTS = (
     Mutant(
         "check-laws-every-pair",
         "src/gqt/checker.py",
-        "if core._compatible(a, b):",
-        "if core._compatible(a, b) is not None:",
+        "if core._first_noncommuting(ps, qs) is None:",
+        "if True or core._first_noncommuting(ps, qs) is None:",
         ("tests/test_checker.py::test_check_laws_clean_on_references",),
         "The pair laws are theorems about compatible pairs, and `check_laws` is the one place that holds "
         "them to those pairs; applied to every pair they fire on the valid fixtures' complementary pairs.",
@@ -51,20 +51,29 @@ MUTANTS = (
     Mutant(
         "compatible-skips-no-no",
         "src/gqt/core.py",
-        "            if _noncommuting_sides(p, b.family[vb]) is not None:",
-        '            if (_noncommuting_sides(p, b.family[vb]) or ("no", "no"))[:2] != ("no", "no"):',
+        "for sp, sq in _SIDE_PAIRS:",
+        "for sp, sq in _SIDE_PAIRS[:3]:",
         ("tests/test_laws.py::test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair[no-no-3]",),
-        "The decision then calls a branch pair that fails only on its no maps commuting; the hand-made "
+        "The scan then calls a branch pair that fails only on its no maps commuting; the hand-made "
         "pair whose one failure is that side pair is held to the reference scan.",
     ),
     Mutant(
         "compatible-first-branch-of-b-only",
         "src/gqt/core.py",
-        "        p = a.family[va]\n        for vb in b.spectrum:\n            if _noncommuting_sides(",
-        "        p = a.family[va]\n        for vb in b.spectrum[:1]:\n            if _noncommuting_sides(",
+        "        for q in qs:",
+        "        for q in qs[:1]:",
         ("tests/test_laws.py::test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair[last-branch-pair-3]",),
-        "The decision then never pairs a branch of `a` with a later branch of `b`; the hand-made pair "
+        "The scan then never pairs a branch of `a` with a later branch of `b`; the hand-made pair "
         "whose one failure is its last branch pair is held to the reference scan.",
+    ),
+    Mutant(
+        "check-laws-first-branch-only",
+        "src/gqt/checker.py",
+        "[a.family[v] for v in a.spectrum]",
+        "[a.family[v] for v in a.spectrum[:1]]",
+        ("tests/test_laws.py::test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair[last-branch-pair-3]",),
+        "`check_laws` then scans only the first branch of each observable and gives the pair laws a pair "
+        "whose one failure is its last branch pair; the pairs the laws are given are held to the reference.",
     ),
     Mutant(
         "share-any-for-all",
@@ -87,10 +96,8 @@ MUTANTS = (
     Mutant(
         "pair-class-swapped",
         "src/gqt/core.py",
-        "                    return PairClass.COMPLEMENTARY, witness\n"
-        "                return PairClass.STRONGLY_COMPLEMENTARY, witness",
-        "                    return PairClass.STRONGLY_COMPLEMENTARY, witness\n"
-        "                return PairClass.COMPLEMENTARY, witness",
+        "        return PairClass.COMPLEMENTARY, witness\n    return PairClass.STRONGLY_COMPLEMENTARY, witness",
+        "        return PairClass.STRONGLY_COMPLEMENTARY, witness\n    return PairClass.COMPLEMENTARY, witness",
         ("tests/test_core.py::test_one_shared_eigenstate_splits_the_complementary_classes",),
         "The two complementary classes trade places; hand-made pairs at 3, 255 and 256 states pin "
         "which one a shared eigenstate gives.",

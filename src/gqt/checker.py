@@ -237,8 +237,8 @@ def check_laws(model: core.Model) -> list[Violation]:
     composite, so it is reported under "P·negP=0".
 
     The pair laws are theorems about compatible pairs, so each goes only
-    to the pairs that `core._compatible` accepts, the pairs `core.pair_class`
-    calls compatible; no witness is built for the others.
+    to the pairs in which `core._first_noncommuting`, the commutation scan
+    behind `core.pair_class`, finds no failure; no witness is built.
 
     "0P=P0=0" is evaluated only when ZERO's yes map is not constant zero,
     and "1P=P1=P" and "1ANDP=P" only when ONE's is not the identity: every
@@ -255,9 +255,10 @@ def check_laws(model: core.Model) -> list[Violation]:
     out = [v for name in sorted(model.propositions) for law in prop_laws for v in law(model.propositions[name])]
     observables = [model.observables[name] for name in sorted(model.observables)]
     out += [v for a in observables for law in core.OBSERVABLE_LAWS for v in law(a)]
-    for i, a in enumerate(observables):
-        for b in observables[i:]:
-            if core._compatible(a, b):
+    branched = [(a, [a.family[v] for v in a.spectrum]) for a in observables]
+    for i, (a, ps) in enumerate(branched):
+        for b, qs in branched[i:]:
+            if core._first_noncommuting(ps, qs) is None:
                 out.extend(v for law in core.PAIR_LAWS for v in law(a, b))
     return out
 

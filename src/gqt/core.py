@@ -769,28 +769,29 @@ def is_compatible_propositions(p: Proposition, q: Proposition) -> tuple[bool, Op
     """
     if not _same_space(p.space, q.space):
         raise StructuralError("propositions are over different state spaces")
-    witness = _commutation_witness(p, q)
-    return witness is None, witness
+    found = _first_noncommuting((p,), (q,))
+    if found is None:
+        return True, None
+    return False, _witness(*found)
 
 
-def _noncommuting_sides(p: Proposition, q: Proposition) -> Optional[tuple[str, str, Sequence[int], Sequence[int]]]:
-    """The first side pair `(sp, sq)`, in `_SIDE_PAIRS` order, on which `p`
-    and `q` fail to commute, with the two composites `p.sp after q.sq` and
-    `q.sq after p.sp`; None when all four side pairs commute."""
-    for sp, sq in _SIDE_PAIRS:
-        f, g = getattr(p, sp), getattr(q, sq)
-        fg, gf = _after(f, g), _after(g, f)
-        if fg != gf:
-            return sp, sq, fg, gf
+def _first_noncommuting(ps: Sequence[Proposition], qs: Sequence[Proposition]) -> Optional[tuple]:
+    """The one commutation scan, over propositions known to share a space:
+    `(p, q, sp, sq, fg, gf)` for the first `p` in `ps`, `q` in `qs` and side
+    pair `(sp, sq)` in `_SIDE_PAIRS` order whose composites `fg = p.sp after
+    q.sq` and `gf = q.sq after p.sp` differ; None when all commute."""
+    for p in ps:
+        for q in qs:
+            for sp, sq in _SIDE_PAIRS:
+                f, g = getattr(p, sp), getattr(q, sq)
+                fg, gf = _after(f, g), _after(g, f)
+                if fg != gf:
+                    return p, q, sp, sq, fg, gf
     return None
 
 
-def _commutation_witness(p: Proposition, q: Proposition) -> Optional[CommutationWitness]:
-    """`is_compatible_propositions`'s witness, for two propositions known to share a space."""
-    found = _noncommuting_sides(p, q)
-    if found is None:
-        return None
-    sp, sq, fg, gf = found
+def _witness(p: Proposition, q: Proposition, sp: str, sq: str, fg, gf) -> CommutationWitness:
+    """The witness at the first state where `_first_noncommuting`'s composites differ."""
     for z, pq, qp in zip(p.space.states, fg, gf):
         if pq != qp:
             return CommutationWitness(p.name, q.name, sp, sq, z, p.space.ref(pq), p.space.ref(qp))
@@ -852,18 +853,6 @@ def _share_an_eigenstate(a: Observable, b: Observable) -> bool:
     return any(map(all, zip(a.eigenvalues, b.eigenvalues)))
 
 
-def _compatible(a: Observable, b: Observable) -> bool:
-    """`pair_class(a, b)[0] is PairClass.COMPATIBLE`, for observables known
-    to share a space: the same scan, stopped at the first non-commuting
-    side pair, with no witness and no eigenstate test."""
-    for va in a.spectrum:
-        p = a.family[va]
-        for vb in b.spectrum:
-            if _noncommuting_sides(p, b.family[vb]) is not None:
-                return False
-    return True
-
-
 def pair_class(a: Observable, b: Observable) -> tuple[PairClass, Optional[CommutationWitness]]:
     """Compatible, complementary, or strongly complementary, with the witness.
 
@@ -876,15 +865,13 @@ def pair_class(a: Observable, b: Observable) -> tuple[PairClass, Optional[Commut
     if not _same_space(a.space, b.space):
         raise StructuralError("observables are over different state spaces")
     # Every family member is over its observable's space.
-    for va in a.spectrum:
-        p = a.family[va]
-        for vb in b.spectrum:
-            witness = _commutation_witness(p, b.family[vb])
-            if witness is not None:
-                if _share_an_eigenstate(a, b):
-                    return PairClass.COMPLEMENTARY, witness
-                return PairClass.STRONGLY_COMPLEMENTARY, witness
-    return PairClass.COMPATIBLE, None
+    found = _first_noncommuting([a.family[v] for v in a.spectrum], [b.family[v] for v in b.spectrum])
+    if found is None:
+        return PairClass.COMPATIBLE, None
+    witness = _witness(*found)
+    if _share_an_eigenstate(a, b):
+        return PairClass.COMPLEMENTARY, witness
+    return PairClass.STRONGLY_COMPLEMENTARY, witness
 
 
 def classify_pair(a: Observable, b: Observable) -> tuple[PairClass, PairEvidence]:

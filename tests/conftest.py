@@ -156,13 +156,10 @@ def mutate_entry(model, prop_name, side, state, target):
 
 def force_every_pair_compatible(monkeypatch):
     """Make every observable pair read as compatible, so that `check_laws`
-    hands each one to the pair laws.  `core._compatible`, which
-    `check_laws` asks, accepts every pair, and `core.pair_class` calls
-    every pair compatible but keeps its witness, so that a test selecting
-    pairs by the class agrees."""
-    pair_class = core.pair_class
-    monkeypatch.setattr(core, "_compatible", lambda a, b: True)
-    monkeypatch.setattr(core, "pair_class", lambda a, b: (core.PairClass.COMPATIBLE, pair_class(a, b)[1]))
+    hands each one to the pair laws.  The one commutation scan,
+    `core._first_noncommuting`, finds no failure anywhere, so `check_laws`
+    and `core.pair_class` agree: every pair is compatible, with no witness."""
+    monkeypatch.setattr(core, "_first_noncommuting", lambda ps, qs: None)
 
 
 # Laws that only core.validate_model reports, under its own ids.

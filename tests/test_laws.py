@@ -424,8 +424,9 @@ def test_pair_class_matches_reference_on_the_generator_goldens():
     assert classes == set(core.PairClass)
 
 
-# core._compatible is check_laws's yes/no answer to "is this pair
-# compatible?", held to the reference scan on its own.
+# check_laws decides on its own which pairs go to the pair laws, with the
+# commutation scan and no pair_class; the pairs it hands them are held to
+# the reference scan through a recording law.
 
 
 def reference_compatible(a, b):
@@ -433,25 +434,42 @@ def reference_compatible(a, b):
     return reference_pair_class(a, b, ())[0] is core.PairClass.COMPATIBLE
 
 
-def assert_compatible_matches_reference(model):
-    observables = list(model.observables.values())
-    for a in observables:
-        for b in observables:
-            assert core._compatible(a, b) == reference_compatible(a, b), (a.name, b.name)
+@pytest.fixture
+def pairs_given_the_pair_laws(monkeypatch):
+    """A function that runs `check_laws` on a model with one recording law
+    in place of `core.PAIR_LAWS` and returns the name pairs that law was
+    given, in order."""
+    given = []
+    monkeypatch.setattr(core, "PAIR_LAWS", (lambda a, b: given.append((a.name, b.name)) or [],))
+
+    def run(model):
+        given.clear()
+        checker.check_laws(model)
+        return given.copy()
+
+    return run
 
 
-def test_compatible_matches_reference_on_the_generator_goldens():
+def assert_check_laws_selects_the_compatible_pairs(pairs_given_the_pair_laws, model):
+    """`check_laws` gives the pair laws, once each and in name order, the
+    pairs `(a, b)` with `a <= b` that the reference calls compatible."""
+    names, obs = sorted(model.observables), model.observables
+    want = [(x, y) for i, x in enumerate(names) for y in names[i:] if reference_compatible(obs[x], obs[y])]
+    assert pairs_given_the_pair_laws(model) == want
+
+
+def test_compatible_matches_reference_on_the_generator_goldens(pairs_given_the_pair_laws):
     models = generator_golden_models()
     assert len(models) == 378
     for model in models:
-        assert_compatible_matches_reference(model)
+        assert_check_laws_selects_the_compatible_pairs(pairs_given_the_pair_laws, model)
 
 
-def test_compatible_matches_reference_on_every_single_entry_mutant():
+def test_compatible_matches_reference_on_every_single_entry_mutant(pairs_given_the_pair_laws):
     for base in mutant_bases():
-        assert_compatible_matches_reference(base)
+        assert_check_laws_selects_the_compatible_pairs(pairs_given_the_pair_laws, base)
         for _, mutant in single_entry_mutants(base):
-            assert_compatible_matches_reference(mutant)
+            assert_check_laws_selects_the_compatible_pairs(pairs_given_the_pair_laws, mutant)
 
 
 def hand_made_pair(n, failing):
@@ -480,7 +498,7 @@ def hand_made_pair(n, failing):
 
 @pytest.mark.parametrize("n", [3, 256])
 @pytest.mark.parametrize("failing", ["no-no", "last-branch-pair"])
-def test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair(failing, n):
+def test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair(failing, n, pairs_given_the_pair_laws):
     a, b = hand_made_pair(n, failing)
     side = "no" if failing == "no-no" else "yes"
     p, q = a.family[a.spectrum[-1]], b.family[b.spectrum[-1]]
@@ -489,7 +507,10 @@ def test_compatible_sees_a_pair_that_fails_on_one_side_of_one_branch_pair(failin
     assert core.pair_class(a, b) == (core.PairClass.COMPLEMENTARY, witness)
     for x in (a, b):
         for y in (a, b):
-            assert core._compatible(x, y) == reference_compatible(x, y) == (x is y), (x.name, y.name)
+            compatible = core.pair_class(x, y)[0] is core.PairClass.COMPATIBLE
+            assert compatible == reference_compatible(x, y) == (x is y), (x.name, y.name)
+    model = core.Model.build(a.space, [*a.family.values(), *b.family.values()], (a, b))
+    assert_check_laws_selects_the_compatible_pairs(pairs_given_the_pair_laws, model)
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["classified", "every-pair-compatible"])
