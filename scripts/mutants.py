@@ -194,8 +194,8 @@ MUTANTS = (
     Mutant(
         "colon-count-at-most",
         "src/gqt/modelio.py",
-        'if entries(data) == text.count(":"):',
-        'if entries(data) <= text.count(":"):',
+        'if _model_entries(data) == text.count(":"):',
+        'if _model_entries(data) <= text.count(":"):',
         ("tests/test_modelio.py::test_parse_rejects_duplicate_keys",),
         "Fewer entries than colons is what a repeated key gives; with `<=` the plain decode, which keeps "
         "the last value, is accepted.",
@@ -203,8 +203,8 @@ MUTANTS = (
     Mutant(
         "model-entries-top-level-plus-one",
         "src/gqt/modelio.py",
-        "return len(data) + (3 + 2 * n)",
-        "return len(data) + 1 + (3 + 2 * n)",
+        "total = len(data) + (3 + 2 *",
+        "total = len(data) + 1 + (3 + 2 *",
         ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
         "No model document then matches its colon count, so each one falls back to `_load_json`, which "
         "the test makes fail.",
@@ -212,36 +212,10 @@ MUTANTS = (
     Mutant(
         "model-entries-proposition-plus-one",
         "src/gqt/modelio.py",
-        "(3 + 2 * n) * len(",
-        "(4 + 2 * n) * len(",
+        '(3 + 2 * len(data["states"]))',
+        '(4 + 2 * len(data["states"]))',
         ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
         "Every model document with a proposition falls back to `_load_json`, which the test makes fail.",
-    ),
-    Mutant(
-        "quantum-entries-top-level-plus-one",
-        "src/gqt/modelio.py",
-        'return len(data) + len(data["seeds"])',
-        'return len(data) + 1 + len(data["seeds"])',
-        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
-        "No quantum document then matches its colon count, so each one falls back to `_load_json`, "
-        "which the test makes fail.",
-    ),
-    Mutant(
-        "quantum-entries-seed-plus-one",
-        "src/gqt/modelio.py",
-        'len(data["seeds"]) + len(data["propositions"])',
-        'len(data["seeds"]) + 1 + len(data["propositions"])',
-        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
-        "Every quantum document has a seed, so each one falls back to `_load_json`, which the test makes "
-        "fail.",
-    ),
-    Mutant(
-        "quantum-entries-projector-plus-one",
-        "src/gqt/modelio.py",
-        'len(data["propositions"]) + _section_entries(data)',
-        'len(data["propositions"]) + 1 + _section_entries(data)',
-        ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
-        "Every quantum document falls back to `_load_json`, which the test makes fail.",
     ),
     Mutant(
         "section-entries-observable-plus-one",
@@ -249,7 +223,7 @@ MUTANTS = (
         'sum(3 + len(body["family"])',
         'sum(4 + len(body["family"])',
         ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
-        "Every document with an observable falls back to `_load_json`, which the test makes fail.",
+        "Every model document with an observable falls back to `_load_json`, which the test makes fail.",
     ),
     Mutant(
         "section-entries-partition-plus-one",
@@ -257,7 +231,7 @@ MUTANTS = (
         'total += 3 + len(data["partition"]["local"])',
         'total += 4 + len(data["partition"]["local"])',
         ("tests/test_modelio.py::test_documents_without_repeats_colons_or_escapes_skip_the_hook",),
-        "Every document with a partition (the Bell fixtures) falls back to `_load_json`, which the test "
+        "Every model document with a partition (the Bell fixture) falls back to `_load_json`, which the test "
         "makes fail.",
     ),
     Mutant(
@@ -289,6 +263,15 @@ MUTANTS = (
         "2.5, True and \"3\" through `settings`, `document_orbit` and `close_orbit`.",
     ),
     Mutant(
+        "tol-check-by-isfinite",
+        "src/gqt/quantum.py",
+        "isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max",
+        "not (math.isfinite(tol) and tol >= 0)",
+        ("tests/test_quantum.py::test_every_entry_point_refuses_a_bad_tolerance[close_orbit-int-past-float]",),
+        "`math.isfinite` converts an int to a float, so a tolerance of 2**1024 raises OverflowError "
+        "where the document's bound refuses it with a StructuralError (and True passes as 1.0).",
+    ),
+    Mutant(
         "parser-builtins-remade",
         "src/gqt/modelio.py",
         "return core.Model(space, props, observables, partition)",
@@ -296,6 +279,15 @@ MUTANTS = (
         ("tests/test_modelio.py::test_family_members_are_the_models_own_propositions",),
         "`Model.build` makes a second, equal ONE and ZERO for the model to keep, so a family that names "
         "a builtin no longer holds the model's own object.",
+    ),
+    Mutant(
+        "quantum-builtin-name-unchecked",
+        "src/gqt/modelio.py",
+        "_parse_matrix(value, dim, _proposition_path(name))",
+        '_parse_matrix(value, dim, f"propositions.{name}")',
+        ("tests/test_modelio.py::test_parse_quantum_refuses_a_builtin_projector_name[ONE]",),
+        "A projector named ONE then parses, and `Model.build` later puts the builtin in its place or "
+        "refuses the name after the closure, without its field path.",
     ),
     Mutant(
         "zero-guard-never-applies",

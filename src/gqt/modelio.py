@@ -12,15 +12,16 @@ tests hold it to ``json.dumps(model_document(m), indent=2,
 ensure_ascii=False) + "\n"`` byte for byte.  A string with an unpaired
 surrogate escape is a parse error, since no file or terminal can take it.
 So is an object that repeats a key, whose meaning JSON leaves open.  A
-document is decoded without a check per object and kept when its parsed
-entries number as many as the colons in its text; any other document is
-decoded with the check (see `_parse_document`).
+model document is decoded without a check per object and kept when its
+parsed entries number as many as the colons in its text; any other model
+document is decoded with the check (see `parse_model`).
 
 Quantum documents carry complex matrices as nested arrays of ``[re, im]``
 pairs; a depth-2 array is a ket ``v`` standing for the density matrix
-``v v†``, a depth-3 array is a matrix.  Only the two helpers that build
-those arrays import numpy, so parsing and writing model documents never
-loads it.
+``v v†``, a depth-3 array is a matrix.  They hold a few objects each, so
+they are always decoded with the check, and their projectors may not be
+named ONE or ZERO either.  Only the two helpers that build those arrays
+import numpy, so parsing and writing model documents never loads it.
 """
 
 from __future__ import annotations
@@ -98,61 +99,6 @@ def _has_u_escape(text: str) -> bool:
     return "\\" in text and "\\u" in text
 
 
-def _parse_document(text: str, build, entries):
-    """`build(_load_json(text))`, decoding without the duplicate-key hook
-    wherever a count proves that the hook would refuse nothing.
-
-    In JSON text every key is followed by exactly one structural colon, so
-    `text.count(":")` bounds the key tokens from above; a colon inside a
-    string only adds to the count.  A decoded object holds as many entries
-    as it has key tokens, or fewer exactly when it repeats a key.  Once
-    `build` has accepted the data, `entries(data)` gives the entries of all
-    its objects in closed form.  Entries <= key tokens <= colons, so
-    equality proves that no object repeated a key, and the hook would have
-    decoded the same data.
-
-    Any other document is decoded again by `_load_json`, which stays the
-    one place that names a repeated key, a decode error or a lone
-    surrogate; so every message, and which error wins, is the hook's.  When
-    it returns, no key repeated and its data equals the plain decode, so the
-    first build stands: its result is returned, or its error raised.  A
-    document with a `\\u` escape is decoded with the hook only.  So a colon
-    inside a name costs one plain decode and a colon count more than the
-    hook alone, and a document that fails to build one plain decode more.
-    """
-    if not _has_u_escape(text):
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError):
-            pass  # `_load_json` fails too, with the message to give
-        else:
-            try:
-                result = build(data)
-            except Exception as e:
-                error = e
-            else:
-                if entries(data) == text.count(":"):
-                    return result
-                error = None
-            # Raised here, not in the handler, so no error chains to another.
-            _load_json(text)
-            if error is not None:
-                raise error
-            return result
-    return build(_load_json(text))
-
-
-def _section_entries(data: dict) -> int:
-    """The entries under the `observables` and `partition` keys of a
-    document `build` has accepted: per observable its key, `spectrum`,
-    `family` and one family entry per spectrum value; for a partition its
-    three keys and its `local` entries."""
-    total = sum(3 + len(body["family"]) for body in data.get("observables", {}).values())
-    if "partition" in data:
-        total += 3 + len(data["partition"]["local"])
-    return total
-
-
 def _require_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         _fail(path, "must be a JSON object")
@@ -163,6 +109,14 @@ def _require_string_list(value, path: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         _fail(path, "must be an array of strings")
     return value
+
+
+def _proposition_path(name: str) -> str:
+    """The path of proposition `name`, failing there if it names a builtin."""
+    path = f"propositions.{name}"
+    if name in core.RESERVED_PROPOSITION_NAMES:
+        _fail(path, f"{name} is a builtin proposition and cannot be redefined")
+    return path
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], path: str):
@@ -250,13 +204,55 @@ def parse_model(text: str) -> core.Model:
     Only structure is checked here.  A parseable model can still break
     the laws; run `core.validate_model` for that.
     """
-    return _parse_document(text, _build_model, _model_entries)
+    # `_build_model(_load_json(text))`, decoding without the duplicate-key
+    # hook wherever a count proves that the hook would refuse nothing.  In
+    # JSON text every key is followed by exactly one structural colon, so
+    # `text.count(":")` bounds the key tokens from above; a colon inside a
+    # string only adds to the count.  A decoded object holds as many entries
+    # as it has key tokens, or fewer exactly when it repeats a key.  Once
+    # `_build_model` has accepted the data, `_model_entries` gives the
+    # entries of all its objects in closed form.  Entries <= key tokens <=
+    # colons, so equality proves that no object repeated a key, and the hook
+    # would have decoded the same data.
+    #
+    # Any other document is decoded again by `_load_json`, which stays the
+    # one place that names a repeated key, a decode error or a lone
+    # surrogate; so every message, and which error wins, is the hook's.
+    # When it returns, no key repeated and its data equals the plain decode,
+    # so the first build stands: its result is returned, or its error
+    # raised.  A document with a `\u` escape is decoded with the hook only.
+    if not _has_u_escape(text):
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError):
+            pass  # `_load_json` fails too, with the message to give
+        else:
+            try:
+                result = _build_model(data)
+            except Exception as e:
+                error = e
+            else:
+                if _model_entries(data) == text.count(":"):
+                    return result
+                error = None
+            # Raised here, not in the handler, so no error chains to another.
+            _load_json(text)
+            if error is not None:
+                raise error
+            return result
+    return _build_model(_load_json(text))
 
 
 def _model_entries(data: dict) -> int:
-    # Per proposition: its key, `yes`, `no` and one entry per state in each map.
-    n = len(data["states"])
-    return len(data) + (3 + 2 * n) * len(data.get("propositions", {})) + _section_entries(data)
+    """The object entries of a document `_build_model` has accepted: per
+    proposition its key, `yes`, `no` and one per state in each map; per
+    observable its key, `spectrum`, `family` and one per spectrum value;
+    for a partition its three keys and its `local` entries."""
+    total = len(data) + (3 + 2 * len(data["states"])) * len(data.get("propositions", {}))
+    total += sum(3 + len(body["family"]) for body in data.get("observables", {}).values())
+    if "partition" in data:
+        total += 3 + len(data["partition"]["local"])
+    return total
 
 
 def _build_model(data) -> core.Model:
@@ -271,9 +267,7 @@ def _build_model(data) -> core.Model:
     props = {"ONE": core.make_one(space), "ZERO": core.make_zero(space)}
     props_raw = _require_object(data.get("propositions", {}), "propositions")
     for name, body in props_raw.items():
-        path = f"propositions.{name}"
-        if name in core.RESERVED_PROPOSITION_NAMES:
-            _fail(path, f"{name} is a builtin proposition and cannot be redefined")
+        path = _proposition_path(name)
         _require_object(body, path)
         _check_keys(body, ("yes", "no"), ("yes", "no"), path)
         yes = _parse_map(body["yes"], space, f"{path}.yes")
@@ -475,12 +469,7 @@ def _parse_state_entry(value, dim: int, path: str) -> np.ndarray:
 
 def parse_quantum(text: str) -> QuantumDocument:
     """Parse a quantum document; numeric validity is checked downstream."""
-    return _parse_document(text, _build_quantum, _quantum_entries)
-
-
-def _quantum_entries(data: dict) -> int:
-    # Seeds and projectors are arrays of numbers, so one entry each.
-    return len(data) + len(data["seeds"]) + len(data["propositions"]) + _section_entries(data)
+    return _build_quantum(_load_json(text))
 
 
 def _build_quantum(data) -> QuantumDocument:
@@ -501,7 +490,7 @@ def _build_quantum(data) -> QuantumDocument:
     if not props_raw:
         _fail("propositions", "at least one projector is required")
     propositions = tuple(
-        (name, _parse_matrix(value, dim, f"propositions.{name}")) for name, value in props_raw.items()
+        (name, _parse_matrix(value, dim, _proposition_path(name))) for name, value in props_raw.items()
     )
     seeds_raw = _require_object(data["seeds"], "seeds")
     if not seeds_raw:

@@ -11,6 +11,7 @@ ground truth.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -53,8 +54,9 @@ def _idempotence_residue(m: np.ndarray) -> float:
 def _check_tol(tol: float) -> None:
     # A NaN tolerance fails every residue check and blames the matrix, an
     # infinite one passes every check and sends every branch to zero, and a
-    # negative one takes a zero trace for a live branch.
-    if not (math.isfinite(tol) and tol >= 0):
+    # negative one takes a zero trace for a live branch.  The bound is the
+    # document's, bools refused; an int compared with a float cannot overflow.
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max:
         raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
 
 

@@ -324,6 +324,21 @@ def test_quantum_build_rejects_bad_family(tmp_path, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("seed", ["ket0", "plus"])
+@pytest.mark.parametrize("name", core.RESERVED_PROPOSITION_NAMES)
+def test_quantum_build_refuses_a_builtin_projector_name(tmp_path, capsys, name, seed):
+    # Refused at parse time whatever the orbit: the projector |0><0| fixes
+    # the seed |0> and splits |+>.
+    ket = {"ket0": [[1, 0], [0, 0]], "plus": [[0.5**0.5, 0], [0.5**0.5, 0]]}[seed]
+    doc = {"dimension": 2, "seeds": {"s": ket}, "propositions": {name: [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}}
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["quantum", "build", str(path), "-o", str(tmp_path / "out.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: propositions.{name}: {name} is a builtin proposition and cannot be redefined\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_quantum_build_rejects_non_projector(tmp_path, capsys):
     doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
     doc["propositions"]["Z0"] = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]

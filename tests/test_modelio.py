@@ -212,20 +212,16 @@ def outcome(parse, text):
         return str(e)
 
 
-def hook_outcome(parse, text):
-    """`outcome` with every text decoded through the duplicate-key hook, as
-    before the parsers counted colons: the oracle for the count's fast path."""
-
-    def through_hook(text, build, entries):
-        return build(modelio._load_json(text))
-
-    with mock.patch.object(modelio, "_parse_document", through_hook):
-        return outcome(parse, text)
+def hook_outcome(text):
+    """`outcome` of `parse_model` with the model text decoded through the
+    duplicate-key hook, as quantum documents always are: the oracle for the
+    colon count's fast path."""
+    return outcome(lambda t: modelio._build_model(modelio._load_json(t)), text)
 
 
 def object_entries(value) -> int:
     """The entries of every object in decoded JSON, found by walking it:
-    the oracle for the closed forms `_model_entries` and `_quantum_entries`."""
+    the oracle for the closed form `_model_entries`."""
     if isinstance(value, dict):
         return len(value) + sum(map(object_entries, value.values()))
     if isinstance(value, list):
@@ -233,16 +229,16 @@ def object_entries(value) -> int:
     return 0
 
 
-def assert_entries_follow_the_schema(parse, text):
-    """If `text` parses, the closed-form entry count of its decoded data is
-    the walked one, so the count cannot drift from what the builders accept."""
+def assert_entries_follow_the_schema(text):
+    """If model text `text` parses, the closed-form entry count of its
+    decoded data is the walked one, so the count cannot drift from what
+    `_build_model` accepts."""
     try:
-        parse(text)
+        modelio.parse_model(text)
     except StructuralError:
         return
-    entries = modelio._quantum_entries if parse is modelio.parse_quantum else modelio._model_entries
     data = json.loads(text)
-    assert entries(data) == object_entries(data)
+    assert modelio._model_entries(data) == object_entries(data)
 
 
 # Every object position of each document kind: the keys down to the
@@ -281,26 +277,20 @@ def test_repeated_key_is_named_in_every_object_position(case):
     obj.append((key, dict(obj)[key]))
     text = dump_pairs(doc)
     assert json.loads(text) == json.loads(read_fixture(fixture))
-    assert outcome(parse, text) == hook_outcome(parse, text) == f"duplicate key {key!r}"
+    assert outcome(parse, text) == f"duplicate key {key!r}"
 
 
 def test_documents_without_repeats_colons_or_escapes_skip_the_hook():
-    # Each text here decodes once, without the hook: `_load_json` is never
-    # called.  The bench documents include mutated ones (index 3).
+    # Each model text here decodes once, without the hook: `_load_json` is
+    # never called.  The bench documents include mutated ones (index 3).
     texts = [read_fixture(name) for name in ("qzx.json", "bell.json", "bistable.json")]
     texts += [gen.model_document(n, index) for n in (8, 24, 64) for index in range(4)]
-    quantum = [read_fixture(name) for name in ("qzx_quantum.json", "bell_quantum.json")]
-    quantum += [gen.quantum_document(index) for index in range(4)]
-    expected = [hook_outcome(modelio.parse_model, t) for t in texts] + [
-        hook_outcome(modelio.parse_quantum, t) for t in quantum
-    ]
+    expected = [hook_outcome(t) for t in texts]
     with mock.patch.object(modelio, "_load_json", side_effect=AssertionError("the hook path ran")):
-        got = [modelio.parse_model(t) for t in texts] + [modelio.parse_quantum(t) for t in quantum]
+        got = [modelio.parse_model(t) for t in texts]
     assert got == expected
     for t in texts:
-        assert_entries_follow_the_schema(modelio.parse_model, t)
-    for t in quantum:
-        assert_entries_follow_the_schema(modelio.parse_quantum, t)
+        assert_entries_follow_the_schema(t)
 
 
 def test_parse_rejects_unpaired_surrogates():
@@ -602,6 +592,19 @@ def test_parse_quantum_errors():
             modelio.parse_quantum(quantum_doc(observables={"Z": {"spectrum": spectrum, "family": family}}))
     with pytest.raises(StructuralError, match="at least one seed"):
         modelio.parse_quantum(quantum_doc(seeds={}))
+
+
+@pytest.mark.parametrize("name", core.RESERVED_PROPOSITION_NAMES)
+def test_parse_quantum_refuses_a_builtin_projector_name(name):
+    # With the message of a model document, before the name's matrix is
+    # read and after the projectors written before it.
+    message = rf"^propositions\.{name}: {name} is a builtin proposition and cannot be redefined$"
+    projector = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for propositions in ({"P": projector, name: projector}, {name: "not a matrix"}):
+        with pytest.raises(StructuralError, match=message):
+            modelio.parse_quantum(quantum_doc(propositions=propositions))
+    with pytest.raises(StructuralError, match=r"^propositions\.P: matrix must have 2 rows$"):
+        modelio.parse_quantum(quantum_doc(propositions={"P": [], name: projector}))
 
 
 def test_parse_quantum_rejects_entries_too_large_for_a_float():

@@ -356,7 +356,9 @@ TOL_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "tol", [float("nan"), float("inf"), -1.0, 2**1024, True], ids=["nan", "inf", "negative", "int-past-float", "bool"]
+)
 @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
 def test_every_entry_point_refuses_a_bad_tolerance(entry, tol):
     with warnings.catch_warnings():
