@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the law kernels on generated models of several sizes.
+"""Time the law kernels and document I/O on generated models of several sizes.
 
 For each size the script draws one valid model as `checker.generate_model`
 does, with 16 propositions, 8 observables and spectra of up to 4 values.
@@ -11,15 +11,18 @@ drawing that model (`generate`), of `checker.check_laws`, of
 `core.pair_class` (`class`) and of one `core._first_noncommuting`
 (`compat`, the commutation scan as `check_laws` calls it, on branch
 lists built before the timed calls), the last three averaged over every
-observable pair, over `--repeats` calls each, and the violations found
-(0 on a valid model).
+observable pair, over `--repeats` calls each; of `modelio.parse_model`
+on the model's document text (`parse`) and of `modelio.serialize_model`
+writing that text (`serialize`); and the violations found (0 on a valid
+model).
 The `path` column says whether each `PropMap.table` is bytes
 ("byte-coded", up to 255 states) or a tuple ("scan-only", past 255
 states).  The header line gives the Python version.
 
-Only the generator and the law kernels are called, so the same script
-times any checkout that has `checker._draw_model` and
-`core._first_noncommuting` put on PYTHONPATH.  It makes no assertions.
+Only the generator, the law kernels and the model document reader and
+writer are called, so the same script times any checkout that has
+`checker._draw_model` and `core._first_noncommuting` put on PYTHONPATH.
+It makes no assertions.
 Its medians come from separate runs, one checkout at a time, and move
 by several percent from run to run; to resolve a change of 5-10%
 between two checkouts, time them together with `scripts/ab.py`.
@@ -31,7 +34,7 @@ import random
 import statistics
 import time
 
-from gqt import checker, core
+from gqt import checker, core, modelio
 
 N_PROPS, N_OBS, MAX_SPECTRUM = 16, 8, 4
 
@@ -62,7 +65,7 @@ def main(argv=None):
     )
     print(
         f"{'states':>6} {'path':>10} {'generate':>9} {'check_laws':>11} {'validate':>9} {'pair':>7} {'class':>7}"
-        f" {'compat':>7} {'violations':>10}"
+        f" {'compat':>7} {'parse':>7} {'serialize':>9} {'violations':>10}"
     )
     for n in args.sizes:
         space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
@@ -79,10 +82,13 @@ def main(argv=None):
         class_ms = median_ms(lambda: [core.pair_class(a, b) for a, b in pairs], args.repeats) / len(pairs)
         compat_ms = median_ms(lambda: [core._first_noncommuting(ps, qs) for ps, qs in branches], args.repeats)
         compat_ms /= len(pairs)
+        text = modelio.serialize_model(model)
+        parse_ms = median_ms(lambda: modelio.parse_model(text), args.repeats)
+        serialize_ms = median_ms(lambda: modelio.serialize_model(model), args.repeats)
         violations = len(checker.check_laws(model)) + len(core.validate_model(model))
         print(
             f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.4f}"
-            f" {class_ms:>7.4f} {compat_ms:>7.4f} {violations:>10}"
+            f" {class_ms:>7.4f} {compat_ms:>7.4f} {parse_ms:>7.3f} {serialize_ms:>9.3f} {violations:>10}"
         )
 
 

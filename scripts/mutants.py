@@ -253,6 +253,33 @@ MUTANTS = (
         "path refuses.",
     ),
     Mutant(
+        "writer-targets-shifted",
+        "src/gqt/modelio.py",
+        "map(refs.__getitem__, m.table[:n])",
+        "map(refs.__getitem__, m.table[1:])",
+        ("tests/test_modelio.py::test_round_trip_is_byte_identical",),
+        "Each state's key then carries the next state's target, the last one the zero slot's null; the "
+        "shipped fixtures no longer read back to their own bytes.",
+    ),
+    Mutant(
+        "writer-map-trailing-comma",
+        "src/gqt/modelio.py",
+        '["\\n      }"]',
+        '[",\\n      }"]',
+        ("tests/test_modelio.py::test_writer_matches_json_dumps_at_every_table_kind[1]",),
+        "Every map then ends in a comma before its closing bracket, which `json.dumps` never writes; at "
+        "one state the comma follows the map's only entry.",
+    ),
+    Mutant(
+        "writer-targets-through-bytes",
+        "src/gqt/modelio.py",
+        "map(refs.__getitem__, m.table[:n])",
+        "map(refs.__getitem__, bytes(m.table[:n]))",
+        ("tests/test_modelio.py::test_writer_matches_json_dumps_at_every_table_kind[256]",),
+        "A bytes table passes through unchanged, so only a tuple table, past 255 states, fails: its zero "
+        "index 256 does not fit in a byte.  The shipped, golden and bench documents all stop below that.",
+    ),
+    Mutant(
         "cap-type-test-dropped",
         "src/gqt/quantum.py",
         '    if not isinstance(cap, int) or isinstance(cap, bool):\n'

@@ -7,8 +7,9 @@ builtin propositions ONE and ZERO are implicit and may not be redefined.
 Serialization is canonical (fixed key order, sorted names, two-space
 indent, trailing newline), so equal models produce identical bytes.  The
 writer emits that fixed shape directly, quoting each name once with the
-C quoting function behind ``json.dumps(..., ensure_ascii=False)``; the
-tests hold it to ``json.dumps(model_document(m), indent=2,
+C quoting function behind ``json.dumps(..., ensure_ascii=False)`` and
+writing each map with one join over a template made once per document;
+the tests hold it to ``json.dumps(model_document(m), indent=2,
 ensure_ascii=False) + "\n"`` byte for byte.  A string with an unpaired
 surrogate escape is a parse error, since no file or terminal can take it.
 So is an object that repeats a key, whose meaning JSON leaves open.  A
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import operator
 import sys
 from json.encoder import encode_basestring as _quote
 from typing import TYPE_CHECKING, Mapping, Optional
@@ -329,12 +329,15 @@ def serialize_model(model: core.Model) -> str:
     newline; equal models give identical bytes."""
     refs = [_quote(z) for z in model.space.states]
     states = [f"    {z}" for z in refs]
-    key_prefix = [f"        {z}: " for z in refs]
+    n = len(refs)
+    # A map's text: the key lines in the even slots, its targets in the odd.
+    parts = [line for z in refs for line in (f",\n        {z}: ", "")] + ["\n      }"]
+    parts[0] = "{" + parts[0][1:]
     refs.append("null")
 
     def map_obj(m: core.PropMap) -> str:
-        # map stops with key_prefix, at the last state, before the zero slot.
-        return _container(list(map(operator.add, key_prefix, map(refs.__getitem__, m.table))), "      ", "{}")
+        parts[1::2] = map(refs.__getitem__, m.table[:n])
+        return "".join(parts)
 
     propositions = [
         f'    {_quote(name)}: {{\n      "yes": {map_obj(p.yes)},\n      "no": {map_obj(p.no)}\n    }}'

@@ -128,6 +128,29 @@ def test_writer_matches_json_dumps_on_edge_cases(case):
     assert modelio.serialize_model(modelio.parse_model(text)) == text
 
 
+def sized_model(n, names=()):
+    """A model over `n` states, the first of them `names`: a shift, a map
+    keeping every third state, and an observable over the two."""
+    space = core.StateSpace((*names, *(f"s{i}" for i in range(len(names), n))))
+    shift = core.PropMap(space, [(i + 1) % n for i in range(n)] + [n])
+    thirds = core.PropMap(space, [i if i % 3 == 0 else n for i in range(n)] + [n])
+    p, q = core.Proposition("P", shift, thirds), core.Proposition("Q", thirds, shift)
+    return core.Model.build(space, (p, q), [core.Observable("O", ("a", "b"), {"a": p, "b": q})])
+
+
+# One state makes the first key line the last; 256 and more states make
+# each `PropMap.table` a tuple rather than bytes.
+@pytest.mark.parametrize(
+    "n, names", [(1, ()), (2, ()), (255, ()), (256, ()), (300, HOSTILE_STATES)], ids=["1", "2", "255", "256", "300-hostile"]
+)
+def test_writer_matches_json_dumps_at_every_table_kind(n, names):
+    model = sized_model(n, names)
+    assert type(model.propositions["P"].yes.table) is (tuple if n >= 256 else bytes)
+    text = modelio.serialize_model(model)
+    assert text == dumps_oracle(model)
+    assert modelio.serialize_model(modelio.parse_model(text)) == text
+
+
 def _bench_model_documents():
     # Every size, with index 3 a mutated document.
     return [gen.model_document(n, index) for n in gen.MODEL_STATES for index in (0, 3)]
