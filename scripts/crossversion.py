@@ -9,6 +9,9 @@ It puts this checkout's `src/` and `tests/` first on the import path and
 checks
 - the sha256 of `serialize_model(generate_model(p))` for every parameter
   set of `tests/golden/generate_model.json`;
+- each of those models' observables: its eigenvalue table is unset until
+  the first read, equals the per-state fixed-point definition, and stays
+  in its slot for later reads;
 - `checker._shuffled` against `random.Random.sample`, draw for draw and
   in the generator's final state;
 - the exit code and output bytes of every CLI golden case of
@@ -29,20 +32,52 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from gqt import checker, modelio  # noqa: E402
+from gqt import checker, core, modelio  # noqa: E402
 from golden_cases import CASES, GOLDEN, golden_files, run_case  # noqa: E402
 
 SEEDS = (0, 1, 12345, 2**64 - 1)
 
 
+def golden_models():
+    """`(key, model, sha256)` for each parameter set of the generator golden."""
+    golden = json.loads((GOLDEN / "generate_model.json").read_text(encoding="utf-8"))["sha256"]
+    for key, want in golden.items():
+        yield key, checker.generate_model(checker.GeneratorParams(*map(int, key.split()))), want
+
+
 def generator_hashes() -> list[str]:
     """The parameter sets whose model hash differs from the golden."""
-    golden = json.loads((GOLDEN / "generate_model.json").read_text(encoding="utf-8"))["sha256"]
     bad = []
-    for key, want in golden.items():
-        model = checker.generate_model(checker.GeneratorParams(*map(int, key.split())))
+    for key, model, want in golden_models():
         if hashlib.sha256(modelio.serialize_model(model).encode("utf-8")).hexdigest() != want:
             bad.append(key)
+    return bad
+
+
+def stored_eigenvalues(a):
+    """The table in `a`'s eigenvalue slot, or None while it is unset; read
+    through the slot itself, so the read fills nothing."""
+    try:
+        return core.Observable.__dict__["eigenvalues"].__get__(a, core.Observable)
+    except AttributeError:
+        return None
+
+
+def eigenvalue_tables() -> list[str]:
+    """The parameter sets with an observable whose eigenvalue table is set
+    before its first read, differs from the definition (entry i: the values
+    whose yes map fixes state i; the zero slot: none), or is not the object
+    its slot then holds."""
+    bad = []
+    for key, model, _ in golden_models():
+        for a in model.observables.values():
+            n = len(a.space)
+            want = (*(tuple(v for v in a.spectrum if a.family[v].yes.table[i] == i) for i in range(n)), ())
+            unset = stored_eigenvalues(a) is None
+            table = a.eigenvalues
+            if not (unset and table == want and stored_eigenvalues(a) is table):
+                bad.append(key)
+                break
     return bad
 
 
@@ -77,6 +112,7 @@ def cli_goldens() -> list[str]:
 
 CHECKS = {
     "generator hashes": generator_hashes,
+    "eigenvalue tables": eigenvalue_tables,
     "_shuffled draws": shuffled_draws,
     "non-quantum CLI goldens": cli_goldens,
 }

@@ -11,10 +11,13 @@ drawing that model (`generate`), of `checker.check_laws`, of
 `core.pair_class` (`class`) and of one `core._first_noncommuting`
 (`compat`, the commutation scan as `check_laws` calls it, on branch
 lists built before the timed calls), the last three averaged over every
-observable pair, over `--repeats` calls each; of `modelio.parse_model`
-on the model's document text (`parse`) and of `modelio.serialize_model`
-writing that text (`serialize`); and the violations found (0 on a valid
-model).
+observable pair, over `--repeats` calls each; of constructing one
+`core.Observable` from a generated one's fields (`observable`) and of
+that new observable's first `eigenvalues` read, which builds its table
+(`eigen`), both averaged over the model's observables; of
+`modelio.parse_model` on the model's document text (`parse`) and of
+`modelio.serialize_model` writing that text (`serialize`); and the
+violations found (0 on a valid model).
 The `path` column says whether each `PropMap.table` is bytes
 ("byte-coded", up to 255 states) or a tuple ("scan-only", past 255
 states).  The header line gives the Python version.
@@ -52,6 +55,19 @@ def median_ms(call, repeats: int) -> float:
     return statistics.median(times) * 1e3
 
 
+def first_read_ms(observables: list, repeats: int) -> float:
+    """Median milliseconds of reading `eigenvalues` once on fresh copies of
+    `observables`, built outside the timed region."""
+    times = []
+    for _ in range(repeats):
+        fresh = [core.Observable(a.name, a.spectrum, a.family) for a in observables]
+        start = time.perf_counter()
+        for a in fresh:
+            a.eigenvalues
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--sizes", type=int, nargs="*", default=[8, 64, 255, 256, 300], help="states per model")
@@ -65,7 +81,7 @@ def main(argv=None):
     )
     print(
         f"{'states':>6} {'path':>10} {'generate':>9} {'check_laws':>11} {'validate':>9} {'pair':>7} {'class':>7}"
-        f" {'compat':>7} {'parse':>7} {'serialize':>9} {'violations':>10}"
+        f" {'compat':>7} {'observable':>10} {'eigen':>7} {'parse':>7} {'serialize':>9} {'violations':>10}"
     )
     for n in args.sizes:
         space = core.StateSpace(tuple(f"s{i}" for i in range(n)))
@@ -82,13 +98,17 @@ def main(argv=None):
         class_ms = median_ms(lambda: [core.pair_class(a, b) for a, b in pairs], args.repeats) / len(pairs)
         compat_ms = median_ms(lambda: [core._first_noncommuting(ps, qs) for ps, qs in branches], args.repeats)
         compat_ms /= len(pairs)
+        fields = [(a.name, a.spectrum, a.family) for a in observables]
+        observable_ms = median_ms(lambda: [core.Observable(*f) for f in fields], args.repeats) / len(fields)
+        eigen_ms = first_read_ms(observables, args.repeats) / len(observables)
         text = modelio.serialize_model(model)
         parse_ms = median_ms(lambda: modelio.parse_model(text), args.repeats)
         serialize_ms = median_ms(lambda: modelio.serialize_model(model), args.repeats)
         violations = len(checker.check_laws(model)) + len(core.validate_model(model))
         print(
             f"{n:>6} {path:>10} {generate_ms:>9.3f} {check_ms:>11.3f} {validate_ms:>9.3f} {pair_ms:>7.4f}"
-            f" {class_ms:>7.4f} {compat_ms:>7.4f} {parse_ms:>7.3f} {serialize_ms:>9.3f} {violations:>10}"
+            f" {class_ms:>7.4f} {compat_ms:>7.4f} {observable_ms:>10.4f} {eigen_ms:>7.4f} {parse_ms:>7.3f}"
+            f" {serialize_ms:>9.3f} {violations:>10}"
         )
 
 

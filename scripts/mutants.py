@@ -174,6 +174,42 @@ MUTANTS = (
         "definition.",
     ),
     Mutant(
+        "eigenvalues-skip-last-value",
+        "src/gqt/core.py",
+        "for v in self.spectrum:",
+        "for v in self.spectrum[:-1]:",
+        ("tests/test_generator.py::test_eigenvalues_are_the_fixed_points_of_each_branch[8]",),
+        "The table built on first read then never lists the last value; the test holds the first read to "
+        "the per-state definition.",
+    ),
+    Mutant(
+        "eigenvalues-not-stored",
+        "src/gqt/core.py",
+        "        Observable.eigenvalues.__set__(self, table)\n",
+        "",
+        ("tests/test_generator.py::test_eigenvalues_are_the_fixed_points_of_each_branch[8]",),
+        "Every read then builds the table again, equal but a new object, and the slot stays unset; the "
+        "test wants the second read to return the first read's object from the slot.",
+    ),
+    Mutant(
+        "idempotent-maps-early-on-yes-alone",
+        "src/gqt/core.py",
+        '    if not (yes or no):\n        return []\n    return [\n        Violation("PP=P"',
+        '    if not yes:\n        return []\n    return [\n        Violation("PP=P"',
+        ("tests/test_laws.py::test_laws_see_a_witness_on_their_second_side_only[3]",),
+        "PP=P then goes quiet whenever the yes map is idempotent; the test's proposition has an idempotent "
+        "yes map and a no map that is not.",
+    ),
+    Mutant(
+        "unannihilated-early-on-fg-alone",
+        "src/gqt/core.py",
+        "if fg.count(n) == len(fg) == gf.count(n):",
+        "if fg.count(n) == len(fg):",
+        ("tests/test_laws.py::test_laws_see_a_witness_on_their_second_side_only[3]",),
+        "The predicate then reports nothing when only `g` after `f` keeps a state; the test's maps compose "
+        "to zero one way and keep s2 the other.",
+    ),
+    Mutant(
         "remainder-pick-one-bit-wide",
         "src/gqt/checker.py",
         "k_up, k_kill = n_up.bit_length(), n_kill.bit_length()",

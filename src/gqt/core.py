@@ -19,7 +19,7 @@ import functools
 import itertools
 import operator
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AmbiguousRealization,
@@ -78,17 +78,21 @@ class _Record:
     `__slots__`; slots after them are derived, so neither compared nor
     shown; one with array fields compares them through `array_key` in its
     own `_key`.  Its `__init__` validates and then sets every slot once
-    with `_assign(*values)`, which takes one value per slot in slot order;
-    any later assignment or deletion raises AttributeError.
+    with `_assign(*values)`, which takes one value per slot in slot order,
+    except the derived slots named in `_on_read`: those stay unset until
+    the subclass's `__getattr__` fills them on first read.  Any other
+    assignment or deletion raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _on_read: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         if "_key" not in vars(cls):
             cls._key = operator.attrgetter(*cls._fields)
-        cls._assign = _assigner(len(cls.__slots__))(*(getattr(cls, name).__set__ for name in cls.__slots__))
+        slots = [name for name in cls.__slots__ if name not in cls._on_read]
+        cls._assign = _assigner(len(slots))(*(getattr(cls, name).__set__ for name in slots))
 
     def __eq__(self, other):
         # Most comparisons are of a state space with itself.
@@ -362,11 +366,16 @@ def check_spectrum(name: str, spectrum: Sequence[str], labels: Collection[str]) 
 class Observable(_Record):
     """Finite spectrum of values, each answered by one proposition."""
 
-    # Derived `eigenvalues`, entry i: the values whose yes-branch fixes
-    # state i, in spectrum order; the zero slot is (), so it is nobody's
-    # eigenstate.
+    # Derived `space`, the family's state space, and `eigenvalues`, entry
+    # i: the values whose yes-branch fixes state i, in spectrum order; the
+    # zero slot is (), so it is nobody's eigenstate.  The law check reads
+    # the table only for compatible pairs, so `__getattr__` builds it on
+    # first read.  Defining `__getattr__` makes every attribute read on the
+    # class slower (CPython 3.11 does not specialize it), so `space` is a
+    # slot rather than a property that reads two more.
     _fields = ("name", "spectrum", "family")
-    __slots__ = (*_fields, "eigenvalues")
+    __slots__ = (*_fields, "space", "eigenvalues")
+    _on_read = ("eigenvalues",)
 
     def __init__(self, name: str, spectrum: tuple[str, ...], family: Mapping[str, Proposition]):
         family = dict(family)
@@ -375,19 +384,25 @@ class Observable(_Record):
         for value in spectrum:
             if not _same_space(family[value].space, space):
                 raise StructuralError(f"observable {name!r}: family members use different state spaces")
-        n = len(space)
+        self._assign(name, spectrum, family, space)
+
+    def __getattr__(self, name: str):
+        # Called only when a lookup finds nothing: for `eigenvalues`, only
+        # until the table below is stored in its slot.
+        if name != "eigenvalues":
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}", name=name, obj=self)
+        family = self.family
+        n = len(self.space)
         eigen = [()] * (n + 1)
-        for v in spectrum:
+        for v in self.spectrum:
             # The fixed points of the branch's yes map, by C calls only; an
             # empty slot takes the one tuple `one` itself.
             one = (v,)
             for i in itertools.compress(range(n), map(operator.eq, range(n), family[v].yes.table)):
                 eigen[i] += one
-        self._assign(name, spectrum, family, tuple(eigen))
-
-    @property
-    def space(self) -> StateSpace:
-        return self.family[self.spectrum[0]].space
+        table = tuple(eigen)
+        Observable.eigenvalues.__set__(self, table)
+        return table
 
     def branch(self, value: str) -> Proposition:
         try:
@@ -506,9 +521,10 @@ class Model(_Record):
 # (idempotence-yes/no and PP=P, annihilation and P·negP=0) they share the
 # predicate and differ only in wording.
 #
-# Each predicate composes its maps once, returns at once when the
-# composites show no witness, and otherwise lists the witnesses, in state
-# order, from those same composites.
+# Each predicate composes its maps once, returns an empty list at once
+# when the composites show no witness, and otherwise lists the witnesses,
+# in state order, from those same composites.  Each law returns [] as soon
+# as its predicates are empty, before it builds a report.
 
 
 def _after(f: PropMap, g: PropMap) -> Union[bytes, tuple[int, ...]]:
@@ -550,33 +566,31 @@ def unfixed_points(m: PropMap) -> list[str]:
     return [z for z, w, u in zip(m.space.states, m.table, mm) if u != w]
 
 
-def unannihilated(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
-    """Yield `(z, f(g(z)), g(f(z)))` where either image is not the zero index."""
+def unannihilated(f: PropMap, g: PropMap) -> list[tuple[str, int, int]]:
+    """`(z, f(g(z)), g(f(z)))` for each state where either image is not the zero index."""
     fg, gf = _after(f, g), _after(g, f)
     n = len(fg) - 1  # the zero index
     if fg.count(n) == len(fg) == gf.count(n):
-        return
-    for z, u, w in zip(g.space.states, fg, gf):
-        if u != n or w != n:
-            yield z, u, w
+        return []
+    return [(z, u, w) for z, u, w in zip(g.space.states, fg, gf) if u != n or w != n]
 
 
-def noncommuting(f: PropMap, g: PropMap) -> Iterator[tuple[str, int, int]]:
-    """Yield `(z, f(g(z)), g(f(z)))` where the two images differ."""
+def noncommuting(f: PropMap, g: PropMap) -> list[tuple[str, int, int]]:
+    """`(z, f(g(z)), g(f(z)))` for each state where the two images differ."""
     fg, gf = _after(f, g), _after(g, f)
     if fg == gf:
-        return
-    for z, u, w in zip(g.space.states, fg, gf):
-        if u != w:
-            yield z, u, w
+        return []
+    return [(z, u, w) for z, u, w in zip(g.space.states, fg, gf) if u != w]
 
 
 def idempotence(p: Proposition) -> list[Violation]:
+    yes, no = unfixed_points(p.yes), unfixed_points(p.no)
+    if not (yes or no):
+        return []
     space = p.space
     out = []
-    for side, m in (("yes", p.yes), ("no", p.no)):
-        t = m.table
-        for z in unfixed_points(m):
+    for side, t, unfixed in (("yes", p.yes.table, yes), ("no", p.no.table, no)):
+        for z in unfixed:
             # w is a proper state: the zero index is fixed.
             w = t[space.index[z]]
             detail = f"{side}({side}({z})) = {show_state(space.ref(t[w]))} but {side}({z}) = {space.states[w]}"
@@ -586,16 +600,22 @@ def idempotence(p: Proposition) -> list[Violation]:
 
 def idempotent_maps(p: Proposition) -> list[Violation]:
     """PP=P: the law of `idempotence`, in the checker's wording."""
+    yes, no = unfixed_points(p.yes), unfixed_points(p.no)
+    if not (yes or no):
+        return []
     return [
         Violation("PP=P", (p.name, side), (z,), f"{side} map is not idempotent at {z}")
-        for side, m in (("yes", p.yes), ("no", p.no))
-        for z in unfixed_points(m)
+        for side, unfixed in (("yes", yes), ("no", no))
+        for z in unfixed
     ]
 
 
 def annihilation(p: Proposition) -> list[Violation]:
+    found = unannihilated(p.no, p.yes)
+    if not found:
+        return []
     out = []
-    for z, no_yes, yes_no in unannihilated(p.no, p.yes):
+    for z, no_yes, yes_no in found:
         for image, composite in ((no_yes, f"no(yes({z}))"), (yes_no, f"yes(no({z}))")):
             if image != len(p.space):
                 detail = f"{composite} = {p.space.states[image]}, expected {ZERO_TOKEN}"
@@ -605,10 +625,10 @@ def annihilation(p: Proposition) -> list[Violation]:
 
 def negation_annihilates(p: Proposition) -> list[Violation]:
     """P·negP=0: the law of `annihilation`, one entry per state."""
-    return [
-        Violation("P·negP=0", (p.name,), (z,), f"outcome maps do not annihilate at {z}")
-        for z, _, _ in unannihilated(p.no, p.yes)
-    ]
+    found = unannihilated(p.no, p.yes)
+    if not found:
+        return []
+    return [Violation("P·negP=0", (p.name,), (z,), f"outcome maps do not annihilate at {z}") for z, _, _ in found]
 
 
 def consistency(p: Proposition) -> list[Violation]:
@@ -624,10 +644,10 @@ def consistency(p: Proposition) -> list[Violation]:
 
 def zero_absorbs(zero: Proposition, p: Proposition) -> list[Violation]:
     """0P=P0=0, against the model's ZERO."""
-    return [
-        Violation("0P=P0=0", (p.name,), (z,), f"composition with ZERO is not ZERO at {z}")
-        for z, _, _ in unannihilated(zero.yes, p.yes)
-    ]
+    found = unannihilated(zero.yes, p.yes)
+    if not found:
+        return []
+    return [Violation("0P=P0=0", (p.name,), (z,), f"composition with ZERO is not ZERO at {z}") for z, _, _ in found]
 
 
 def one_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
@@ -709,14 +729,13 @@ def compatible_reaches_joint_eigenstate(a: Observable, b: Observable) -> list[Vi
 
 def compatible_order_independent(a: Observable, b: Observable) -> list[Violation]:
     """compat-order-independence: the branches of a compatible pair commute; `check_laws` passes no other pair."""
-    return [
-        Violation(
-            "compat-order-independence", (a.name, va, b.name, vb), (z,), f"measurement order changes the outcome at {z}"
-        )
-        for va in a.spectrum
-        for vb in b.spectrum
-        for z, _, _ in noncommuting(a.family[va].yes, b.family[vb].yes)
-    ]
+    out = []
+    for va in a.spectrum:
+        for vb in b.spectrum:
+            for z, _, _ in noncommuting(a.family[va].yes, b.family[vb].yes):
+                detail = f"measurement order changes the outcome at {z}"
+                out.append(Violation("compat-order-independence", (a.name, va, b.name, vb), (z,), detail))
+    return out
 
 
 PROPOSITION_LAWS = (idempotence, annihilation, consistency)

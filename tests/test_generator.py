@@ -9,8 +9,9 @@ checked against what they stand for: its pool order against
 `random.Random.sample`, its unchecked maps against `core.PropMap`, its
 shared state spaces against fresh ones, and its branch bitmasks against
 the law predicate and tables they replace.  `Observable`'s eigenvalue
-table, which every generated observable builds, is checked against its
-definition.
+table, which an observable builds on its first read, is checked against
+its definition, and the law check is held to reading it only for
+compatible pairs.
 
 To regenerate after an intended change of the generator's output, from
 the repository root:
@@ -20,6 +21,7 @@ the repository root:
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -102,7 +104,7 @@ def _greedy_branches(rng: random.Random, pool, max_spectrum: int) -> list[core.P
     for p, _, _ in rng.sample(pool, len(pool)):
         if len(chosen) >= target - 1:
             break
-        if all(next(core.unannihilated(p.yes, q.yes), None) is None for q in chosen):
+        if all(not core.unannihilated(p.yes, q.yes) for q in chosen):
             chosen.append(p)
     return chosen
 
@@ -123,7 +125,7 @@ def test_branch_masks_agree_with_the_laws(n):
             assert checker._states(image, n) == _fixed_points(p.yes)
             assert checker._states(support, n) == [i for i in range(n) if p.yes.table[i] != n]
         for (p, ip, sp), (q, iq, sq) in itertools.combinations(pool, 2):
-            assert (not (ip & sq or sp & iq)) == (next(core.unannihilated(p.yes, q.yes), None) is None)
+            assert (not (ip & sq or sp & iq)) == (not core.unannihilated(p.yes, q.yes))
         for k in range(len(pool) + 1):
             covered = kill = 0
             for _, image, support in pool[:k]:
@@ -175,8 +177,72 @@ def test_eigenvalues_are_the_fixed_points_of_each_branch(n):
         for j in range(4)
     ]
     for a in [*generated, *arbitrary]:
-        expected = [tuple(v for v in a.spectrum if a.family[v].yes.table[i] == i) for i in range(n)]
-        assert a.eigenvalues == (*expected, ())
+        with pytest.raises(AttributeError):
+            _stored_eigenvalues(a)
+        table = a.eigenvalues
+        assert table == _eigenvalue_definition(a)
+        assert a.eigenvalues is table and _stored_eigenvalues(a) is table
+
+
+def _eigenvalue_definition(a: core.Observable) -> tuple:
+    """The eigenvalue table from its per-state definition: entry i holds the
+    values whose yes map fixes state i, and the zero slot holds none."""
+    n = len(a.space)
+    return (*(tuple(v for v in a.spectrum if a.family[v].yes.table[i] == i) for i in range(n)), ())
+
+
+def _stored_eigenvalues(a: core.Observable) -> tuple:
+    """`a`'s eigenvalue slot as stored: AttributeError while it is unset,
+    without the `__getattr__` that would fill it."""
+    return core.Observable.__dict__["eigenvalues"].__get__(a, core.Observable)
+
+
+def test_the_law_check_builds_eigenvalue_tables_only_for_compatible_pairs():
+    params = GeneratorParams(8, 16, 8, seed=0)
+    model = checker.generate_model(params)
+    # An equal model with observables of its own: `pair_class` reads the
+    # tables of the pairs it finds incompatible.
+    twin = checker.generate_model(params)
+    names = sorted(twin.observables)
+    pairs = [(twin.observables[a], twin.observables[b]) for i, a in enumerate(names) for b in names[i:]]
+    paired = {x.name for a, b in pairs if core.pair_class(a, b)[0] is core.PairClass.COMPATIBLE for x in (a, b)}
+    assert paired == {"A2", "A6"}
+    assert checker.check_laws(model) == []
+    for name in names:
+        a = model.observables[name]
+        if name in paired:
+            assert _stored_eigenvalues(a) == _eigenvalue_definition(a)
+        else:
+            with pytest.raises(AttributeError):
+                _stored_eigenvalues(a)
+
+
+def test_copies_and_rebuilt_models_fill_their_own_eigenvalue_tables():
+    model = checker.generate_model(GeneratorParams(8, 16, 8, seed=0))
+    states = model.space.states
+    copies = {
+        "pickle": pickle.loads(pickle.dumps(model)),
+        "rename_states": core.rename_states(model, {z: z.upper() for z in states}),
+        "reachable_submodel": core.reachable_submodel(model, states),
+    }
+    for name, a in model.observables.items():
+        table = a.eigenvalues
+        for how, copy in copies.items():
+            b = copy.observables[name]
+            assert b is not a, how
+            with pytest.raises(AttributeError):
+                _stored_eigenvalues(b)
+            assert b.eigenvalues == table, how
+            assert _stored_eigenvalues(b) is b.eigenvalues, how
+
+
+def test_an_unknown_observable_attribute_is_named():
+    a = checker.generate_model(GeneratorParams(8, 16, 8, seed=0)).observables["A0"]
+    with pytest.raises(AttributeError, match="^'Observable' object has no attribute 'eigenvalue'$") as caught:
+        a.eigenvalue
+    assert (caught.value.name, caught.value.obj) == ("eigenvalue", a)
+    with pytest.raises(AttributeError):
+        _stored_eigenvalues(a)
 
 
 def _write_golden() -> None:

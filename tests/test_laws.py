@@ -227,6 +227,25 @@ def test_predicates_find_witnesses_at_both_ends(n, coded, monkeypatch):
         assert got == (ends[:1] if name == "one_and_is_identity" else ends), name
 
 
+@pytest.mark.parametrize("n", [3, 256])
+def test_laws_see_a_witness_on_their_second_side_only(n):
+    # Each law returns early only when both of its sides show no witness:
+    # here the yes map is idempotent and the no map is not, and no after
+    # yes is zero everywhere while yes after no keeps s2.
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    zero = edge_map(space, "zero", {})
+    steps = edge_map(space, "identity", {0: 1, 1: 2})
+    p = Proposition("P", zero, steps)
+    assert [v.witness for v in core.idempotent_maps(p)] == [("s0",)]
+    assert [v.law for v in core.idempotence(p)] == ["idempotence-no"]
+    g, f = edge_map(space, "zero", {0: 1}), edge_map(space, "zero", {2: 0})
+    assert core.unannihilated(f, g) == [("s2", n, 1)]
+    q = Proposition("Q", g, f)
+    assert [v.witness for v in core.negation_annihilates(q)] == [("s2",)]
+    assert [v.detail for v in core.annihilation(q)] == ["yes(no(s2)) = s1, expected null"]
+    assert [v.witness for v in core.zero_absorbs(Proposition("ZERO", f, zero), q)] == [("s2",)]
+
+
 @st.composite
 def tables_over(draw, n):
     """A table over `n` states: random, or the identity or constant zero
@@ -257,8 +276,8 @@ def test_predicates_match_plain_definitions(maps):
     ft, gt, ht = f.table, g.table, h.table
     both = [(states[i], ft[gt[i]], gt[ft[i]]) for i in range(n)]
     assert core.unfixed_points(f) == [states[i] for i in range(n) if ft[ft[i]] != ft[i]]
-    assert list(core.unannihilated(f, g)) == [(z, fg, gf) for z, fg, gf in both if fg != n or gf != n]
-    assert list(core.noncommuting(f, g)) == [(z, fg, gf) for z, fg, gf in both if fg != gf]
+    assert core.unannihilated(f, g) == [(z, fg, gf) for z, fg, gf in both if fg != n or gf != n]
+    assert core.noncommuting(f, g) == [(z, fg, gf) for z, fg, gf in both if fg != gf]
     p = Proposition("P", f, g)
     assert [v.witness for v in core.consistency(p)] == [(states[i],) for i in range(n) if ft[i] == gt[i] == n]
     family = {"a": p, "b": Proposition("Q", g, f), "c": Proposition("R", h, f)}

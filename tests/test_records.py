@@ -82,7 +82,7 @@ HASHABLE = {
 
 DERIVED = {
     core.StateSpace: {"index": {}, "by_name": ()},
-    core.Observable: {"eigenvalues": ()},
+    core.Observable: {"space": None, "eigenvalues": ()},
 }
 
 RECORDS = sorted(CASES, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
