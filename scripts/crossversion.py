@@ -54,15 +54,6 @@ def generator_hashes() -> list[str]:
     return bad
 
 
-def stored_eigenvalues(a):
-    """The table in `a`'s eigenvalue slot, or None while it is unset; read
-    through the slot itself, so the read fills nothing."""
-    try:
-        return core.Observable.__dict__["eigenvalues"].__get__(a, core.Observable)
-    except AttributeError:
-        return None
-
-
 def eigenvalue_tables() -> list[str]:
     """The parameter sets with an observable whose eigenvalue table is set
     before its first read, differs from the definition (entry i: the values
@@ -73,9 +64,9 @@ def eigenvalue_tables() -> list[str]:
         for a in model.observables.values():
             n = len(a.space)
             want = (*(tuple(v for v in a.spectrum if a.family[v].yes.table[i] == i) for i in range(n)), ())
-            unset = stored_eigenvalues(a) is None
+            unset = a._eigenvalues is None
             table = a.eigenvalues
-            if not (unset and table == want and stored_eigenvalues(a) is table):
+            if not (unset and table == want and a._eigenvalues is table):
                 bad.append(key)
                 break
     return bad

@@ -185,7 +185,7 @@ MUTANTS = (
     Mutant(
         "eigenvalues-not-stored",
         "src/gqt/core.py",
-        "        Observable.eigenvalues.__set__(self, table)\n",
+        "        Observable._eigenvalues.__set__(self, table)\n",
         "",
         ("tests/test_generator.py::test_eigenvalues_are_the_fixed_points_of_each_branch[8]",),
         "Every read then builds the table again, equal but a new object, and the slot stays unset; the "
@@ -376,6 +376,15 @@ MUTANTS = (
         ("tests/test_properties.py::test_zeroed_by_all_matches_a_per_state_scan",),
         "The cached flag table then marks state n - 1 for the zero index n, so `_zeroed_by_all` flags the "
         "states sent to the last proper state; the test scans each state at 1 to 300 states.",
+    ),
+    Mutant(
+        "generator-params-take-a-bool",
+        "src/gqt/checker.py",
+        "if not isinstance(value, int) or isinstance(value, bool):",
+        "if not isinstance(value, int):",
+        ("tests/test_checker.py::test_generator_params_and_fuzz_refuse_a_field_that_is_not_an_integer[n_states]",),
+        "`GeneratorParams(True)` then builds a one-state generator; the test wants a float and a bool "
+        "refused for each field by the integer rule's message.",
     ),
 )
 

@@ -40,23 +40,27 @@ LAW_IDS = (
 _MAX_SEED = 2**64
 
 
+def _check_int(name: str, value: int) -> None:
+    # The rule of `quantum._check_cap`: an `int` that is not a `bool`.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructuralError(f"{name} must be an integer, got {value!r}")
+
+
 class GeneratorParams(core._Record):
     """Knobs for the random model generator."""
 
     __slots__ = _fields = ("n_states", "n_props", "n_obs", "max_spectrum", "seed")
 
     def __init__(self, n_states: int, n_props: int = 0, n_obs: int = 0, max_spectrum: int = 4, seed: int = 0):
-        if not 1 <= n_states <= 64:
-            raise StructuralError(f"n_states must be in 1..64, got {n_states}")
-        if not 0 <= n_props <= 16:
-            raise StructuralError(f"n_props must be in 0..16, got {n_props}")
-        if not 0 <= n_obs <= 8:
-            raise StructuralError(f"n_obs must be in 0..8, got {n_obs}")
-        if not 2 <= max_spectrum <= 8:
-            raise StructuralError(f"max_spectrum must be in 2..8, got {max_spectrum}")
+        values = (n_states, n_props, n_obs, max_spectrum, seed)
+        for name, value in zip(self._fields, values):
+            _check_int(name, value)
+        for name, value, low, high in zip(self._fields, values, (1, 0, 0, 2), (64, 16, 8, 8)):
+            if not low <= value <= high:
+                raise StructuralError(f"{name} must be in {low}..{high}, got {value}")
         if not 0 <= seed < _MAX_SEED:
             raise StructuralError("seed must be an unsigned 64-bit integer")
-        self._assign(n_states, n_props, n_obs, max_spectrum, seed)
+        self._assign(*values)
 
 
 # The generator builds index tables, n = len(space) being the zero state,
@@ -295,6 +299,7 @@ def minimize_counterexample(model: core.Model, violation: Violation) -> core.Mod
 
 def fuzz(params: GeneratorParams, n_models: int) -> FuzzSummary:
     """Generate models from consecutive seeds and law-check each one."""
+    _check_int("n_models", n_models)
     if n_models < 0:
         raise StructuralError("n_models must be non-negative")
     first: dict[str, FuzzCounterexample] = {}

@@ -78,21 +78,17 @@ class _Record:
     `__slots__`; slots after them are derived, so neither compared nor
     shown; one with array fields compares them through `array_key` in its
     own `_key`.  Its `__init__` validates and then sets every slot once
-    with `_assign(*values)`, which takes one value per slot in slot order,
-    except the derived slots named in `_on_read`: those stay unset until
-    the subclass's `__getattr__` fills them on first read.  Any other
-    assignment or deletion raises AttributeError.
+    with `_assign(*values)`, which takes one value per slot in slot order.
+    Any other assignment or deletion raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _on_read: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         if "_key" not in vars(cls):
             cls._key = operator.attrgetter(*cls._fields)
-        slots = [name for name in cls.__slots__ if name not in cls._on_read]
-        cls._assign = _assigner(len(slots))(*(getattr(cls, name).__set__ for name in slots))
+        cls._assign = _assigner(len(cls.__slots__))(*(getattr(cls, name).__set__ for name in cls.__slots__))
 
     def __eq__(self, other):
         # Most comparisons are of a state space with itself.
@@ -366,16 +362,10 @@ def check_spectrum(name: str, spectrum: Sequence[str], labels: Collection[str]) 
 class Observable(_Record):
     """Finite spectrum of values, each answered by one proposition."""
 
-    # Derived `space`, the family's state space, and `eigenvalues`, entry
-    # i: the values whose yes-branch fixes state i, in spectrum order; the
-    # zero slot is (), so it is nobody's eigenstate.  The law check reads
-    # the table only for compatible pairs, so `__getattr__` builds it on
-    # first read.  Defining `__getattr__` makes every attribute read on the
-    # class slower (CPython 3.11 does not specialize it), so `space` is a
-    # slot rather than a property that reads two more.
+    # Derived `space`, the family's state space, and `_eigenvalues`, the
+    # table `eigenvalues` builds on first read.
     _fields = ("name", "spectrum", "family")
-    __slots__ = (*_fields, "space", "eigenvalues")
-    _on_read = ("eigenvalues",)
+    __slots__ = (*_fields, "space", "_eigenvalues")
 
     def __init__(self, name: str, spectrum: tuple[str, ...], family: Mapping[str, Proposition]):
         family = dict(family)
@@ -384,13 +374,16 @@ class Observable(_Record):
         for value in spectrum:
             if not _same_space(family[value].space, space):
                 raise StructuralError(f"observable {name!r}: family members use different state spaces")
-        self._assign(name, spectrum, family, space)
+        self._assign(name, spectrum, family, space, None)
 
-    def __getattr__(self, name: str):
-        # Called only when a lookup finds nothing: for `eigenvalues`, only
-        # until the table below is stored in its slot.
-        if name != "eigenvalues":
-            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}", name=name, obj=self)
+    @property
+    def eigenvalues(self) -> tuple[tuple[str, ...], ...]:
+        """Entry i: the values whose yes-branch fixes state i, in spectrum
+        order; the zero slot is (), so it is nobody's eigenstate.  Built on
+        first read: the law check reads it only for compatible pairs."""
+        table = self._eigenvalues
+        if table is not None:
+            return table
         family = self.family
         n = len(self.space)
         eigen = [()] * (n + 1)
@@ -401,7 +394,7 @@ class Observable(_Record):
             for i in itertools.compress(range(n), map(operator.eq, range(n), family[v].yes.table)):
                 eigen[i] += one
         table = tuple(eigen)
-        Observable.eigenvalues.__set__(self, table)
+        Observable._eigenvalues.__set__(self, table)
         return table
 
     def branch(self, value: str) -> Proposition:

@@ -29,6 +29,18 @@ def test_params_validation():
         GeneratorParams(n_states=4, seed=2**64)
 
 
+# A float or a bool in range for each field, and for `fuzz`'s model count.
+@pytest.mark.parametrize("field", [*GeneratorParams._fields, "n_models"])
+def test_generator_params_and_fuzz_refuse_a_field_that_is_not_an_integer(field):
+    good = {"n_states": 4, "n_props": 2, "n_obs": 1, "max_spectrum": 3, "seed": 1}
+    for bad in (float(good.get(field, 2)), True):
+        with pytest.raises(StructuralError, match=f"^{field} must be an integer, got {bad!r}$"):
+            if field == "n_models":
+                checker.fuzz(GeneratorParams(**good), bad)
+            else:
+                GeneratorParams(**{**good, field: bad})
+
+
 def test_generated_models_are_valid():
     for seed in range(120):
         params = GeneratorParams(n_states=6, n_props=4, n_obs=2, seed=seed)

@@ -82,7 +82,7 @@ HASHABLE = {
 
 DERIVED = {
     core.StateSpace: {"index": {}, "by_name": ()},
-    core.Observable: {"space": None, "eigenvalues": ()},
+    core.Observable: {"space": None, "_eigenvalues": ()},
 }
 
 RECORDS = sorted(CASES, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
