@@ -293,9 +293,9 @@ MUTANTS = (
         "src/gqt/modelio.py",
         "map(refs.__getitem__, m.table[:n])",
         "map(refs.__getitem__, m.table[1:])",
-        ("tests/test_modelio.py::test_round_trip_is_byte_identical",),
-        "Each state's key then carries the next state's target, the last one the zero slot's null; the "
-        "shipped fixtures no longer read back to their own bytes.",
+        ("tests/test_modelio.py::test_writer_matches_json_dumps_at_every_table_kind[2]",),
+        "Each state's key then carries the next state's target, the last one the zero slot's null; at two "
+        "states the shift map's text no longer matches the stdlib encoder on the tests' dict builder.",
     ),
     Mutant(
         "writer-map-trailing-comma",
@@ -318,7 +318,7 @@ MUTANTS = (
     Mutant(
         "cap-type-test-dropped",
         "src/gqt/quantum.py",
-        '    if not isinstance(cap, int) or isinstance(cap, bool):\n'
+        '    if not core._is_int(cap):\n'
         '        raise StructuralError(f"orbit cap must be an integer, got {cap!r}")\n',
         "",
         ("tests/test_quantum.py::test_every_entry_point_refuses_a_cap_that_is_not_an_integer",),
@@ -379,12 +379,26 @@ MUTANTS = (
     ),
     Mutant(
         "generator-params-take-a-bool",
-        "src/gqt/checker.py",
-        "if not isinstance(value, int) or isinstance(value, bool):",
-        "if not isinstance(value, int):",
-        ("tests/test_checker.py::test_generator_params_and_fuzz_refuse_a_field_that_is_not_an_integer[n_states]",),
-        "`GeneratorParams(True)` then builds a one-state generator; the test wants a float and a bool "
-        "refused for each field by the integer rule's message.",
+        "src/gqt/core.py",
+        "return isinstance(value, int) and not isinstance(value, bool)",
+        "return isinstance(value, int)",
+        (
+            "tests/test_checker.py::test_generator_params_and_fuzz_refuse_a_field_that_is_not_an_integer[n_states]",
+            "tests/test_quantum.py::test_every_entry_point_refuses_a_cap_that_is_not_an_integer[settings-bool]",
+            "tests/test_modelio.py::test_parse_quantum_refuses_a_number_of_the_wrong_type[dimension-bool]",
+        ),
+        "The one integer rule then takes True for 1: `GeneratorParams(True)` builds a one-state generator, "
+        "`settings` takes a cap of True and a 1x1 quantum document of dimension true parses; each test "
+        "wants the bool refused with its own message.",
+    ),
+    Mutant(
+        "number-takes-a-bool",
+        "src/gqt/modelio.py",
+        "return isinstance(x, (int, float)) and not isinstance(x, bool)",
+        "return isinstance(x, (int, float))",
+        ("tests/test_modelio.py::test_parse_quantum_refuses_a_number_of_the_wrong_type[tolerance-bool]",),
+        "A quantum document's tolerance of true then parses as 1.0, and a complex entry [true, 0] as 1; "
+        "the test wants the tolerance refused with the parser's message.",
     ),
 )
 

@@ -41,8 +41,7 @@ _MAX_SEED = 2**64
 
 
 def _check_int(name: str, value: int) -> None:
-    # The rule of `quantum._check_cap`: an `int` that is not a `bool`.
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not core._is_int(value):
         raise StructuralError(f"{name} must be an integer, got {value!r}")
 
 

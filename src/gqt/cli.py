@@ -177,7 +177,7 @@ def cmd_fuzz(args):
         "models": summary.n_models,
         "violations": summary.n_violations,
         "first_by_law": {
-            law: {"seed": ce.seed, "violation": ce.violation, "model": modelio.model_document(ce.model)}
+            law: {"seed": ce.seed, "violation": ce.violation, "model": json.loads(modelio.serialize_model(ce.model))}
             for law, ce in first
         },
     }

@@ -337,6 +337,11 @@ class PairEvidence(_Record):
         self._assign(witness, common)
 
 
+def _is_int(value) -> bool:
+    """The rule for every count, cap and dimension: an `int` that is not a `bool`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_spectrum(name: str, spectrum: Sequence[str], labels: Collection[str]) -> None:
     """The rule for every observable: a non-empty name, distinct non-empty
     spectrum values, and family labels that are exactly those values."""

@@ -9,8 +9,9 @@ indent, trailing newline), so equal models produce identical bytes.  The
 writer emits that fixed shape directly, quoting each name once with the
 C quoting function behind ``json.dumps(..., ensure_ascii=False)`` and
 writing each map with one join over a template made once per document;
-the tests hold it to ``json.dumps(model_document(m), indent=2,
-ensure_ascii=False) + "\n"`` byte for byte.  A string with an unpaired
+it is the one writer of the format, and the tests hold it byte for byte
+to ``json.dumps(..., indent=2, ensure_ascii=False) + "\n"`` of a dict
+they build from the model themselves.  A string with an unpaired
 surrogate escape is a parse error, since no file or terminal can take it.
 So is an object that repeats a key, whose meaning JSON leaves open.  A
 model document is decoded without a check per object and kept when its
@@ -283,39 +284,6 @@ def _build_model(data) -> core.Model:
     return core.Model(space, props, observables, partition)
 
 
-def model_document(model: core.Model) -> dict:
-    """The JSON value of a model file, keys in canonical order."""
-    states = model.space.states
-    refs = (*states, None)
-
-    def map_obj(m: core.PropMap) -> dict:
-        return {z: refs[t] for z, t in zip(states, m.table)}
-
-    doc: dict = {
-        "states": list(states),
-        "propositions": {
-            name: {"yes": map_obj(p.yes), "no": map_obj(p.no)}
-            for name, p in sorted(model.propositions.items())
-            if name not in core.RESERVED_PROPOSITION_NAMES
-        },
-        "observables": {
-            name: {
-                "spectrum": list(o.spectrum),
-                "family": {value: o.family[value].name for value in o.spectrum},
-            }
-            for name, o in sorted(model.observables.items())
-        },
-    }
-    if model.partition is not None:
-        part = model.partition
-        doc["partition"] = {
-            "subsystems": sorted(part.subsystems),
-            "local": {name: part.local_tags[name] for name in sorted(part.local_tags)},
-            "global": sorted(part.global_tags),
-        }
-    return doc
-
-
 def _container(members: list[str], pad: str, brackets: str) -> str:
     """A JSON object or array whose closing bracket sits at indent `pad`;
     `members` come indented one level deeper, as `json.dumps` lays them out."""
@@ -325,7 +293,7 @@ def _container(members: list[str], pad: str, brackets: str) -> str:
 
 
 def serialize_model(model: core.Model) -> str:
-    """Canonical JSON for a model, `model_document` at indent 2 plus a
+    """Canonical JSON for a model: the model document at indent 2 plus a
     newline; equal models give identical bytes."""
     refs = [_quote(z) for z in model.space.states]
     states = [f"    {z}" for z in refs]
@@ -484,7 +452,7 @@ def _build_quantum(data) -> QuantumDocument:
         "$",
     )
     dim = data["dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not core._is_int(dim) or dim < 1:
         _fail("dimension", "must be a positive integer")
 
     # Projectors first: each spells out its d x d entries, so no ket seed
@@ -502,7 +470,7 @@ def _build_quantum(data) -> QuantumDocument:
     observables = _parse_observables(data, {name: name for name, _ in propositions}, "projector", ObservableSpec)
 
     cap = data.get("cap")
-    if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
+    if cap is not None and (not core._is_int(cap) or cap < 1):
         _fail("cap", "must be a positive integer")
     tolerance = data.get("tolerance")
     if tolerance is not None:

@@ -61,7 +61,7 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_cap(cap: int) -> None:
-    if not isinstance(cap, int) or isinstance(cap, bool):
+    if not core._is_int(cap):
         raise StructuralError(f"orbit cap must be an integer, got {cap!r}")
     if cap < 1:
         raise StructuralError("orbit cap must be at least 1")

@@ -13,6 +13,7 @@ from gqt import checker, cli, core, modelio
 from gqt.core import ZERO
 
 from conftest import FIXTURES, force_every_pair_compatible, make_qzx, mutate_entry
+from test_modelio import model_document
 
 QZX = str(FIXTURES / "qzx.json")
 BELL = str(FIXTURES / "bell.json")
@@ -510,8 +511,11 @@ def test_fuzz_json_embeds_each_counterexample_model(capsys, monkeypatch):
     summary = checker.fuzz(checker.GeneratorParams(n_states=6), 2)
     assert sorted(doc["first_by_law"]) == sorted(summary.first_by_law) == ["completeness", "consistency"]
     for law, entry in doc["first_by_law"].items():
+        model = summary.first_by_law[law].model
         text = json.dumps(entry["model"], indent=2, ensure_ascii=False) + "\n"
-        assert text == modelio.serialize_model(summary.first_by_law[law].model)
+        assert text == modelio.serialize_model(model)
+        # The payload is read back from the writer, so hold it to the tests' own builder too.
+        assert entry["model"] == model_document(model)
         assert len(entry["model"]["states"]) < len(broken.space)
 
 

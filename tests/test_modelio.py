@@ -35,9 +35,42 @@ def read_fixture(name):
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def model_document(model: core.Model) -> dict:
+    """The JSON value of a model file, keys in canonical order."""
+    states = model.space.states
+    refs = (*states, None)
+
+    def map_obj(m: core.PropMap) -> dict:
+        return {z: refs[t] for z, t in zip(states, m.table)}
+
+    doc: dict = {
+        "states": list(states),
+        "propositions": {
+            name: {"yes": map_obj(p.yes), "no": map_obj(p.no)}
+            for name, p in sorted(model.propositions.items())
+            if name not in core.RESERVED_PROPOSITION_NAMES
+        },
+        "observables": {
+            name: {
+                "spectrum": list(o.spectrum),
+                "family": {value: o.family[value].name for value in o.spectrum},
+            }
+            for name, o in sorted(model.observables.items())
+        },
+    }
+    if model.partition is not None:
+        part = model.partition
+        doc["partition"] = {
+            "subsystems": sorted(part.subsystems),
+            "local": {name: part.local_tags[name] for name in sorted(part.local_tags)},
+            "global": sorted(part.global_tags),
+        }
+    return doc
+
+
 def dumps_oracle(model):
     """The bytes `serialize_model` must give: the stdlib encoder on `model_document`."""
-    return json.dumps(modelio.model_document(model), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(model_document(model), indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +648,27 @@ def test_parse_quantum_errors():
             modelio.parse_quantum(quantum_doc(observables={"Z": {"spectrum": spectrum, "family": family}}))
     with pytest.raises(StructuralError, match="at least one seed"):
         modelio.parse_quantum(quantum_doc(seeds={}))
+
+
+# Each on a 1x1 document, where a bool read as the number 1 would parse.
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dimension", True, "dimension: must be a positive integer"),
+        ("dimension", 1.0, "dimension: must be a positive integer"),
+        ("cap", True, "cap: must be a positive integer"),
+        ("cap", 2.5, "cap: must be a positive integer"),
+        ("tolerance", True, "tolerance: must be a finite non-negative number"),
+        ("propositions", {"P": [[[True, 0]]]}, "propositions.P[0][0]: complex entries must be [re, im] number pairs"),
+        ("seeds", {"s": [[1, False]]}, "seeds.s[0]: complex entries must be [re, im] number pairs"),
+    ],
+    ids=["dimension-bool", "dimension-float", "cap-bool", "cap-float", "tolerance-bool", "projector-bool", "ket-bool"],
+)
+def test_parse_quantum_refuses_a_number_of_the_wrong_type(key, value, message):
+    doc = {"dimension": 1, "seeds": {"s": [[1, 0]]}, "propositions": {"P": [[[1, 0]]]}, key: value}
+    with pytest.raises(StructuralError) as exc:
+        modelio.parse_quantum(json.dumps(doc))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name", core.RESERVED_PROPOSITION_NAMES)
