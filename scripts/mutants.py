@@ -400,6 +400,43 @@ MUTANTS = (
         "A quantum document's tolerance of true then parses as 1.0, and a complex entry [true, 0] as 1; "
         "the test wants the tolerance refused with the parser's message.",
     ),
+    Mutant(
+        "orbit-repeat-reads-next-slot",
+        "src/gqt/quantum.py",
+        "slot = [distinct.index(key) for key in keys]",
+        "slot = [distinct.index(key) + (keys.index(key) < a) for a, key in enumerate(keys)]",
+        ("tests/test_quantum.py::test_matrix_listed_twice_joins_the_state_its_original_just_added",),
+        "An action that repeats an earlier matrix then takes the images of the next distinct action: Q, "
+        "listed twice with P0.5's matrix, sends |0> to P0.5's no-image and the ray at 1 instead of the two "
+        "states P0.5 just added, against the linear reference.",
+    ),
+    Mutant(
+        "one-identity-early-return-inverted",
+        "src/gqt/core.py",
+        "if one_p == yes == p_one:",
+        "if one_p != yes == p_one:",
+        ("tests/test_checker.py::test_idempotent_one_that_is_not_the_identity_breaks_one_identity",),
+        "`one_is_identity` then reports nothing when P after ONE is P but ONE after P is not; an idempotent "
+        "ONE that is not the identity gives such a P, which `check_laws` reports at a and at c.",
+    ),
+    Mutant(
+        "realize-ambiguous-from-three",
+        "src/gqt/core.py",
+        "if len(matches) > 1:",
+        "if len(matches) > 2:",
+        ("tests/test_core.py::test_realize_ambiguity_between_exactly_two_propositions",),
+        "`realize` then returns the first of two propositions that share the derived map; the test lists "
+        "Z0 under a second name and wants both named in `AmbiguousRealization`.",
+    ),
+    Mutant(
+        "generator-max-spectrum-bound-nine",
+        "src/gqt/checker.py",
+        "(64, 16, 8, 8)",
+        "(64, 16, 8, 9)",
+        ("tests/test_checker.py::test_generator_params_take_each_count_bound_and_refuse_one_past_it[max_spectrum-2-8]",),
+        "`GeneratorParams` then takes `max_spectrum=9`; the test wants one past each count bound refused "
+        "with its message, which names the bound.",
+    ),
 )
 
 

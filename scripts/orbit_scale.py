@@ -20,6 +20,12 @@ time printed per row:
   orbits close in 150 to 290 states.  The cycle is closed `--repeats`
   times, and its states and seconds are those of one whole cycle.
 
+Each row gives its number of yes/no actions, two per proposition, and
+how many of them are distinct matrices, summed over the row's systems.
+Orbit closure acts once with each distinct matrix, so only rows whose
+systems list a projector and its complement as two propositions (the
+mixed cycle) have fewer distinct actions than actions.
+
 Each row also gives the minor page faults (`getrusage`) per closure,
 in its first round and in the later ones: the memory a closure touches
 for the first time.  Rows run in one process, the mixed cycle first, as the
@@ -92,6 +98,12 @@ def fourier_pair(d=3):
     return seed, props
 
 
+def action_counts(systems):
+    """The yes/no actions of the systems, and how many of each system's are distinct matrices, summed."""
+    keys = [[m.tobytes() for _, p in props for m in (p.matrix, p.complement().matrix)] for _, props in systems]
+    return sum(map(len, keys)), sum(len(set(k)) for k in keys)
+
+
 def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -127,22 +139,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     mixed = [plane_document_system(angle, dim) for dim, angle in MIXED_SYSTEMS]
-    rows = [("mixed planes", PLANE_CAP, MIXED_TOL, "-", *timed_closures(mixed, PLANE_CAP, MIXED_TOL, args.repeats))]
+    closure = timed_closures(mixed, PLANE_CAP, MIXED_TOL, args.repeats)
+    rows = [("mixed planes", PLANE_CAP, MIXED_TOL, "-", *action_counts(mixed), *closure)]
     for angle in args.angles:
-        closure = timed_closures([two_plane_system(angle)], PLANE_CAP, args.tol, args.repeats)
-        rows.append((f"planes {angle:g}", PLANE_CAP, args.tol, chain_estimate(angle, args.tol), *closure))
+        system = [two_plane_system(angle)]
+        closure = timed_closures(system, PLANE_CAP, args.tol, args.repeats)
+        rows.append((f"planes {angle:g}", PLANE_CAP, args.tol, chain_estimate(angle, args.tol), *action_counts(system), *closure))
     for cap in args.mub_caps:
-        rows.append(("fourier d=3", cap, MUB_TOL, "-", *timed_closures([fourier_pair()], cap, MUB_TOL, args.repeats)))
+        system = [fourier_pair()]
+        rows.append(("fourier d=3", cap, MUB_TOL, "-", *action_counts(system), *timed_closures(system, cap, MUB_TOL, args.repeats)))
 
     print(f"orbit closure time, median of {args.repeats} rounds; minor page faults per closure, first round and later ones")
-    header = f"{'system':<14}{'cap':>7}{'tol':>8}{'est.':>6}{'states':>8}{'unexpanded':>12}{'seconds':>10}{'states/s':>10}"
-    print(f"{header}{'faults 1st':>12}{'later':>10}")
-    for name, cap, tol, estimate, states, unexpanded, seconds, first, later in rows:
+    header = f"{'system':<14}{'cap':>7}{'tol':>8}{'est.':>6}{'actions':>9}{'distinct':>10}{'states':>8}{'unexpanded':>12}"
+    print(f"{header}{'seconds':>10}{'states/s':>10}{'faults 1st':>12}{'later':>10}")
+    for name, cap, tol, estimate, actions, distinct, states, unexpanded, seconds, first, later in rows:
         left = "-" if unexpanded is None else str(unexpanded)
         later = "-" if later is None else f"{later:.1f}"
         print(
-            f"{name:<14}{cap:>7}{tol:>8.0e}{estimate:>6}{states:>8}{left:>12}{seconds:>10.3f}{states / seconds:>10.0f}"
-            f"{first:>12.1f}{later:>10}"
+            f"{name:<14}{cap:>7}{tol:>8.0e}{estimate:>6}{actions:>9}{distinct:>10}{states:>8}{left:>12}"
+            f"{seconds:>10.3f}{states / seconds:>10.0f}{first:>12.1f}{later:>10}"
         )
 
 

@@ -227,7 +227,9 @@ def close_orbit(
     order, yes-image before no-image.  A new matrix is the known state it
     is within `tol` of (entrywise), the first one in discovery order, or
     else a new state.  Raises OrbitCapExceeded when more than `cap`
-    distinct states appear.
+    distinct states appear.  Each distinct action matrix acts once, since
+    an action with the bytes of an earlier one gives the same image,
+    which joins the state the earlier image became and adds nothing.
     """
     _check_cap(cap)
     _check_tol(tol)
@@ -312,10 +314,20 @@ def close_orbit(
 
     absorb(np.array([s.normalized() for s in seeds]), 0)
 
-    # All 2k actions, yes before no per proposition, act on a state in one
-    # batched product, and its live images are absorbed as one batch.
-    actions = np.array([m for _, p in propositions for m in (p.matrix, p.complement().matrix)])
-    # One image row per expanded state; -1 until the zero index is known.
+    # The 2k actions, yes before no per proposition.  A complement listed as
+    # a proposition of its own repeats the no-action of the projector it
+    # complements, so only the distinct matrices act on a state, in one
+    # batched product whose live images are absorbed as one batch.  Action a
+    # takes the images of distinct matrix `slot[a]`: a repeat's image, the
+    # same bytes absorbed after the original's, would join the state the
+    # original joined, at the same distance, or the one it added, at 0.0.
+    every = [m for _, p in propositions for m in (p.matrix, p.complement().matrix)]
+    keys = [m.tobytes() for m in every]
+    distinct = list(dict.fromkeys(keys))
+    slot = [distinct.index(key) for key in keys]
+    actions = np.array([every[keys.index(key)] for key in distinct])
+    # One image row per expanded state, one entry per distinct action; -1
+    # until the zero index is known.
     rows = []
     i = 0
     while i < n:
@@ -330,7 +342,7 @@ def close_orbit(
 
     space = core.StateSpace(tuple(f"s{k}" for k in range(n)))
     maps = [core.PropMap(space, [j if j >= 0 else n for j in column] + [n]) for column in zip(*rows)]
-    props = [core.Proposition(name, maps[2 * k], maps[2 * k + 1]) for k, (name, _) in enumerate(propositions)]
+    props = [core.Proposition(name, maps[slot[2 * k]], maps[slot[2 * k + 1]]) for k, (name, _) in enumerate(propositions)]
     model = core.Model.build(space, props)
     # One read-only contiguous copy of the states, viewed matrix by matrix.
     matrices = store[:, :n].T.reshape(n, dim, dim).copy()

@@ -10,19 +10,20 @@ from gqt.errors import StructuralError
 from conftest import force_every_pair_compatible, make_bell, make_bistable, make_qzx, mutate_entry, violation_holds
 
 
+@pytest.mark.parametrize("field, low, high", [("n_states", 1, 64), ("n_props", 0, 16), ("n_obs", 0, 8), ("max_spectrum", 2, 8)])
+def test_generator_params_take_each_count_bound_and_refuse_one_past_it(field, low, high):
+    good = {"n_states": 4, "n_props": 2, "n_obs": 1, "max_spectrum": 3}
+    for value in (low, high):
+        assert getattr(GeneratorParams(**{**good, field: value}), field) == value
+    for value in (low - 1, high + 1):
+        with pytest.raises(StructuralError, match=f"^{field} must be in {low}\\.\\.{high}, got {value}$"):
+            GeneratorParams(**{**good, field: value})
+
+
 def test_params_validation():
+    # The count bounds, one field at a time, are held by the test above.
     GeneratorParams(n_states=1)
     GeneratorParams(n_states=64, n_props=16, n_obs=8, max_spectrum=8, seed=2**64 - 1)
-    with pytest.raises(StructuralError):
-        GeneratorParams(n_states=0)
-    with pytest.raises(StructuralError):
-        GeneratorParams(n_states=65)
-    with pytest.raises(StructuralError):
-        GeneratorParams(n_states=4, n_props=17)
-    with pytest.raises(StructuralError):
-        GeneratorParams(n_states=4, n_obs=9)
-    with pytest.raises(StructuralError):
-        GeneratorParams(n_states=4, max_spectrum=1)
     with pytest.raises(StructuralError):
         GeneratorParams(n_states=4, seed=-1)
     with pytest.raises(StructuralError):
@@ -135,6 +136,20 @@ def test_check_laws_flags_annihilation_break():
 def test_check_laws_flags_broken_builtin():
     laws = {v.law for v in checker.check_laws(broken_one())}
     assert "1P=P1=P" in laws and "1ANDP=P" in laws
+
+
+def test_idempotent_one_that_is_not_the_identity_breaks_one_identity():
+    # P after ONE is P's yes map, but ONE after P sends a and c to c, not a.
+    space = core.StateSpace(("a", "b", "c"))
+    p_yes = core.PropMap.from_names(space, {"a": "a", "b": ZERO, "c": "a"})
+    p_no = core.PropMap.from_names(space, {"a": ZERO, "b": "b", "c": ZERO})
+    one_yes = core.PropMap.from_names(space, {"a": "c", "b": "b", "c": "c"})
+    one = core.Proposition("ONE", one_yes, core.constant_zero_map(space))
+    model = core.Model(space, {"P": core.Proposition("P", p_yes, p_no), "ONE": one, "ZERO": core.make_zero(space)}, {})
+    report = [v for v in checker.check_laws(model) if v.law == "1P=P1=P"]
+    assert [(v.subjects, v.witness) for v in report] == [(("P",), ("a",)), (("P",), ("c",))]
+    for v in report:
+        assert violation_holds(model, v), v
 
 
 def test_check_laws_flags_exclusion_break():

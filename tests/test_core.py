@@ -494,6 +494,15 @@ def test_realize_ambiguity(bell):
     assert set(exc.value.candidates) == {"PsiP", "PsiM", "ZERO"}
 
 
+def test_realize_ambiguity_between_exactly_two_propositions(qzx):
+    # W is Z0 under another name; no builtin shares their yes map.
+    z0 = qzx.propositions["Z0"]
+    twice = core.Model(qzx.space, {**qzx.propositions, "W": core.Proposition("W", z0.yes, z0.no)}, qzx.observables)
+    with pytest.raises(AmbiguousRealization, match="^Z0: 2 propositions share the yes-map$") as exc:
+        core.realize(twice, core.DerivedProposition("yes", z0.yes, "Z0"))
+    assert exc.value.candidates == ("W", "Z0")
+
+
 def test_derived_proposition_must_be_idempotent(qzx):
     space = qzx.space
     bad = core.PropMap.from_names(space, {"z0": "zp", "zp": "zm", "zm": "zm", "z1": ZERO})

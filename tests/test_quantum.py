@@ -724,6 +724,54 @@ def test_cap_overrun_in_the_middle_of_a_step(cap):
             quantum.close_orbit(seeds, projs, cap=cap, tol=NEAR_RAYS_TOL)
 
 
+# ---------------------------------------------------------------------------
+# Action matrices listed more than once
+
+
+def test_projector_and_its_complement_listed_as_two_propositions():
+    # As a two-valued observable lists them: the no-action of P is, byte
+    # for byte, the yes-action of Pn, and likewise for Q and Qn.
+    seed, [(_, p), (_, q)] = two_plane_projectors(0.9)
+    projs = [("P", p), ("Pn", Projector(np.eye(3) - p.matrix)), ("Q", q), ("Qn", Projector(np.eye(3) - q.matrix))]
+    orbit = assert_same_closure([seed], projs, 256, 1e-9)
+    props = orbit.model.propositions
+    assert props["P"].no == props["Pn"].yes and props["Q"].no == props["Qn"].yes
+    assert len(orbit.model.space) > 20
+
+
+def listed_twice_system():
+    # Q is the matrix of P0.5 under a second name, listed before the rays
+    # at 1 and 1.5.  Expanding |0> adds the two images of P0.5, which the
+    # images of Q must join at 0.0, then the four images of the later
+    # rays; the orbit closes there, in 7 states.
+    return [DensityState(ray(0))], near_rays(0.5) + [("Q", Projector(ray(0.5)))] + near_rays(1, 1.5)
+
+
+def test_matrix_listed_twice_joins_the_state_its_original_just_added():
+    seeds, projs = listed_twice_system()
+    orbit = assert_same_closure(seeds, projs, 256, 1e-9)
+    p = orbit.model.propositions
+    images = [getattr(p[name], side)("s0") for name, _ in projs for side in ("yes", "no")]
+    assert images == ["s1", "s2", "s1", "s2", "s3", "s4", "s5", "s6"]
+    assert p["Q"] == core.Proposition("Q", p["P0.5"].yes, p["P0.5"].no)
+    # Without Q the closure has the same states and margins.
+    alone = quantum.close_orbit(seeds, [projs[0], *projs[2:]], tol=1e-9)
+    assert list(map(core.array_key, alone.matrices)) == list(map(core.array_key, orbit.matrices))
+    assert (alone.max_merge_distance, alone.min_split_distance) == (orbit.max_merge_distance, orbit.min_split_distance)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+def test_cap_overrun_past_a_matrix_listed_twice(cap):
+    # Expanding |0> adds a state for each image but Q's, which add nothing,
+    # so any cap below 7 overruns in that step; caps 3 to 5 after Q's images.
+    seeds, projs = listed_twice_system()
+    assert_same_closure(seeds, projs, cap, 1e-9)
+    with pytest.raises(OrbitCapExceeded) as exc:
+        quantum.close_orbit(seeds, projs, cap=cap, tol=1e-9)
+    assert str(exc.value) == f"orbit closure exceeded cap {cap}: {cap} states discovered, {cap} still unexpanded"
+    assert exc.value.discovered == exc.value.frontier == tuple(f"s{k}" for k in range(cap))
+
+
 @st.composite
 def projector_systems(draw):
     """Seeds and projectors in d=2..4: each projector spans the first
