@@ -70,7 +70,7 @@ def survey(trials, dim, seed, cap, tol):
             capped += 1
             continue
         model = orbit.model
-        compatible, _ = is_compatible_propositions(model.proposition("P"), model.proposition("Q"))
+        compatible, _ = is_compatible_propositions(model.propositions["P"], model.propositions["Q"])
         cells[(commute, compatible)] = cells.get((commute, compatible), 0) + 1
         if compatible and not commute:
             candidates.append((trial, regime, residue, len(model.space)))

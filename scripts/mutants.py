@@ -327,9 +327,9 @@ MUTANTS = (
     ),
     Mutant(
         "tol-check-by-isfinite",
-        "src/gqt/quantum.py",
-        "isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max",
-        "not (math.isfinite(tol) and tol >= 0)",
+        "src/gqt/core.py",
+        "isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= sys.float_info.max",
+        "__import__('math').isfinite(value) and value >= 0",
         ("tests/test_quantum.py::test_every_entry_point_refuses_a_bad_tolerance[close_orbit-int-past-float]",),
         "`math.isfinite` converts an int to a float, so a tolerance of 2**1024 raises OverflowError "
         "where the document's bound refuses it with a StructuralError (and True passes as 1.0).",
@@ -396,9 +396,21 @@ MUTANTS = (
         "src/gqt/modelio.py",
         "return isinstance(x, (int, float)) and not isinstance(x, bool)",
         "return isinstance(x, (int, float))",
-        ("tests/test_modelio.py::test_parse_quantum_refuses_a_number_of_the_wrong_type[tolerance-bool]",),
-        "A quantum document's tolerance of true then parses as 1.0, and a complex entry [true, 0] as 1; "
-        "the test wants the tolerance refused with the parser's message.",
+        ("tests/test_modelio.py::test_parse_quantum_refuses_a_number_of_the_wrong_type[projector-bool]",),
+        "A complex entry [true, 0] then parses as 1; the test wants the projector entry refused with the "
+        "parser's message.",
+    ),
+    Mutant(
+        "tolerance-takes-a-bool",
+        "src/gqt/core.py",
+        "isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value",
+        "isinstance(value, (int, float)) and 0 <= value",
+        (
+            "tests/test_modelio.py::test_parse_quantum_refuses_a_number_of_the_wrong_type[tolerance-bool]",
+            "tests/test_quantum.py::test_every_entry_point_refuses_a_bad_tolerance[close_orbit-bool]",
+        ),
+        "A tolerance of True then passes as 1, in a document and at a library entry point alike, since "
+        "both ask the one tolerance rule; the tests want it refused with each one's message.",
     ),
     Mutant(
         "orbit-repeat-reads-next-slot",
@@ -436,6 +448,24 @@ MUTANTS = (
         ("tests/test_checker.py::test_generator_params_take_each_count_bound_and_refuse_one_past_it[max_spectrum-2-8]",),
         "`GeneratorParams` then takes `max_spectrum=9`; the test wants one past each count bound refused "
         "with its message, which names the bound.",
+    ),
+    Mutant(
+        "public-name-unlisted",
+        "src/gqt/core.py",
+        "_SIDE_PAIRS = (",
+        "SIDE_PAIRS = _SIDE_PAIRS = (",
+        ("tests/test_sources.py::test_public_names_are_the_readme_library_lists",),
+        "`core` then defines a public name that the README's Library section does not list; the test "
+        "reads each module's public names with `ast` and wants them equal to the README's list.",
+    ),
+    Mutant(
+        "partition-global-duplicates-accepted",
+        "src/gqt/core.py",
+        '(("subsystem name", subsystems), ("global tag", global_tags))',
+        '(("subsystem name", subsystems),)',
+        ("tests/test_modelio.py::test_parse_partition_refuses_a_repeated_global_tag",),
+        "A partition that tags one observable global twice then parses, and `validate` exits 0 or "
+        "reports the unknown tag twice; the test wants the parser's `duplicate global tag` message.",
     ),
 )
 

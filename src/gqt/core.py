@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from enum import Enum
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
@@ -342,6 +343,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_tolerance(value) -> bool:
+    """The rule for every tolerance: an `int` or `float` that is not a
+    `bool`, from 0 to the largest float.  The upper bound also refuses NaN,
+    infinity and ints too large for a float; an int compared with a float
+    cannot overflow."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= sys.float_info.max
+
+
 def check_spectrum(name: str, spectrum: Sequence[str], labels: Collection[str]) -> None:
     """The rule for every observable: a non-empty name, distinct non-empty
     spectrum values, and family labels that are exactly those values."""
@@ -423,13 +432,14 @@ class Partition(_Record):
         local_tags = dict(local_tags)
         if not subsystems:
             raise StructuralError("partition must name at least one subsystem")
-        seen = set()
-        for name in subsystems:
-            if not isinstance(name, str) or not name:
-                raise StructuralError("subsystem names must be non-empty strings")
-            if name in seen:
-                raise StructuralError(f"duplicate subsystem name {name!r}")
-            seen.add(name)
+        for kind, names in (("subsystem name", subsystems), ("global tag", global_tags)):
+            seen = set()
+            for name in names:
+                if names is subsystems and not (isinstance(name, str) and name):
+                    raise StructuralError("subsystem names must be non-empty strings")
+                if name in seen:
+                    raise StructuralError(f"duplicate {kind} {name!r}")
+                seen.add(name)
         self._assign(subsystems, local_tags, global_tags)
 
 
@@ -495,12 +505,6 @@ class Model(_Record):
                 raise StructuralError(f"duplicate observable name {a.name!r}")
             obs[a.name] = a
         return cls(space, props, obs, partition)
-
-    def proposition(self, name: str) -> Proposition:
-        try:
-            return self.propositions[name]
-        except KeyError:
-            raise StructuralError(f"unknown proposition {name!r}") from None
 
     def observable(self, name: str) -> Observable:
         try:
@@ -745,11 +749,6 @@ PAIR_LAWS = (compatible_has_common_eigenstate, compatible_reaches_joint_eigensta
 # Proposition-level operations
 
 
-def apply(p: Proposition, outcome: str, z: StateRef) -> StateRef:
-    """Post-measurement state after asking `p` and getting `outcome`."""
-    return p.side(outcome)(z)
-
-
 def compose(f: PropMap, g: PropMap) -> PropMap:
     """The map `f after g`; zero is absorbing throughout."""
     if not _same_space(f.space, g.space):
@@ -767,11 +766,6 @@ def modal_status(p: Proposition, z: StateRef) -> ModalStatus:
     if no is ZERO:
         return ModalStatus.CERTAIN
     return ModalStatus.POSSIBLE
-
-
-def eigenstates_of_proposition(p: Proposition) -> list[tuple[str, str]]:
-    """States fixed by one of the outcome maps, sorted by state name."""
-    return eigenstates_of_observable(observable_from_proposition(p))
 
 
 _SIDE_PAIRS = (("yes", "yes"), ("yes", "no"), ("no", "yes"), ("no", "no"))

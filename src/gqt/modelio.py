@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import sys
 from json.encoder import encode_basestring as _quote
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -474,8 +473,7 @@ def _build_quantum(data) -> QuantumDocument:
         _fail("cap", "must be a positive integer")
     tolerance = data.get("tolerance")
     if tolerance is not None:
-        # The upper bound also rejects NaN, infinity and ints too large for a float.
-        if not _is_number(tolerance) or not 0 <= tolerance <= sys.float_info.max:
+        if not core._is_tolerance(tolerance):
             _fail("tolerance", "must be a finite non-negative number")
         tolerance = float(tolerance)
 

@@ -11,8 +11,7 @@ ground truth.
 from __future__ import annotations
 
 import math
-import sys
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,9 +53,9 @@ def _idempotence_residue(m: np.ndarray) -> float:
 def _check_tol(tol: float) -> None:
     # A NaN tolerance fails every residue check and blames the matrix, an
     # infinite one passes every check and sends every branch to zero, and a
-    # negative one takes a zero trace for a live branch.  The bound is the
-    # document's, bools refused; an int compared with a float cannot overflow.
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max:
+    # negative one takes a zero trace for a live branch.  The rule is the
+    # document's.
+    if not core._is_tolerance(tol):
         raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
 
 
@@ -70,15 +69,6 @@ def _check_cap(cap: int) -> None:
 def _shown(residue: float) -> str:
     """A residue as reports print it: nine places below 1e9, an exponent from there on."""
     return f"{residue:.9f}" if abs(residue) < 1e9 else f"{residue:.9e}"
-
-
-def _derived(cls, m: np.ndarray):
-    """A `cls` holding `m`, computed from checked matrices, whose checks it
-    inherits: frozen, and not checked again."""
-    m.flags.writeable = False
-    obj = object.__new__(cls)
-    obj.matrix = m
-    return obj
 
 
 class DensityState:
@@ -142,8 +132,12 @@ class Projector:
     def complement(self) -> "Projector":
         """I - P, which inherits the check P passed at its own tolerance:
         its hermiticity and idempotence residues are those of P, up to
-        rounding."""
-        return _derived(Projector, np.eye(self.dimension) - self.matrix)
+        rounding.  Frozen, and not checked again."""
+        m = np.eye(self.dimension) - self.matrix
+        m.flags.writeable = False
+        c = object.__new__(Projector)
+        c.matrix = m
+        return c
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dimension})"
@@ -155,20 +149,6 @@ def states_equal(z1: DensityState, z2: DensityState, tol: float = DEFAULT_TOL) -
     if z1.dimension != z2.dimension:
         raise StructuralError("density matrices have different dimensions")
     return bool(np.abs(z1.normalized() - z2.normalized()).max() <= tol)
-
-
-def act_projector(z: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> Union[DensityState, core._ZeroState]:
-    """Projective measurement branch `P z P`, trace-normalized; the zero
-    state unless its trace exceeds `tol`.  A branch inherits the checks of
-    `z` and `p`, as an image in `close_orbit` does."""
-    _check_tol(tol)
-    if p.dimension != z.dimension:
-        raise StructuralError("projector dimension does not match the state")
-    m = p.matrix @ z.matrix @ p.matrix
-    trace = m.trace().real
-    if not trace > tol:
-        return core.ZERO
-    return _derived(DensityState, m / trace)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,11 @@ def mutate_entry(model, prop_name, side, state, target):
     return core.Model.build(model.space, props, observables, model.partition)
 
 
+def eigenstates_of_proposition(p):
+    """The eigenstates of `p`: those of the observable asking `p` itself."""
+    return core.eigenstates_of_observable(core.observable_from_proposition(p))
+
+
 def force_every_pair_compatible(monkeypatch):
     """Make every observable pair read as compatible, so that `check_laws`
     hands each one to the pair laws.  The one commutation scan,

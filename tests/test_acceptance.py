@@ -13,6 +13,7 @@ import numpy as np
 from gqt import checker, cli, core, modelio, quantum
 
 from conftest import FIXTURES, make_qzx, mutate_entry, violation_holds
+from test_quantum import one_projector_orbit, reference_action, state_matrix
 
 QZX = FIXTURES / "qzx.json"
 BELL = FIXTURES / "bell.json"
@@ -254,28 +255,37 @@ def test_criterion_5_quantum_law_sampling():
         q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         k = int(rng.integers(0, d + 1))
         p = quantum.Projector(q[:, :k] @ q[:, :k].conj().T)
-        sides = {"yes": p, "no": p.complement()}
+        actions = {"yes": p.matrix, "no": p.complement().matrix}
 
-        yes = quantum.act_projector(rho, sides["yes"], tol)
-        no = quantum.act_projector(rho, sides["no"], tol)
-        if yes is core.ZERO and no is core.ZERO:
+        # Each law is asked of the closure of the trial's one-projector
+        # system, whose proposition P acts on the seed s0.
+        orbit, prop = one_projector_orbit(rho, p, tol)
+        sides = {"yes": prop.yes, "no": prop.no}
+        branches = {outcome: side("s0") for outcome, side in sides.items()}
+        if all(branch is core.ZERO for branch in branches.values()):
             failures.append(f"trial {trial}: both branches vanished")
             continue
-        for outcome, branch in (("yes", yes), ("no", no)):
+        for outcome, branch in branches.items():
+            # Cross-check: the branch is the test-side action's image, and
+            # vanishes with it.
+            image = reference_action(rho.normalized(), actions[outcome], tol)
+            if (branch is core.ZERO) != (image is None):
+                failures.append(f"trial {trial}: {outcome} branch vanishes unlike the action's image")
+            elif image is not None and not np.abs(state_matrix(orbit, branch) - image).max() <= tol:
+                failures.append(f"trial {trial}: {outcome} branch differs from the action's image")
             if branch is core.ZERO:
                 continue
-            again = quantum.act_projector(branch, sides[outcome], tol)
-            if again is core.ZERO or not quantum.states_equal(branch, again, tol):
+            if sides[outcome](branch) != branch:
                 failures.append(f"trial {trial}: {outcome} branch not idempotent")
             other = "no" if outcome == "yes" else "yes"
-            if quantum.act_projector(branch, sides[other], tol) is not core.ZERO:
+            if sides[other](branch) is not core.ZERO:
                 failures.append(f"trial {trial}: {outcome} branch survives the {other} action")
 
-        scaled = quantum.DensityState(rho.matrix * 3.5)
-        rescaled = quantum.act_projector(scaled, p, tol)
-        if (yes is core.ZERO) != (rescaled is core.ZERO):
+        rescaled, rescaled_prop = one_projector_orbit(quantum.DensityState(rho.matrix * 3.5), p, tol)
+        yes, again = branches["yes"], rescaled_prop.yes("s0")
+        if (yes is core.ZERO) != (again is core.ZERO):
             failures.append(f"trial {trial}: scaling changed whether the yes branch vanishes")
-        elif yes is not core.ZERO and not quantum.states_equal(yes, rescaled, tol):
+        elif yes is not core.ZERO and not np.abs(state_matrix(orbit, yes) - state_matrix(rescaled, again)).max() <= tol:
             failures.append(f"trial {trial}: scaling changed the yes branch")
     _finish(5, "quantum law sampling", started, 5.0, failures)
 

@@ -570,8 +570,15 @@ EXIT_2_CASES = {
             ("none", "partition must name at least one subsystem"),
             ("duplicate", "duplicate subsystem name 'A'"),
             ("empty-name", "subsystem names must be non-empty strings"),
+            # The first fault in list order is reported.
+            ("duplicate-then-empty", "duplicate subsystem name 'A'"),
+            ("empty-then-duplicate", "subsystem names must be non-empty strings"),
         )
     },
+    "validate-duplicate-global-tag": (
+        ["validate", "{tmp}/duplicate_global.json"],
+        "error: partition: duplicate global tag 'BELL'\n",
+    ),
     "quantum-build-no-projectors": (
         ["quantum", "build", "{tmp}/no_projectors.json", "-o", "{tmp}/built.json"],
         "error: propositions: at least one projector is required\n",
@@ -628,7 +635,13 @@ EXIT_2_CASES = {
 }
 
 
-SUBSYSTEMS = {"none": [], "duplicate": ["A", "A"], "empty-name": [""]}
+SUBSYSTEMS = {
+    "none": [],
+    "duplicate": ["A", "A"],
+    "empty-name": [""],
+    "duplicate-then-empty": ["A", "A", ""],
+    "empty-then-duplicate": ["A", "", "A"],
+}
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_2_CASES))
@@ -636,6 +649,8 @@ def test_error_exit_leaves_stdout_empty(tmp_path, capsys, monkeypatch, case):
     argv, message = EXIT_2_CASES[case]
     (tmp_path / "truncated.json").write_text((FIXTURES / "qzx.json").read_text(encoding="utf-8")[:150], encoding="utf-8")
     bell = json.loads((FIXTURES / "bell.json").read_text(encoding="utf-8"))
+    duplicate_global = {**bell, "partition": {**bell["partition"], "global": ["BELL", "BELL"]}}
+    (tmp_path / "duplicate_global.json").write_text(json.dumps(duplicate_global), encoding="utf-8")
     for name, subsystems in SUBSYSTEMS.items():
         bell["partition"]["subsystems"] = subsystems
         (tmp_path / f"subsystems_{name}.json").write_text(json.dumps(bell), encoding="utf-8")

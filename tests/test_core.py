@@ -15,7 +15,7 @@ from gqt.errors import (
     StructuralError,
 )
 
-from conftest import make_bell, make_bistable, make_qzx, mutate_entry
+from conftest import eigenstates_of_proposition, make_bell, make_bistable, make_qzx, mutate_entry
 
 
 def space4():
@@ -262,8 +262,8 @@ def _structural_error_cases():
         "classify-pair-spaces": (lambda: core.classify_pair(z, foreign_obs), "observables are over different state spaces"),
         "pair-class-spaces": (lambda: core.pair_class(z, foreign_obs), "observables are over different state spaces"),
         "act-projector-dimension": (
-            lambda: quantum.act_projector(qubit, quantum.Projector(np.eye(3))),
-            "projector dimension does not match the state",
+            lambda: quantum.close_orbit([qubit], [("P", quantum.Projector(np.eye(3)))]),
+            "projector 'P' dimension does not match the seeds",
         ),
         "close-orbit-seeds": (
             lambda: quantum.close_orbit([qubit, qutrit], [("P", quantum.Projector(np.eye(2)))]),
@@ -352,7 +352,7 @@ def test_consistency_violation():
 
 
 # ---------------------------------------------------------------------------
-# negate / apply / compose / modal status
+# negate / side / compose / modal status
 
 
 def test_negate_is_involutive(qzx):
@@ -371,15 +371,17 @@ def test_negate_swaps_builtins(qzx):
 
 
 def test_apply_matches_tables(qzx):
+    # Asking a proposition and getting an outcome is `p.side(outcome)(z)`.
     z0 = qzx.propositions["Z0"]
-    assert core.apply(z0, "yes", "zp") == "z0"
-    assert core.apply(z0, "no", "zp") == "z1"
-    assert core.apply(z0, "yes", "z1") is ZERO
-    assert core.apply(z0, "yes", ZERO) is ZERO
-    with pytest.raises(StructuralError):
-        core.apply(z0, "maybe", "z0")
-    with pytest.raises(StructuralError):
-        core.apply(z0, "yes", "nope")
+    assert z0.side("yes") is z0.yes and z0.side("no") is z0.no
+    assert z0.side("yes")("zp") == "z0"
+    assert z0.side("no")("zp") == "z1"
+    assert z0.side("yes")("z1") is ZERO
+    assert z0.side("yes")(ZERO) is ZERO
+    with pytest.raises(StructuralError, match="outcome must be 'yes' or 'no', got 'maybe'"):
+        z0.side("maybe")
+    with pytest.raises(StructuralError, match="unknown state 'nope'"):
+        z0.side("yes")("nope")
 
 
 def test_compose_is_associative_action(qzx):
@@ -406,11 +408,11 @@ def test_modal_status(qzx):
 
 def test_eigenstates_of_proposition(qzx):
     z0 = qzx.propositions["Z0"]
-    assert core.eigenstates_of_proposition(z0) == [("z0", "yes"), ("z1", "no")]
+    assert eigenstates_of_proposition(z0) == [("z0", "yes"), ("z1", "no")]
     neg = core.negate(z0)
-    assert core.eigenstates_of_proposition(neg) == [("z0", "no"), ("z1", "yes")]
+    assert eigenstates_of_proposition(neg) == [("z0", "no"), ("z1", "yes")]
     one = qzx.propositions["ONE"]
-    assert core.eigenstates_of_proposition(one) == [(z, "yes") for z in sorted(qzx.space.states)]
+    assert eigenstates_of_proposition(one) == [(z, "yes") for z in sorted(qzx.space.states)]
 
 
 def test_negation_of_a_bare_negation_sign():
@@ -418,7 +420,7 @@ def test_negation_of_a_bare_negation_sign():
     p = core.Proposition("¬", core.identity_map(space), core.constant_zero_map(space))
     assert core.negate(p).name == "¬¬"
     assert core.negate(core.negate(p)) == p
-    assert core.eigenstates_of_proposition(p) == [("a", "yes")]
+    assert eigenstates_of_proposition(p) == [("a", "yes")]
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +523,11 @@ def test_validate_observable_clean(qzx, bell, bistable):
 
 
 def test_observable_from_proposition_validates(qzx):
-    obs = core.observable_from_proposition(qzx.propositions["Z0"])
+    z0 = qzx.propositions["Z0"]
+    obs = core.observable_from_proposition(z0)
     assert observable_report(obs) == []
-    assert obs.spectrum == ("yes", "no")
+    assert (obs.name, obs.spectrum, obs.family) == ("Z0", ("yes", "no"), {"yes": z0, "no": core.negate(z0)})
+    assert core.observable_from_proposition(z0, "A").name == "A"
 
 
 def test_mutual_exclusion_violation(qzx):
@@ -850,8 +854,6 @@ def test_reachable_submodel(bell):
 
 
 def test_model_lookup_errors(qzx):
-    with pytest.raises(StructuralError):
-        qzx.proposition("NOPE")
     with pytest.raises(StructuralError):
         qzx.observable("NOPE")
     with pytest.raises(StructuralError):

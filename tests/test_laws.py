@@ -4,7 +4,9 @@
 predicates, so their agreeing with each other proves nothing.  The
 reference below is written straight from the README's law statements,
 without the library's law code, and both reports must match it on every
-single-entry mutation of the fixtures and of a few fuzzed models.  A
+single-entry mutation of the fixtures and of a few fuzzed models
+(`check_laws` also on models with a broken builtin, in
+`test_properties.py`).  A
 map's table is bytes up to 255 states and a tuple beyond; the tests force
 tuples at small sizes too, and mix the two, and hold every form to the
 reference.
@@ -21,7 +23,14 @@ from gqt import checker, core
 from gqt.checker import GeneratorParams
 from gqt.core import ZERO, Observable, PropMap, Proposition, StateSpace, Violation
 
-from conftest import force_every_pair_compatible, make_bell, make_bistable, make_qzx, mutate_entry
+from conftest import (
+    eigenstates_of_proposition,
+    force_every_pair_compatible,
+    make_bell,
+    make_bistable,
+    make_qzx,
+    mutate_entry,
+)
 
 FUZZ_PARAMS = [
     GeneratorParams(n_states=5, n_props=3, n_obs=2, seed=1),
@@ -33,16 +42,23 @@ FUZZ_PARAMS = [
 
 
 def reference_laws(model):
-    """(law, subjects, witness) for the five laws, from their statements.
+    """(law, subjects, witness) for the five laws and the three builtin
+    compositions, from their statements.
 
     idempotence: side(side(z)) = side(z) for side in yes, no;
     annihilation: no(yes(z)) = null and yes(no(z)) = null;
     consistency: yes(z) and no(z) are not both null;
     mutual exclusion: value v is impossible after a different value u;
-    completeness: some value is possible at z.
+    completeness: some value is possible at z;
+    0P=P0=0: ZERO.yes(yes(z)) and yes(ZERO.yes(z)) are null;
+    1P=P1=P: ONE.yes(yes(z)) and yes(ONE.yes(z)) are yes(z);
+    1ANDP=P: ONE.yes(yes(z)) is yes(z), at the first state where it is not.
+
+    The last three are against the model's own ZERO and ONE, when it has them.
     """
     found = set()
     states = model.space.states
+    one, zero = model.propositions.get("ONE"), model.propositions.get("ZERO")
     for name, p in model.propositions.items():
         yes, no = p.yes, p.no
         for z in states:
@@ -53,6 +69,14 @@ def reference_laws(model):
                 found.add(("annihilation", (name,), (z,)))
             if yes(z) is ZERO and no(z) is ZERO:
                 found.add(("consistency", (name,), (z,)))
+            if zero is not None and (zero.yes(yes(z)) is not ZERO or yes(zero.yes(z)) is not ZERO):
+                found.add(("0P=P0=0", (name,), (z,)))
+            if one is not None and (one.yes(yes(z)) != yes(z) or yes(one.yes(z)) != yes(z)):
+                found.add(("1P=P1=P", (name,), (z,)))
+        if one is not None:
+            first = next((z for z in states if one.yes(yes(z)) != yes(z)), None)
+            if first is not None:
+                found.add(("1ANDP=P", (name,), (first,)))
     for name, a in model.observables.items():
         for z in states:
             for v in a.spectrum:
@@ -64,7 +88,7 @@ def reference_laws(model):
     return found
 
 
-# Report ids of the five laws, mapped to the reference's names.
+# Report ids, mapped to the reference's names.
 VALIDATE_IDS = {
     "idempotence-yes": "idempotence",
     "idempotence-no": "idempotence",
@@ -77,6 +101,9 @@ CHECK_IDS = {
     "PP=P": "idempotence",
     "P·negP=0": "annihilation",
     "consistency": "consistency",
+    "0P=P0=0": "0P=P0=0",
+    "1P=P1=P": "1P=P1=P",
+    "1ANDP=P": "1ANDP=P",
     "mutual-exclusion": "mutual-exclusion",
     "completeness": "completeness",
 }
@@ -135,7 +162,8 @@ def checked_mutant_reports(table_type, builtins=None):
             assert from_check(checked) == want, edit
             reports.append((validated, checked))
     assert n_mutants == 2292
-    assert seen_laws == set(CHECK_IDS.values())
+    # A mutant keeps its builtins, so it breaks only the five laws.
+    assert seen_laws == set(VALIDATE_IDS.values())
     return reports
 
 
@@ -370,7 +398,7 @@ def reference_pair_class(a, b, common):
 
 def assert_eigen_queries_match_reference(model):
     for p in model.propositions.values():
-        assert core.eigenstates_of_proposition(p) == reference_eigenstates_of_proposition(p), p.name
+        assert eigenstates_of_proposition(p) == reference_eigenstates_of_proposition(p), p.name
     observables = [model.observables[name] for name in sorted(model.observables)]
     for a in observables:
         assert core.eigenstates_of_observable(a) == reference_eigenstates_of_observable(a), a.name

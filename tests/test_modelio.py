@@ -572,6 +572,19 @@ def test_parse_partition_shape_errors():
         modelio.parse_model(bad)
 
 
+@pytest.mark.parametrize("tags", [["Z", "Z"], ["X", "GHOST", "GHOST"]], ids=["named", "unknown"])
+@pytest.mark.parametrize("fixture", ["qzx.json", "qzx_quantum.json"])
+def test_parse_partition_refuses_a_repeated_global_tag(fixture, tags):
+    # A global tag given twice is refused, as a repeated subsystem is,
+    # whether or not it names an observable.
+    data = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+    data["partition"] = {"subsystems": ["A"], "local": {}, "global": tags}
+    parse = modelio.parse_quantum if "quantum" in fixture else modelio.parse_model
+    with pytest.raises(StructuralError) as exc:
+        parse(json.dumps(data))
+    assert str(exc.value) == f"partition: duplicate global tag {tags[-1]!r}"
+
+
 def test_dangling_partition_reference_parses_then_fails_validation():
     text = minimal_doc(partition={"subsystems": ["A"], "local": {"GHOST": "A"}, "global": []})
     model = modelio.parse_model(text)

@@ -27,7 +27,6 @@ from gqt.core import (
     StateSpace,
     compose,
     conjunction,
-    eigenstates_of_proposition,
     is_compatible_propositions,
     make_one,
     make_zero,
@@ -35,7 +34,8 @@ from gqt.core import (
     negate,
 )
 
-from test_laws import assert_eigen_queries_match_reference
+from conftest import eigenstates_of_proposition, make_bell, make_bistable, make_qzx
+from test_laws import assert_eigen_queries_match_reference, from_check, reference_laws
 from test_modelio import (
     Pairs,
     assert_entries_follow_the_schema,
@@ -129,7 +129,7 @@ def hostile_models(draw):
         partition = Partition(
             tuple(draw(st.lists(names, min_size=1, max_size=3, unique=True))),
             draw(st.dictionaries(names, names, max_size=3)),
-            tuple(draw(st.lists(names, max_size=3))),
+            tuple(draw(st.lists(names, max_size=3, unique=True))),
         )
     return Model.build(space, props, observables, partition)
 
@@ -320,12 +320,17 @@ def test_rename_then_invert_is_identity(model, rnd):
 
 def _with_broken_builtin(model: Model, how: str) -> Model:
     """A raw model whose ONE or ZERO sends every state to the first (on its
-    no side only, for "stuck-no"), or that has no ONE."""
+    no side only, for "stuck-no"), whose ONE is idempotent but not the
+    identity, or that has no ONE."""
     n = len(model.space)
     stuck = PropMap(model.space, [0] * n + [n])
     props = dict(model.propositions)
     if how == "missing ONE":
         del props["ONE"]
+    elif how == "idempotent ONE":
+        # The last state goes to the first, which stays put; a lone state goes to zero.
+        table = [*range(n - 1), 0 if n > 1 else n, n]
+        props["ONE"] = Proposition("ONE", PropMap(model.space, table), props["ONE"].no)
     else:
         kind, name = how.split()
         yes = props[name].yes if kind == "stuck-no" else stuck
@@ -333,7 +338,14 @@ def _with_broken_builtin(model: Model, how: str) -> Model:
     return Model(model.space, props, model.observables, model.partition)
 
 
-BROKEN_BUILTINS = ("malformed ONE", "malformed ZERO", "stuck-no ONE", "stuck-no ZERO", "missing ONE")
+BROKEN_BUILTINS = (
+    "malformed ONE",
+    "malformed ZERO",
+    "stuck-no ONE",
+    "stuck-no ZERO",
+    "idempotent ONE",
+    "missing ONE",
+)
 
 
 @st.composite
@@ -387,8 +399,22 @@ def unguarded_check_laws(model: Model) -> list[core.Violation]:
 @given(st.one_of(generated_models(), raw_models()))
 def test_check_laws_matches_the_unguarded_reference(model):
     # check_laws skips the builtin-composition laws where the builtin yes
-    # map is the builtin one; that must lose no report.
+    # map is the builtin one; that must lose no report.  The laws
+    # themselves are held to `reference_laws` below.
     assert checker.check_laws(model) == unguarded_check_laws(model)
+
+
+@pytest.mark.parametrize("how", BROKEN_BUILTINS)
+def test_check_laws_matches_the_reference_with_a_broken_builtin(how):
+    for base in (make_qzx(), make_bell(), make_bistable()):
+        model = _with_broken_builtin(base, how)
+        assert from_check(checker.check_laws(model)) == reference_laws(model), base.space.states
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_models())
+def test_check_laws_matches_the_reference_on_raw_models(model):
+    assert from_check(checker.check_laws(model)) == reference_laws(model)
 
 
 def test_zeroed_by_all_matches_a_per_state_scan():

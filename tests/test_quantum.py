@@ -80,45 +80,63 @@ def test_density_matrices_are_frozen():
 # Actions
 
 
+def one_projector_orbit(z, p, tol=quantum.DEFAULT_TOL):
+    """The closure of seed `z` under one projector `p`: the seed is s0, and
+    the maps of proposition P are the two actions."""
+    orbit = quantum.close_orbit([z], [("P", p)], tol=tol)
+    return orbit, orbit.model.propositions["P"]
+
+
+def state_matrix(orbit, state):
+    return orbit.matrices[orbit.model.space.index[state]]
+
+
 def test_act_projector_oracle():
+    # The action of one projector on one state, as orbit closure takes it.
     p_z0 = Projector(dm(KET0))
-    out = quantum.act_projector(DensityState(dm(PLUS)), p_z0)
-    assert isinstance(out, DensityState)
-    assert np.abs(out.matrix - dm(KET0)).max() < 1e-12
-    assert quantum.act_projector(DensityState(dm(KET1)), p_z0) is ZERO
+    plus = DensityState(dm(PLUS))
+    orbit, p = one_projector_orbit(plus, p_z0)
+    yes = p.yes("s0")
+    assert yes != "s0" and np.abs(state_matrix(orbit, yes) - dm(KET0)).max() < 1e-12
+    assert state_matrix(orbit, yes).tobytes() == reference_action(plus.normalized(), p_z0.matrix, orbit.tol).tobytes()
+    _, p = one_projector_orbit(DensityState(dm(KET1)), p_z0)
+    assert p.yes("s0") is ZERO
     # identity projector: state unchanged (normalized)
-    out = quantum.act_projector(DensityState(2.0 * dm(MINUS)), Projector(np.eye(2)))
-    assert np.abs(out.matrix - dm(MINUS)).max() < 1e-12
+    orbit, p = one_projector_orbit(DensityState(2.0 * dm(MINUS)), Projector(np.eye(2)))
+    assert p.yes("s0") == "s0" and p.no("s0") is ZERO
+    assert np.abs(state_matrix(orbit, "s0") - dm(MINUS)).max() < 1e-12
 
 
 def test_quantum_proposition_laws_pointwise():
-    p = Projector(dm(KET0))
-    tol = quantum.DEFAULT_TOL
+    p_z0 = Projector(dm(KET0))
     for z in (DensityState(dm(PLUS)), DensityState(dm(KET0)), DensityState(np.eye(2) / 2)):
-        yes = quantum.act_projector(z, p, tol)
+        _, p = one_projector_orbit(z, p_z0)
+        yes, no = p.yes("s0"), p.no("s0")
         if yes is not ZERO:
-            again = quantum.act_projector(yes, p, tol)
-            assert again is not ZERO and quantum.states_equal(yes, again)
-            assert quantum.act_projector(yes, p.complement(), tol) is ZERO
-        no = quantum.act_projector(z, p.complement(), tol)
+            assert p.yes(yes) == yes
+            assert p.no(yes) is ZERO
         if no is not ZERO:
-            assert quantum.act_projector(no, p, tol) is ZERO
+            assert p.yes(no) is ZERO
         assert yes is not ZERO or no is not ZERO
 
 
 def test_act_projector_at_zero_tolerance_returns_the_image():
-    # The image inherits the checks of z and p.  Checked again at tol=0 it
-    # would fail on rounding, though close_orbit at tol=0 keeps it.
+    # An image inherits the checks of its state and projector.  Checked
+    # again at tol=0 it would fail on rounding, though closure at tol=0
+    # keeps it.  The projectors are coordinate ones: under a rotated one,
+    # the other side's action leaves a rounding residue whose trace is
+    # above 0, a state of its own, and the closure would not end.
     rng = np.random.default_rng(5)
     for _ in range(100):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         z = DensityState(a @ a.conj().T, tol=1e-9)
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        p = Projector(q[:, :2] @ q[:, :2].conj().T, tol=1e-9)
-        image = quantum.act_projector(z, p, 0.0)
-        assert type(image) is DensityState and not image.matrix.flags.writeable
-        m = p.matrix @ z.matrix @ p.matrix
-        assert image.matrix.tobytes() == (m / m.trace().real).tobytes()
+        p = Projector(np.diag(rng.permutation([1.0, 1.0, 0.0])), tol=1e-9)
+        orbit, prop = one_projector_orbit(z, p, 0.0)
+        image = state_matrix(orbit, prop.yes("s0"))
+        assert not image.flags.writeable
+        assert image.tobytes() == reference_action(z.normalized(), p.matrix, 0.0).tobytes()
+        with pytest.raises(StructuralError):
+            DensityState(image, tol=0.0)
 
 
 def test_states_equal_inclusive_boundary():
@@ -352,7 +370,8 @@ TOL_ENTRY_POINTS = {
     "DensityState": lambda tol: DensityState(dm(KET0), tol),
     "Projector": lambda tol: Projector([[1, 2], [3, 4]], tol),
     "states_equal": lambda tol: quantum.states_equal(DensityState(dm(KET0)), DensityState(dm(PLUS)), tol),
-    "act_projector": lambda tol: quantum.act_projector(DensityState(dm(KET0)), Projector(dm(PLUS)), tol),
+    "document_orbit": lambda tol: quantum.document_orbit(qzx_document(), tol=tol),
+    "family_violations": lambda tol: quantum.family_violations(qzx_document(), tol=tol),
 }
 
 
@@ -442,6 +461,14 @@ def test_commuting_projectors_induce_compatible_propositions():
 # Orbit closure against the linear-scan reference
 
 
+def reference_action(rho, pm, tol):
+    """The image `pm rho pm` of a matrix under one action, trace-normalized,
+    or None when its trace is not above `tol`."""
+    img = pm @ rho @ pm
+    trace = img.trace().real
+    return None if trace <= tol else img / trace
+
+
 def reference_close_orbit(seeds, propositions, cap=quantum.DEFAULT_CAP, tol=quantum.DEFAULT_TOL):
     """The closure with one `max|known - m|` per known state that
     `close_orbit` replaced, kept as its oracle; returns (model, matrices)."""
@@ -476,12 +503,10 @@ def reference_close_orbit(seeds, propositions, cap=quantum.DEFAULT_CAP, tol=quan
     i = 0
     while i < len(mats):
         for row, pm in zip(rows, actions):
-            img = pm @ mats[i] @ pm
-            trace = img.trace().real
-            if trace <= tol:
+            img = reference_action(mats[i], pm, tol)
+            if img is None:
                 row.append(None)
             else:
-                img = img / trace
                 j = find(img)
                 if j is None:
                     j = add(img, i)
@@ -535,10 +560,9 @@ def reference_margins(seeds, projs, model, mats, tol):
         prop = model.propositions[name]
         for pm, target in ((p.matrix, prop.yes.table), (np.eye(dim) - p.matrix, prop.no.table)):
             for i, state in enumerate(mats):
-                img = pm @ state @ pm
-                trace = img.trace().real
-                if trace > tol:
-                    merge = max(merge, float(np.abs(mats[target[i]] - img / trace).max()))
+                img = reference_action(state, pm, tol)
+                if img is not None:
+                    merge = max(merge, float(np.abs(mats[target[i]] - img).max()))
     split = min((float(np.abs(mats[:k] - mats[k]).max(axis=(1, 2)).min()) for k in range(1, len(mats))), default=np.inf)
     return merge, split
 
