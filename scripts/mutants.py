@@ -425,11 +425,65 @@ MUTANTS = (
     Mutant(
         "one-identity-early-return-inverted",
         "src/gqt/core.py",
-        "if one_p == yes == p_one:",
-        "if one_p != yes == p_one:",
+        "if fg == g.table == gf:",
+        "if fg != g.table == gf:",
         ("tests/test_checker.py::test_idempotent_one_that_is_not_the_identity_breaks_one_identity",),
-        "`one_is_identity` then reports nothing when P after ONE is P but ONE after P is not; an idempotent "
+        "`_changed_by` then finds nothing when P after ONE is P but ONE after P is not; an idempotent "
         "ONE that is not the identity gives such a P, which `check_laws` reports at a and at c.",
+    ),
+    Mutant(
+        "one-predicate-needs-both-composites-changed",
+        "src/gqt/core.py",
+        "if u != w or v != w]",
+        "if u != w and v != w]",
+        ("tests/test_checker.py::test_idempotent_one_that_is_not_the_identity_breaks_one_identity",),
+        "`_changed_by` then lists a state only where both composites change it; an idempotent ONE that is "
+        "not the identity changes P only on the ONE-after-P side, at a and at c, and `check_laws` reports nothing.",
+    ),
+    Mutant(
+        "zeroed-by-all-early-return-inverted",
+        "src/gqt/core.py",
+        "    if not common:\n        return []",
+        "    if common:\n        return []",
+        ("tests/test_properties.py::test_zeroed_by_all_matches_a_per_state_scan",),
+        "`_zeroed_by_all` then returns [] whenever some state is sent to zero by every map, so `consistency` "
+        "and `completeness` never report; the test scans each state at 1 to 300 states.",
+    ),
+    Mutant(
+        "settings-trusts-the-document",
+        "src/gqt/quantum.py",
+        "    _check_tol(tol)\n    _check_cap(cap)\n    return cap, tol",
+        "    return cap, tol",
+        ("tests/test_quantum.py::test_a_document_setting_is_checked_once_settled[tolerance-nan]",),
+        "`settings` then returns a hand-built document's NaN tolerance, and `family_violations` reports "
+        "every residue check failed against it; the test wants `_check_tol`'s message from `settings`.",
+    ),
+    Mutant(
+        "quantum-document-holds-a-ghost-member",
+        "src/gqt/modelio.py",
+        "if spec.family[v] not in projectors:",
+        "if False:",
+        ("tests/test_modelio.py::test_quantum_document_refuses_a_family_member_it_does_not_hold",),
+        "A document whose family names a projector it does not hold then builds, and `family_violations` "
+        "and `document_orbit` raise a bare KeyError; the test wants the constructor's StructuralError.",
+    ),
+    Mutant(
+        "partition-local-tag-of-any-type",
+        "src/gqt/core.py",
+        "if not all(isinstance(name, str) and isinstance(target, str) for name, target in local_tags.items()):",
+        "if False:",
+        ("tests/test_core.py::test_partition_refuses_a_tag_that_is_not_a_string[local-subsystem]",),
+        "A partition with the local tag {'Z': 7} then builds, and `serialize_model` raises a TypeError on "
+        "its model; the test wants the constructor's StructuralError.",
+    ),
+    Mutant(
+        "partition-global-tag-of-any-type",
+        "src/gqt/core.py",
+        "if not all(isinstance(name, str) for name in global_tags):",
+        "if False:",
+        ("tests/test_core.py::test_partition_refuses_a_tag_that_is_not_a_string[global]",),
+        "A partition with the global tag 3 then builds, and `serialize_model` raises a TypeError on its "
+        "model; the test wants the constructor's StructuralError.",
     ),
     Mutant(
         "realize-ambiguous-from-three",

@@ -432,6 +432,10 @@ class Partition(_Record):
         local_tags = dict(local_tags)
         if not subsystems:
             raise StructuralError("partition must name at least one subsystem")
+        if not all(isinstance(name, str) and isinstance(target, str) for name, target in local_tags.items()):
+            raise StructuralError("local tags must map observable names to subsystem names")
+        if not all(isinstance(name, str) for name in global_tags):
+            raise StructuralError("global tags must be observable names")
         for kind, names in (("subsystem name", subsystems), ("global tag", global_tags)):
             seen = set()
             for name in names:
@@ -545,19 +549,22 @@ def _zero_flags(n: int) -> bytes:
     return (bytes(n) + b"\1").ljust(256, b"\0")
 
 
-def _zeroed_by_all(maps: Sequence[PropMap], n: int) -> bytes:
-    """`n + 1` bytes, byte i nonzero exactly where every map in `maps` sends
-    state i to the zero index `n` (so byte n always is)."""
+def _zeroed_by_all(maps: Sequence[PropMap], space: StateSpace) -> list[str]:
+    """The states that every map in `maps` sends to zero, in state order:
+    every state when `maps` is empty."""
+    n = len(space)  # the zero index
     # A byte table has n <= 255; past that every table is a tuple and the flags go unused.
     flags = _zero_flags(min(n, 255))
-    common = (1 << 8 * (n + 1)) - 1
+    common = (1 << 8 * n) - 1
     for m in maps:
         try:
             hits = m.table.translate(flags)
         except AttributeError:
             hits = bytes([w == n for w in m.table])
         common &= int.from_bytes(hits, "little")
-    return common.to_bytes(n + 1, "little")
+    if not common:
+        return []
+    return list(itertools.compress(space.states, common.to_bytes(n, "little")))
 
 
 def unfixed_points(m: PropMap) -> list[str]:
@@ -583,6 +590,14 @@ def noncommuting(f: PropMap, g: PropMap) -> list[tuple[str, int, int]]:
     if fg == gf:
         return []
     return [(z, u, w) for z, u, w in zip(g.space.states, fg, gf) if u != w]
+
+
+def _changed_by(f: PropMap, g: PropMap) -> list[tuple[str, int, int, int]]:
+    """`(z, g(z), f(g(z)), g(f(z)))` for each state where either composite differs from `g(z)`."""
+    fg, gf = _after(f, g), _after(g, f)
+    if fg == g.table == gf:
+        return []
+    return [(z, w, u, v) for z, w, u, v in zip(g.space.states, g.table, fg, gf) if u != w or v != w]
 
 
 def idempotence(p: Proposition) -> list[Violation]:
@@ -634,14 +649,10 @@ def negation_annihilates(p: Proposition) -> list[Violation]:
 
 
 def consistency(p: Proposition) -> list[Violation]:
-    n = len(p.yes.table) - 1  # the zero index
-    zeroed = _zeroed_by_all((p.yes, p.no), n)
-    if zeroed.count(0) == n:
+    zeroed = _zeroed_by_all((p.yes, p.no), p.space)
+    if not zeroed:
         return []
-    return [
-        Violation("consistency", (p.name,), (z,), f"both outcomes are impossible at {z}")
-        for z in itertools.compress(p.space.states, zeroed)
-    ]
+    return [Violation("consistency", (p.name,), (z,), f"both outcomes are impossible at {z}") for z in zeroed]
 
 
 def zero_absorbs(zero: Proposition, p: Proposition) -> list[Violation]:
@@ -654,24 +665,15 @@ def zero_absorbs(zero: Proposition, p: Proposition) -> list[Violation]:
 
 def one_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
     """1P=P1=P, against the model's ONE."""
-    yes = p.yes.table
-    one_p, p_one = _after(one.yes, p.yes), _after(p.yes, one.yes)
-    if one_p == yes == p_one:
+    changed = _changed_by(one.yes, p.yes)
+    if not changed:
         return []
-    return [
-        Violation("1P=P1=P", (p.name,), (z,), f"composition with ONE changes the map at {z}")
-        for z, w, u, v in zip(p.space.states, yes, one_p, p_one)
-        if u != w or v != w
-    ]
+    return [Violation("1P=P1=P", (p.name,), (z,), f"composition with ONE changes the map at {z}") for z, _, _, _ in changed]
 
 
 def one_and_is_identity(one: Proposition, p: Proposition) -> list[Violation]:
     """1ANDP=P: ONE AND P, whose yes map is ONE after P, is P; first witness only."""
-    yes = p.yes.table
-    one_p = _after(one.yes, p.yes)
-    if one_p == yes:
-        return []
-    for z, w, u in zip(p.space.states, yes, one_p):
+    for z, w, u, _ in _changed_by(one.yes, p.yes):
         if u != w:
             return [Violation("1ANDP=P", (p.name,), (z,), f"ONE AND {p.name} differs from {p.name} at {z}")]
     return []
@@ -690,14 +692,10 @@ def exclusion(a: Observable) -> list[Violation]:
 
 
 def completeness(a: Observable) -> list[Violation]:
-    n = len(a.space)
-    zeroed = _zeroed_by_all([a.family[v].yes for v in a.spectrum], n)
-    if zeroed.count(0) == n:
+    zeroed = _zeroed_by_all([a.family[v].yes for v in a.spectrum], a.space)
+    if not zeroed:
         return []
-    return [
-        Violation("completeness", (a.name,), (z,), f"every value is impossible at {z}")
-        for z in itertools.compress(a.space.states, zeroed)
-    ]
+    return [Violation("completeness", (a.name,), (z,), f"every value is impossible at {z}") for z in zeroed]
 
 
 def compatible_has_common_eigenstate(a: Observable, b: Observable) -> list[Violation]:

@@ -354,7 +354,10 @@ class ObservableSpec(core._Record):
 
 
 class QuantumDocument(core._Record):
-    """Parsed quantum system: seeds, projectors, observables, knobs."""
+    """Parsed quantum system: seeds, projectors, observables, knobs.
+
+    Every family member of an observable names a projector of the
+    document; the constructor refuses any other."""
 
     __slots__ = _fields = ("dimension", "seeds", "propositions", "observables", "cap", "tolerance", "partition")
 
@@ -368,6 +371,13 @@ class QuantumDocument(core._Record):
         tolerance: Optional[float] = None,
         partition: Optional[core.Partition] = None,
     ):
+        projectors = {name for name, _ in propositions}
+        for spec in observables:
+            for v in spec.spectrum:
+                if spec.family[v] not in projectors:
+                    raise StructuralError(
+                        f"observable {spec.name!r}: family member {spec.family[v]!r} is not a projector of the document"
+                    )
         self._assign(dimension, seeds, propositions, observables, cap, tolerance, partition)
 
     @staticmethod

@@ -336,16 +336,13 @@ def close_orbit(
 
 def settings(doc, cap: Optional[int] = None, tol: Optional[float] = None) -> tuple[int, float]:
     """The orbit cap and tolerance of a build: each the flag given here,
-    else the document's, else the default.  A flag is checked here; the
-    parser has checked the document's."""
+    else the document's, else the default, and checked once settled."""
     if tol is None:
         tol = DEFAULT_TOL if doc.tolerance is None else doc.tolerance
-    else:
-        _check_tol(tol)
     if cap is None:
         cap = DEFAULT_CAP if doc.cap is None else doc.cap
-    else:
-        _check_cap(cap)
+    _check_tol(tol)
+    _check_cap(cap)
     return cap, tol
 
 

@@ -73,6 +73,15 @@ def test_validate_json_format(tmp_path, capsys):
     assert set(v) == {"law", "subjects", "witness", "detail"}
 
 
+def test_json_payloads_refuse_a_value_of_unknown_type():
+    # A payload holds JSON values, violations and ZERO; anything else is a
+    # bug in the command, which the encoder names rather than prints.
+    assert cli._json_value(ZERO) is None
+    with pytest.raises(TypeError) as exc:
+        json.dumps({"x": {1}}, default=cli._json_value)
+    assert str(exc.value) == "set is not JSON serializable"
+
+
 def test_validate_parse_error_goes_to_stderr(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope", encoding="utf-8")
@@ -267,6 +276,17 @@ def test_quantum_build_qzx(tmp_path, capsys):
     assert built.space.states == ("s0", "s1", "s2", "s3")
     code, out, _ = run_cli(["validate", str(out_path)], capsys)
     assert code == 0 and out == "0 violations\n"
+
+
+def test_quantum_build_refuses_a_seed_that_is_not_a_state(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
+    doc["seeds"] = {"z0": [1, 0]}
+    path, out_path = tmp_path / "flat_seed.json", tmp_path / "built.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["quantum", "build", str(path), "-o", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: seeds.z0: state must be a vector of [re, im] pairs or a matrix of them\n"
+    assert not out_path.exists()
 
 
 def test_quantum_build_flag_overrides(tmp_path, capsys):

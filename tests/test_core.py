@@ -778,6 +778,24 @@ def test_validate_model_flags_partition_problems(bell):
     assert any(v.law == "partition-overlap" for v in core.validate_model(model))
 
 
+@pytest.mark.parametrize(
+    "local_tags, global_tags, message",
+    [
+        ({"Z": 7}, (), "local tags must map observable names to subsystem names"),
+        ({7: "A"}, (), "local tags must map observable names to subsystem names"),
+        ({}, ("Z", 3), "global tags must be observable names"),
+    ],
+    ids=["local-subsystem", "local-observable", "global"],
+)
+def test_partition_refuses_a_tag_that_is_not_a_string(local_tags, global_tags, message):
+    # Unrefused, `serialize_model` would raise a TypeError on the model.
+    with pytest.raises(StructuralError) as exc:
+        core.Partition(("A", "B"), local_tags, global_tags)
+    assert str(exc.value) == message
+    # An empty global tag stays a partition-reference report, not a refusal.
+    assert core.Partition(("A",), {}, ("",)).global_tags == ("",)
+
+
 def test_rename_states_roundtrip(qzx):
     fwd = {"z0": "a", "zp": "b", "zm": "c", "z1": "d"}
     renamed = core.rename_states(qzx, fwd)

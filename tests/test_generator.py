@@ -131,8 +131,8 @@ def test_branch_masks_agree_with_the_laws(n):
             for _, image, support in pool[:k]:
                 covered |= support
                 kill |= image
-            zeroed = core._zeroed_by_all([p.yes for p, _, _ in pool[:k]], n)
-            assert checker._states(full ^ covered, n) == [i for i in range(n) if zeroed[i]]
+            zeroed = core._zeroed_by_all([p.yes for p, _, _ in pool[:k]], space)
+            assert checker._states(full ^ covered, n) == [space.index[z] for z in zeroed]
             assert checker._states(kill, n) == sorted({i for p, _, _ in pool[:k] for i in _fixed_points(p.yes)})
         # Each observable chooses the branches the law predicate does, and
         # its remainder fixes the states they all send to zero and rules
@@ -144,8 +144,7 @@ def test_branch_masks_agree_with_the_laws(n):
             rng_ref.setstate(state)
             expected = _greedy_branches(rng_ref, pool, 8)
             assert [a.family[v] for v in a.spectrum[: len(expected)]] == expected
-            zeroed = core._zeroed_by_all([p.yes for p in expected], n)
-            uncovered = [i for i in range(n) if zeroed[i]]
+            uncovered = [space.index[z] for z in core._zeroed_by_all([p.yes for p in expected], space)]
             assert len(a.spectrum) == len(expected) + bool(uncovered)
             if uncovered:
                 rest = a.family[a.spectrum[-1]]

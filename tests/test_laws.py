@@ -88,6 +88,41 @@ def reference_laws(model):
     return found
 
 
+def reference_structure(model):
+    """(law, subjects, witness) for `validate`'s three structural laws, from
+    their statements.
+
+    builtin-structure: the model holds ONE, whose yes map keeps every state
+    and whose no map sends every state to null, and ZERO, the other way round;
+    partition-reference: every local tag names an observable of the model
+    and a subsystem of the partition, and every global tag an observable;
+    partition-overlap: no observable is tagged both local and global.
+    """
+    found = set()
+    for name, kept, killed in (("ONE", "yes", "no"), ("ZERO", "no", "yes")):
+        p = model.propositions.get(name)
+        if p is None or any(p.side(kept)(z) != z or p.side(killed)(z) is not ZERO for z in model.space.states):
+            found.add(("builtin-structure", (name,), ()))
+    part = model.partition
+    if part is not None:
+        for name, subsystem in part.local_tags.items():
+            if name not in model.observables or subsystem not in part.subsystems:
+                found.add(("partition-reference", (name,), ()))
+            if name in part.global_tags:
+                found.add(("partition-overlap", (name,), ()))
+        for name in part.global_tags:
+            if name not in model.observables:
+                found.add(("partition-reference", (name,), ()))
+    return found
+
+
+STRUCTURE_LAWS = ("builtin-structure", "partition-reference", "partition-overlap")
+
+
+def from_structure(report):
+    return {(v.law, v.subjects, v.witness) for v in report if v.law in STRUCTURE_LAWS}
+
+
 # Report ids, mapped to the reference's names.
 VALIDATE_IDS = {
     "idempotence-yes": "idempotence",

@@ -663,6 +663,31 @@ def test_parse_quantum_errors():
         modelio.parse_quantum(quantum_doc(seeds={}))
 
 
+@pytest.mark.parametrize(
+    "seed", [5, None, "x", [], [1, 0], [[[[1, 0]]]]], ids=["number", "null", "string", "empty", "flat", "four-deep"]
+)
+def test_parse_quantum_refuses_a_seed_that_is_neither_a_vector_nor_a_matrix(seed):
+    with pytest.raises(StructuralError) as exc:
+        modelio.parse_quantum(quantum_doc(seeds={"s": seed}))
+    assert str(exc.value) == "seeds.s: state must be a vector of [re, im] pairs or a matrix of them"
+
+
+def test_quantum_document_refuses_a_family_member_it_does_not_hold():
+    doc = modelio.parse_quantum(read_fixture("qzx_quantum.json"))
+    ghost = modelio.ObservableSpec("W", ("a", "b"), {"a": "Z0", "b": "GHOST"})
+    with pytest.raises(StructuralError) as exc:
+        modelio.QuantumDocument(
+            doc.dimension, doc.seeds, doc.propositions, (*doc.observables, ghost), doc.cap, doc.tolerance, doc.partition
+        )
+    assert str(exc.value) == "observable 'W': family member 'GHOST' is not a projector of the document"
+    # The parser refuses the same document first, at the family entry.
+    data = json.loads(read_fixture("qzx_quantum.json"))
+    data["observables"]["W"] = {"spectrum": ["a", "b"], "family": {"a": "Z0", "b": "GHOST"}}
+    with pytest.raises(StructuralError) as exc:
+        modelio.parse_quantum(json.dumps(data))
+    assert str(exc.value) == "observables.W.family.b: unknown projector 'GHOST'"
+
+
 # Each on a 1x1 document, where a bool read as the number 1 would parse.
 @pytest.mark.parametrize(
     "key, value, message",

@@ -35,7 +35,13 @@ from gqt.core import (
 )
 
 from conftest import eigenstates_of_proposition, make_bell, make_bistable, make_qzx
-from test_laws import assert_eigen_queries_match_reference, from_check, reference_laws
+from test_laws import (
+    assert_eigen_queries_match_reference,
+    from_check,
+    from_structure,
+    reference_laws,
+    reference_structure,
+)
 from test_modelio import (
     Pairs,
     assert_entries_follow_the_schema,
@@ -321,18 +327,18 @@ def test_rename_then_invert_is_identity(model, rnd):
 def _with_broken_builtin(model: Model, how: str) -> Model:
     """A raw model whose ONE or ZERO sends every state to the first (on its
     no side only, for "stuck-no"), whose ONE is idempotent but not the
-    identity, or that has no ONE."""
+    identity, or that has no ONE or no ZERO."""
     n = len(model.space)
     stuck = PropMap(model.space, [0] * n + [n])
     props = dict(model.propositions)
-    if how == "missing ONE":
-        del props["ONE"]
-    elif how == "idempotent ONE":
+    kind, name = how.split()
+    if kind == "missing":
+        del props[name]
+    elif kind == "idempotent":
         # The last state goes to the first, which stays put; a lone state goes to zero.
         table = [*range(n - 1), 0 if n > 1 else n, n]
         props["ONE"] = Proposition("ONE", PropMap(model.space, table), props["ONE"].no)
     else:
-        kind, name = how.split()
         yes = props[name].yes if kind == "stuck-no" else stuck
         props[name] = Proposition(name, yes, stuck)
     return Model(model.space, props, model.observables, model.partition)
@@ -345,6 +351,7 @@ BROKEN_BUILTINS = (
     "stuck-no ZERO",
     "idempotent ONE",
     "missing ONE",
+    "missing ZERO",
 )
 
 
@@ -417,6 +424,36 @@ def test_check_laws_matches_the_reference_on_raw_models(model):
     assert from_check(checker.check_laws(model)) == reference_laws(model)
 
 
+@st.composite
+def partitioned_models(draw):
+    """A generated or raw model with no partition or one whose tags may name
+    unknown observables (empty ones among them) or unknown subsystems, or
+    tag an observable both local and global."""
+    model = draw(st.one_of(generated_models(), raw_models()))
+    partition = None
+    if draw(st.integers(0, 4)):
+        tags = st.sampled_from([*sorted(model.observables), "GHOST", ""])
+        partition = Partition(
+            tuple(draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True))),
+            draw(st.dictionaries(tags, st.sampled_from("ABCD"), max_size=4)),
+            tuple(draw(st.lists(tags, max_size=3, unique=True))),
+        )
+    return Model(model.space, model.propositions, model.observables, partition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitioned_models())
+def test_validate_model_matches_the_structure_reference(model):
+    assert from_structure(core.validate_model(model)) == reference_structure(model)
+
+
+@pytest.mark.parametrize("how", BROKEN_BUILTINS)
+def test_validate_model_matches_the_structure_reference_with_a_broken_builtin(how):
+    for base in (make_qzx(), make_bell(), make_bistable()):
+        model = _with_broken_builtin(base, how)
+        assert from_structure(core.validate_model(model)) == reference_structure(model) != set(), base.space.states
+
+
 def test_zeroed_by_all_matches_a_per_state_scan():
     # Byte tables up to 255 states, tuples beyond; zero to three maps.
     rnd = random.Random(0)
@@ -426,8 +463,8 @@ def test_zeroed_by_all_matches_a_per_state_scan():
             PropMap(space, [n if rnd.random() < 0.6 else rnd.randrange(n) for _ in range(n)] + [n])
             for _ in range(rnd.randint(0, 3))
         ]
-        expected = [all(m.table[i] == n for m in maps) for i in range(n + 1)]
-        assert [b != 0 for b in core._zeroed_by_all(maps, n)] == expected, n
+        expected = [z for i, z in enumerate(space.states) if all(m.table[i] == n for m in maps)]
+        assert core._zeroed_by_all(maps, space) == expected, n
 
 
 @pytest.mark.parametrize("how", BROKEN_BUILTINS)

@@ -410,6 +410,39 @@ def test_every_entry_point_refuses_a_cap_that_is_not_an_integer(entry, cap):
     assert str(exc.value) == f"orbit cap must be an integer, got {cap!r}"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tolerance", float("nan"), "tol must be a finite non-negative number, got nan"),
+        ("tolerance", -1.0, "tol must be a finite non-negative number, got -1.0"),
+        ("tolerance", True, "tol must be a finite non-negative number, got True"),
+        ("tolerance", 2**1024, f"tol must be a finite non-negative number, got {2**1024!r}"),
+        ("cap", 0, "orbit cap must be at least 1"),
+        ("cap", True, "orbit cap must be an integer, got True"),
+        ("cap", 2.5, "orbit cap must be an integer, got 2.5"),
+    ],
+    ids=["tolerance-nan", "tolerance-negative", "tolerance-bool", "tolerance-past-float", "cap-zero", "cap-bool", "cap-float"],
+)
+def test_a_document_setting_is_checked_once_settled(field, value, message):
+    # The parser refuses these values; a document built by hand reaches
+    # `settings`, which checks the value it settles whatever its source.
+    parsed = qzx_document()
+    doc = modelio.QuantumDocument(**{**{f: getattr(parsed, f) for f in parsed._fields}, field: value})
+    for entry in (quantum.settings, quantum.family_violations, quantum.document_orbit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructuralError) as exc:
+                entry(doc)
+        assert str(exc.value) == message, entry.__name__
+
+
+def test_states_and_projectors_show_their_dimension():
+    state = DensityState(2 * dm(KET0))
+    assert state.trace() == 2.0
+    assert repr(state) == "DensityState(dim=2, trace=2.000000000)"
+    assert repr(Projector(dm(PLUS))) == "Projector(dim=2)"
+
+
 def test_settings_take_flag_then_document_then_default():
     doc = json.loads((FIXTURES / "qzx_quantum.json").read_text(encoding="utf-8"))
     doc["cap"], doc["tolerance"] = 7, 0

@@ -26,6 +26,8 @@ PARAMS = checker.GeneratorParams(5, 2, 1, 4, 9)
 SPEC = modelio.ObservableSpec("O", ("0", "1"), {"0": "Z0", "1": "Z1"})
 # Records compare arrays by value, so equal copies of a 2x2 matrix are equal.
 MATRIX = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+# The two projectors SPEC's family names, in one order and the other.
+PROJECTORS = (("Z0", MATRIX), ("Z1", np.eye(2) - MATRIX))
 
 MODEL_ARGS = (SPACE, MODEL.propositions, MODEL.observables, None)
 # A model holds only parts over its own space and only its own members, so
@@ -60,8 +62,8 @@ CASES = {
     core.Model: (MODEL_ARGS, MODEL_VARIANTS),
     modelio.ObservableSpec: (("O", ("0", "1"), {"0": "Z0", "1": "Z1"}), ["X", ("1", "0"), {"0": "Z1", "1": "Z0"}]),
     modelio.QuantumDocument: (
-        (2, (("s", MATRIX),), (("Z0", MATRIX),), (SPEC,), 8, 1e-9, PARTITION),
-        [3, (), (), (), None, None, None],
+        (2, (("s", MATRIX),), PROJECTORS, (SPEC,), 8, 1e-9, PARTITION),
+        [3, (), PROJECTORS[::-1], (), None, None, None],
     ),
     checker.GeneratorParams: ((5, 2, 1, 4, 9), [6, 3, 2, 5, 10]),
     checker.FuzzCounterexample: (("law", 3, VIOLATION, MODEL), ["other", 4, core.Violation("law", (), ()), None]),
@@ -204,7 +206,7 @@ def test_arrays_are_compared_by_value():
     # the three differing makes an unequal record.
     zeros = np.zeros((2, 2))
     makers = [
-        lambda m: modelio.QuantumDocument(2, (("s", m),), (("Z0", m),), (SPEC,)),
+        lambda m: modelio.QuantumDocument(2, (("s", m),), (("Z0", m), ("Z1", m)), (SPEC,)),
         lambda m: quantum.Orbit(MODEL, (m,), 0.0, 1.0, 16, 1e-9),
     ]
     for make in makers:
@@ -223,6 +225,7 @@ def test_two_closures_of_one_system_give_equal_orbits():
 
 
 def test_zero_survives_copy_and_pickle():
+    assert repr(core.ZERO) == "ZERO"
     assert pickle.loads(pickle.dumps(core.ZERO)) is core.ZERO
     assert copy.copy(core.ZERO) is core.ZERO and copy.deepcopy(core.ZERO) is core.ZERO
     witness = core.CommutationWitness("P", "Q", "yes", "no", "a", core.ZERO, "b")
